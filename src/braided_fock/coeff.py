@@ -9,7 +9,32 @@ needed here.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+_JSON_EXPONENT = re.compile(r"(0|-?[1-9][0-9]*)\Z")
+
+
+def strict_int(value, what: str) -> int:
+    """``value`` if it is a plain int (not a bool or a float); ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _json_terms(obj, parse_key) -> dict:
+    """Exponent-to-coefficient map of a serialized polynomial, checked strictly."""
+    if not isinstance(obj, dict):
+        raise ValueError("a polynomial must be a map from exponents to integers, got %r"
+                         % (obj,))
+    return {parse_key(key): strict_int(c, "coefficient of %r" % (key,))
+            for key, c in obj.items()}
+
+
+def _json_exponent(text) -> int:
+    if not isinstance(text, str) or not _JSON_EXPONENT.match(text):
+        raise ValueError("malformed exponent key %r" % (text,))
+    return int(text)
 
 
 class LaurentPoly:
@@ -206,7 +231,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj.items()})
+        return cls(_json_terms(obj, _json_exponent))
 
     def __repr__(self):
         return "LaurentPoly(%r)" % (self.terms,)
@@ -374,11 +399,13 @@ class PolyQZW:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolyQZW":
-        out = {}
-        for key, c in obj.items():
-            qe, zd, wd = (int(x) for x in key.split(","))
-            out[(qe, zd, wd)] = int(c)
-        return cls(out)
+        def parse_key(key):
+            parts = key.split(",") if isinstance(key, str) else ()
+            if len(parts) != 3:
+                raise ValueError("malformed exponent key %r" % (key,))
+            return tuple(_json_exponent(x) for x in parts)
+
+        return cls(_json_terms(obj, parse_key))
 
     def __repr__(self):
         return "PolyQZW(%r)" % (self.terms,)

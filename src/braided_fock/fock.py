@@ -18,12 +18,25 @@ product of n+1 generators of one mode vanishes; correction terms produced on
 the way live strictly between k and j and die against the same full columns.
 Every pruned slot can be logged, and pruning can be switched off entirely
 inside a finite slot window for oracle comparisons.
+
+A slot's normal form is local to the columns it crosses.  Every rewrite
+keeps both output modes inside the mode range of the pair it rewrites, so a
+generator moved from column j to mode k only ever rewrites generators of
+columns min(j, k) .. max(j, k) (the block).  The columns before and after
+the block are normal and stay strictly below and above its modes, so under
+the leftmost strategy the bad pair is always inside the block and the whole
+word reduces to prefix . NF(block) . suffix, term for term and with the same
+rewrite chain.  The rules depend only on mode gaps, so NF(block) depends
+only on the slot's position, the shift and the block's column contents
+relative to its lowest column.  ``apply_b`` reduces each such block once per
+call and reuses the result, scaled by the term's coefficient, for every slot
+and term with the same key; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from .coeff import LaurentPoly, braided_int_scalar
-from .modealg import ExchangeRules, ModeElement, normal_form, standard_rules
+from .modealg import ExchangeRules, ModeElement, check_indices, normal_form, standard_rules
 
 
 class FockState:
@@ -217,6 +230,8 @@ def _flatten(cols: dict):
 def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
                   budget=None) -> FockState:
     """Normal-order a mode element against a state from the left."""
+    for xword in x.terms:
+        check_indices(xword, s.n)
     rules = rules or standard_rules(s.n)
     full = _full(s.n)
     raw = {}
@@ -271,11 +286,12 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     n = s.n
     full = _full(n)
     raw = {}
+    transports = {}
     for cfg, sc in s.terms.items():
         T = s.tail_start
         if slot_window is not None:
-            lo, hi = slot_window
-            T_impl = max(T, hi + 1)
+            w_lo, w_hi = slot_window
+            T_impl = max(T, w_hi + 1)
         elif columns is not None:
             T_impl = max(T, max(columns) + 1)
         elif i < 0:
@@ -286,7 +302,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
         for c in range(T, T_impl):
             cols[c] = full
         for j in sorted(cols):
-            if slot_window is not None and not (lo <= j <= hi):
+            if slot_window is not None and not (w_lo <= j <= w_hi):
                 continue
             if columns is not None and j not in columns:
                 continue
@@ -298,15 +314,28 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                             {"column": j, "index": a, "target_mode": k, "term": list(map(list, cfg))}
                         )
                     continue
+                # i is fixed within the call, so the slot's column within
+                # the block is too and stays out of the key
+                lo, hi = (j, k) if k > j else (k, j)
+                # from a list, not a generator: a tuple grown from a generator
+                # bypasses the tuple free list but is freed into it, which
+                # fills the list and raises peak memory
+                block = tuple([cols.get(c) or (full if c >= T_impl else ())
+                               for c in range(lo, hi + 1)])
+                moved = transports.get((pos, block))
+                if moved is None:
+                    moved = _transport(block, lo, j - lo, pos, k, rules, budget)
+                    transports[(pos, block)] = moved
+                if not moved:
+                    continue
                 W = max(T_impl, k + 1)
-                cols2 = dict(cols)
-                for c in range(T_impl, W):
-                    cols2[c] = full
-                flat, offsets = _flatten(cols2)
-                flat[offsets[j] + pos] = (k, a)
-                nf = normal_form(ModeElement.from_word(n, tuple(flat), sc), rules, budget=budget)
-                for w2, c2 in nf.terms.items():
-                    key = _strip(_word_to_cols(w2), W, n)
+                outside = {m: ix for m, ix in cols.items() if m < lo or m > hi}
+                for rel, c2 in moved:
+                    cols2 = dict(outside)
+                    for r, ix in rel:
+                        cols2[lo + r] = ix
+                    key = _strip(cols2, W, n)
+                    c2 = c2 * sc
                     cur = raw.get(key)
                     cur = c2 if cur is None else cur + c2
                     if cur:
@@ -314,6 +343,21 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                     else:
                         del raw[key]
     return _assemble(n, raw, s.tail_start)
+
+
+def _transport(block, lo, col, pos, k, rules, budget):
+    """Normal form of one shifted slot inside the columns it crosses.
+
+    ``block`` holds the contents of columns lo.. in order; the generator at
+    ``pos`` of column ``lo + col`` moves to mode ``k``.  Returns the terms as
+    (columns relative to lo, coefficient) pairs for a unit input coefficient.
+    """
+    flat, offsets = _flatten({lo + r: ix for r, ix in enumerate(block)})
+    flat[offsets[lo + col] + pos] = (k, block[col][pos])
+    nf = normal_form(ModeElement.from_word(rules.n, tuple(flat)), rules, budget=budget)
+    # tuples built from lists, as for the block keys in apply_b
+    return [(tuple([(m - lo, ix) for m, ix in sorted(_word_to_cols(w).items())]), c)
+            for w, c in nf.terms.items()]
 
 
 def apply_b_to_columns(i: int, s: FockState, cols, rules: ExchangeRules = None,

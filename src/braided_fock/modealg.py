@@ -19,7 +19,23 @@ toward the middle of the gap, and convexity keeps contributions from
 untouched positions from growing.  Reduction processes pending words largest
 measure first, so each distinct word is expanded at most once per call.  The
 rewrite budget guards the length of sequential rewrite chains, the quantity
-the termination measure bounds; exceeding it raises with the offending word.
+the termination measure bounds; exceeding it raises with the offending word
+and how far the reduction got.
+
+Each pending word carries its bad pair and its measure, and a child gets
+both from its parent without rescanning:
+
+  * bad pair: a child differs from its parent at p, p+1 only.  Under the
+    leftmost strategy every pair before p is good, so the child's bad pair is
+    at p-1, p or p+1, or else it is the parent's first bad pair at p+2 or
+    later, found once per parent and only when needed (mirrored for
+    rightmost);
+  * measure: a same-mode swap has measure (mu, nu - 1).  A cross-mode
+    rewrite of modes m1 > m2 puts out two modes in [m2, m1] with the same
+    sum, so untouched generators with modes outside [m2, m1] contribute as
+    before, and for the leading term the mode weight drops by exactly
+    m1 - m2.  The update looks only at the generators with modes in
+    [m2, m1].
 """
 
 from __future__ import annotations
@@ -39,10 +55,23 @@ VARIANTS = ("theorem21", "gerv")
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, word, budget):
-        super().__init__("rewrite budget %d exceeded while reducing %r" % (budget, word))
+    """A rewrite chain outgrew the budget.
+
+    Besides the budget and the word whose rewrite would exceed it, records
+    how far the reduction got: the longest chain finished (``depth``), the
+    words expanded so far (``expansions``) and the words still waiting,
+    including this one (``pending``).
+    """
+
+    def __init__(self, word, budget, depth, expansions, pending):
+        super().__init__(
+            "rewrite budget %d exceeded while reducing %r (depth %d, %d expansions, "
+            "%d words pending)" % (budget, word, depth, expansions, pending))
         self.word = word
         self.budget = budget
+        self.depth = depth
+        self.expansions = expansions
+        self.pending = pending
 
 
 def resolve_budget(budget=None) -> int:
@@ -223,59 +252,93 @@ def word_measure(word):
     return mu, nu
 
 
-def _child_measure(word, p, g1, g2, mu, nu):
-    """Measure of ``word`` with positions p, p+1 replaced by g1, g2."""
-    o1, o2 = word[p], word[p + 1]
-    m_o1, a_o1 = o1
-    m_o2, a_o2 = o2
-    m_n1, a_n1 = g1
-    m_n2, a_n2 = g2
-    # internal pair
-    if m_o1 > m_o2:
-        mu -= m_o1 - m_o2
-    elif m_o1 == m_o2 and a_o1 > a_o2:
-        nu -= 1
-    if m_n1 > m_n2:
-        mu += m_n1 - m_n2
-    elif m_n1 == m_n2 and a_n1 > a_n2:
-        nu += 1
-    # pairs with untouched positions
-    for t, (mt, at) in enumerate(word):
-        if t == p or t == p + 1:
-            continue
-        if t < p:
-            for mo, ao, mn, an in ((m_o1, a_o1, m_n1, a_n1), (m_o2, a_o2, m_n2, a_n2)):
-                if mt > mo:
-                    mu -= mt - mo
-                elif mt == mo and at > ao:
-                    nu -= 1
-                if mt > mn:
-                    mu += mt - mn
-                elif mt == mn and at > an:
-                    nu += 1
-        else:
-            for mo, ao, mn, an in ((m_o1, a_o1, m_n1, a_n1), (m_o2, a_o2, m_n2, a_n2)):
-                if mo > mt:
-                    mu -= mo - mt
-                elif mo == mt and ao > at:
-                    nu -= 1
-                if mn > mt:
-                    mu += mn - mt
-                elif mn == mt and an > at:
-                    nu += 1
-    return mu, nu
+class _PairContext:
+    """Measures of the children of one cross-mode rewrite, from the parent's.
+
+    Rewriting (m1, a1)(m2, a2), m1 > m2, at p puts (m2 + s, c)(m1 - s', d)
+    in its place, with s + s' = m1 - m2: both modes stay in [m2, m1] and
+    their sum is kept.  Against an untouched generator of mode u outside
+    [m2, m1] the pair's mode weight is therefore unchanged; for u inside it
+    drops by min(u - m2, s, m1 - u), which is 0 for the leading term (s = 0).
+    The index inversions change only against untouched generators of the
+    same mode as a pair member.  So only the generators with modes in
+    [m2, m1] (``left`` and ``right`` of the pair) are looked at.
+    """
+
+    __slots__ = ("left", "right", "lo", "hi", "mu", "nu")
+
+    def __init__(self, word, p, mu, nu):
+        g1, g2 = word[p], word[p + 1]
+        lo, hi = g2[0], g1[0]
+        self.left = [g for g in word[:p] if lo <= g[0] <= hi]
+        self.right = [g for g in word[p + 2:] if lo <= g[0] <= hi]
+        self.lo, self.hi = lo, hi
+        # the pair itself weighs hi - lo and has no index inversion
+        self.mu = mu - (hi - lo)
+        self.nu = nu - self._same_mode_inversions(g1, g2)
+
+    def _same_mode_inversions(self, g1, g2):
+        (v1, x1), (v2, x2) = g1, g2
+        k = 0
+        for u, b in self.left:
+            if u == v1 and b > x1:
+                k += 1
+            if u == v2 and b > x2:
+                k += 1
+        for u, b in self.right:
+            if u == v1 and b < x1:
+                k += 1
+            if u == v2 and b < x2:
+                k += 1
+        return k
+
+    def measure(self, g1, g2):
+        """(mu, nu) of the word with g1, g2 in place of the pair."""
+        mu, lo, hi = self.mu, self.lo, self.hi
+        s = g1[0] - lo
+        if s:
+            for u, _ in self.left:
+                mu -= min(u - lo, s, hi - u)
+            for u, _ in self.right:
+                mu -= min(u - lo, s, hi - u)
+        nu = self.nu + self._same_mode_inversions(g1, g2)
+        if g1[0] == g2[0] and g1[1] > g2[1]:
+            nu += 1
+        return mu, nu
 
 
-def _bad_pair(word, strategy):
-    rng = range(len(word) - 1)
+def _bad_pair(word, strategy, lo=0, hi=None):
+    """First bad pair in strategy order among pairs (t, t+1) with lo <= t < hi."""
+    rng = range(lo, len(word) - 1 if hi is None else hi)
     if strategy == "rightmost":
         rng = reversed(rng)
     for p in rng:
-        m1, a1 = word[p]
-        m2, a2 = word[p + 1]
-        if m1 > m2 or (m1 == m2 and a1 >= a2):
+        if word[p] >= word[p + 1]:
             return p
     return None
+
+
+def _local_bad_pair(word, p, g1, g2, strategy):
+    """Bad pair among the three pairs of a child that touch positions p, p+1.
+
+    ``word`` is the parent, whose pair at p is replaced by g1, g2 in the child.
+    """
+    before = p > 0 and word[p - 1] >= g1
+    after = p + 2 < len(word) and g2 >= word[p + 2]
+    if strategy == "rightmost":
+        return p + 1 if after else p if g1 >= g2 else p - 1 if before else None
+    return p - 1 if before else p if g1 >= g2 else p + 1 if after else None
+
+
+def _shared_bad_pair(word, p, strategy):
+    """The bad pair a child of ``word`` rewritten at p shares with its parent.
+
+    p is the parent's bad pair in strategy order, so every pair on its near
+    side is good; of the far side, only pairs clear of p, p+1 are shared.
+    """
+    if strategy == "rightmost":
+        return _bad_pair(word, strategy, 0, p - 1)
+    return _bad_pair(word, strategy, p + 2)
 
 
 def _expand(word, p, rules: ExchangeRules):
@@ -294,6 +357,13 @@ def _expand(word, p, rules: ExchangeRules):
         g1, g2 = (m2 + dm1, c), (m2 + dm2, d)
         out.append((head + (g1, g2) + tail, coeff, g1, g2))
     return out
+
+
+def check_indices(word, n):
+    """Reject a word with a generator index outside 1..n."""
+    for g in word:
+        if not 1 <= g[1] <= n:
+            raise ValueError("generator index %d outside 1..%d in %r" % (g[1], n, word))
 
 
 class ReductionStats:
@@ -322,30 +392,22 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     Pending words are processed largest measure first and like terms are
     merged eagerly, so every distinct word is expanded at most once per call;
     all contributions to a word arrive before it is expanded, which makes its
-    recorded chain depth final.
+    recorded chain depth final.  Each pending word carries its bad pair.
     """
     budget = resolve_budget(budget)
     done = {}
     pending = {}
     heap = []
 
-    def push(word, coeff, depth, mu, nu):
-        cur = pending.get(word)
-        if cur is None:
-            pending[word] = [coeff, depth]
-            heapq.heappush(heap, (-mu, -nu, word))
-        else:
-            cur[0] = cur[0] + coeff
-            if depth > cur[1]:
-                cur[1] = depth
-
     for word, coeff in x.terms.items():
-        if _bad_pair(word, strategy) is None:
-            s = done.get(word)
-            done[word] = coeff if s is None else s + coeff
+        check_indices(word, rules.n)
+        p = _bad_pair(word, strategy)
+        if p is None:
+            done[word] = coeff
         else:
             mu, nu = word_measure(word)
-            push(word, coeff, 0, mu, nu)
+            pending[word] = [coeff, 0, p]
+            heapq.heappush(heap, (-mu, -nu, word))
 
     stats = ReductionStats()
     while heap:
@@ -353,28 +415,47 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
         entry = pending.pop(word, None)
         if entry is None or not entry[0]:
             continue
-        coeff, depth = entry
-        if depth + 1 > budget:
-            raise BudgetExceededError(word, budget)
+        coeff, depth, p = entry
+        depth += 1
+        if depth > budget:
+            raise BudgetExceededError(word, budget, stats.depth, stats.expansions,
+                                      len(pending) + 1)
         stats.expansions += 1
-        if depth + 1 > stats.depth:
-            stats.depth = depth + 1
-        p = _bad_pair(word, strategy)
-        mu, nu = -neg_mu, -neg_nu
+        if depth > stats.depth:
+            stats.depth = depth
+        same_mode = word[p][0] == word[p + 1][0]
+        shared = ctx = None
         for child, c, g1, g2 in _expand(word, p, rules):
             cc = coeff * c
             if not cc:
                 continue
-            if _bad_pair(child, strategy) is None:
+            cur = pending.get(child)
+            if cur is not None:
+                cur[0] = cur[0] + cc
+                if depth > cur[1]:
+                    cur[1] = depth
+                continue
+            cp = _local_bad_pair(word, p, g1, g2, strategy)
+            if cp is None:
+                if shared is None:
+                    shared = (_shared_bad_pair(word, p, strategy),)
+                cp = shared[0]
+            if cp is None:
                 s = done.get(child)
                 s = cc if s is None else s + cc
                 if s:
                     done[child] = s
                 else:
                     del done[child]
+                continue
+            if same_mode:
+                cmu, cnu = -neg_mu, -neg_nu - 1
             else:
-                cmu, cnu = _child_measure(word, p, g1, g2, mu, nu)
-                push(child, cc, depth + 1, cmu, cnu)
+                if ctx is None:
+                    ctx = _PairContext(word, p, -neg_mu, -neg_nu)
+                cmu, cnu = ctx.measure(g1, g2)
+            pending[child] = [cc, depth, cp]
+            heapq.heappush(heap, (-cmu, -cnu, child))
 
     return ModeElement(x.n, done), stats
 
@@ -382,11 +463,6 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",
                 budget=None) -> ModeElement:
     return normal_form_stats(x, rules, strategy, budget)[0]
-
-
-def normal_form_word(word, rules: ExchangeRules, coeff=None, strategy: str = "leftmost",
-                     budget=None) -> ModeElement:
-    return normal_form(ModeElement.from_word(rules.n, word, coeff), rules, strategy, budget)
 
 
 def gerv_normal_form(x: ModeElement, n: int = None, budget=None) -> ModeElement:

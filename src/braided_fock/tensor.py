@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coeff import LaurentPoly
+from .coeff import LaurentPoly, strict_int
 
 
 class SingularOperatorError(ValueError):
@@ -175,10 +175,21 @@ class TensorOp:
 
     @classmethod
     def from_json(cls, obj: dict, ring=LaurentPoly) -> "TensorOp":
+        if not isinstance(obj, dict) or not {"n", "legs", "entries"} <= set(obj):
+            raise ValueError("an operator must be an object with n, legs and entries")
+        n, legs = strict_int(obj["n"], "n"), strict_int(obj["legs"], "legs")
+        if not isinstance(obj["entries"], list):
+            raise ValueError("entries must be a list of [row, col, polynomial]")
         entries = {}
-        for row, col, poly in obj["entries"]:
-            entries[(tuple(row), tuple(col))] = ring.from_json(poly)
-        return cls(int(obj["n"]), int(obj["legs"]), entries, ring=ring)
+        for ent in obj["entries"]:
+            if not (isinstance(ent, list) and len(ent) == 3
+                    and isinstance(ent[0], list) and isinstance(ent[1], list)):
+                raise ValueError("malformed entry %r: expected [row, col, polynomial]" % (ent,))
+            key = tuple(tuple(strict_int(i, "multi-index entry") for i in ix) for ix in ent[:2])
+            if key in entries:
+                raise ValueError("duplicate entry for %r" % (key,))
+            entries[key] = ring.from_json(ent[2])
+        return cls(n, legs, entries, ring=ring)
 
     def __repr__(self):
         return "TensorOp(n=%d, legs=%d, %d entries)" % (self.n, self.legs, len(self.entries))

@@ -123,3 +123,44 @@ def dense_rank(rows):
         rows = [r for r in rows[1:] if any(r)]
         col += 1
     return rank
+
+
+def reference_apply_b(i, s, rules, prune=True):
+    """b_i by normal-ordering every slot's whole word, with no reuse between slots.
+
+    Each slot flattens the explicit columns and the tail through the target
+    mode into one word, shifts the slot's generator and normal-orders the
+    word from scratch.  A slot is skipped, when ``prune`` is set, if every
+    column from the target mode up to (not including) the slot's column, or
+    past the slot's column up to the target mode, is full or in the tail.
+    """
+    from braided_fock.fock import FockState
+    from braided_fock.modealg import ModeElement, normal_form
+
+    n = s.n
+    full = tuple(range(1, n + 1))
+    out = FockState(n, s.tail_start)
+    tail = s.tail_start - i if i < 0 else s.tail_start
+    for cfg, sc in s.terms.items():
+        cols = dict(cfg)
+        for c in range(s.tail_start, tail):
+            cols[c] = full
+        for j in sorted(cols):
+            k = j + i
+            between = range(k, j) if k < j else range(j + 1, k + 1)
+            if prune and all(c >= tail or len(cols.get(c, ())) == n for c in between):
+                continue
+            end = max(tail, k + 1)
+            for pos in range(len(cols[j])):
+                word = []
+                for c in range(min(min(cols), k), end):
+                    for t, a in enumerate(cols.get(c, full if c >= tail else ())):
+                        word.append((k, a) if (c, t) == (j, pos) else (c, a))
+                nf = normal_form(ModeElement.from_word(n, word, sc), rules)
+                for w, coeff in nf.terms.items():
+                    by_mode = {}
+                    for m, a in w:
+                        by_mode.setdefault(m, []).append(a)
+                    cfg2 = tuple((m, tuple(ix)) for m, ix in sorted(by_mode.items()))
+                    out = out + FockState(n, end, {cfg2: coeff})
+    return out

@@ -85,6 +85,38 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "hecke", "--matrix", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("entries, message", [
+        ([[[1, 1], [1, 1], {"1": 1.7}]], "must be an integer"),
+        ([[[1, 1], [1, 1], {"1": True}]], "must be an integer"),
+        ([[[1, 1], [1, 1], "q"]], "map from exponents"),
+        ([[[1, 1], [1, 1], {"q": 1}]], "malformed exponent key"),
+        ([[[1, 1], [1, 1], {"1.0": 1}]], "malformed exponent key"),
+        ([[[1, 1], [1, 1]]], "malformed entry"),
+        ([[[1, 1], [1.0, 1], {"1": 1}]], "must be an integer"),
+        ([[[1, 1], [1, 1], {"1": 1}], [[1, 1], [1, 1], {"1": 1}]], "duplicate entry"),
+    ])
+    def test_malformed_matrix_rejected(self, capsys, tmp_path, entries, message):
+        # an n = 1 matrix whose coercion to q would pass the Hecke check
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"n": 1, "legs": 2, "entries": entries}))
+        code, out, err = run(capsys, "check", "hecke", "--matrix", str(path))
+        assert code == 2 and message in err and out == ""
+
+    def test_coercible_matrix_is_valid(self, capsys, tmp_path):
+        # the same matrix with an integer coefficient passes
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"n": 1, "legs": 2, "entries": [[[1, 1], [1, 1], {"1": 1}]]}))
+        code, out, _ = run(capsys, "check", "hecke", "--matrix", str(path))
+        assert code == 0 and "pass" in out
+
+    @pytest.mark.parametrize("blob", [[], {"n": 1, "legs": 2}, {"n": "1", "legs": 2, "entries": []},
+                                      {"n": 1, "legs": 2, "entries": {}}])
+    def test_malformed_operator_rejected(self, capsys, tmp_path, blob):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(blob))
+        code, _, _ = run(capsys, "check", "hecke", "--matrix", str(path))
+        assert code == 2
+
 
 class TestNfCommand:
     def test_adjacent_expansion(self, capsys):
@@ -152,8 +184,19 @@ class TestHeisenbergCommand:
         assert code == 0 and json.loads(out)["extrapolation"] is True
 
     def test_out_of_range(self, capsys):
-        code, _, _ = run(capsys, "heisenberg", "4", "1", "--n", "2")
-        assert code == 2
+        code, _, err = run(capsys, "heisenberg", "0", "1", "--n", "2")
+        assert code == 2 and "positive" in err
+
+    def test_level_four_off_diagonal(self, capsys):
+        code, out, _ = run(capsys, "heisenberg", "4", "1", "--n", "2", "--output", "json")
+        blob = json.loads(out)
+        assert code == 0 and blob["pass"] is True and blob["engine"] == {}
+        assert blob["extrapolation"] is True
+
+    def test_level_four_diagonal(self, capsys):
+        code, out, _ = run(capsys, "heisenberg", "4", "4", "--n", "2", "--output", "json")
+        blob = json.loads(out)
+        assert code == 0 and blob["engine"] == {"0": 4, "-8": 4}
 
     def test_log_pruned(self, capsys):
         code, out, _ = run(capsys, "heisenberg", "1", "1", "--n", "2",

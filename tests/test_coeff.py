@@ -197,3 +197,15 @@ class TestSerialization:
 
     def test_qzw_key_format(self):
         assert PolyQZW({(-2, 1, 0): 5}).to_json() == {"-2,1,0": 5}
+
+    @pytest.mark.parametrize("blob", [{"1": 1.7}, {"1": True}, {"1": "2"}, {"x": 1},
+                                      {"1.0": 1}, {"01": 1}, {" 1": 1}, "q", [1]])
+    def test_laurent_rejects_coercion(self, blob):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json(blob)
+
+    @pytest.mark.parametrize("blob", [{"1,0,0": 2.0}, {"1,0,0": False}, {"1,0": 1},
+                                      {"1,0,0,0": 1}, {"a,0,0": 1}, None])
+    def test_qzw_rejects_coercion(self, blob):
+        with pytest.raises(ValueError):
+            PolyQZW.from_json(blob)

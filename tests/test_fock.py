@@ -3,7 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braided_fock import modealg
 from braided_fock.coeff import LaurentPoly, braided_int_scalar
 from braided_fock.fock import (
     FockState,
@@ -32,6 +34,8 @@ from braided_fock.rmatrix import (
     interval_product_bar,
     standard_sln_R,
 )
+from helpers import reference_apply_b
+
 ONE = LaurentPoly.one()
 
 
@@ -378,3 +382,59 @@ class TestTranslationInvariance:
         v1 = translate(vacuum(2, 0), 1)
         out = apply_b(1, apply_b(-1, v1)) - apply_b(-1, apply_b(1, v1))
         assert out == v1.scale(scalar)
+
+
+@st.composite
+def finite_deviations(draw):
+    """A state with one to three terms, each deviating in up to three columns."""
+    n = draw(st.integers(1, 3))
+    tail = draw(st.integers(-1, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        cfg = []
+        for m in range(tail - 3, tail):
+            idxs = draw(st.lists(st.integers(1, n), max_size=n, unique=True))
+            if idxs:
+                cfg.append((m, tuple(sorted(idxs))))
+        terms[tuple(cfg)] = LaurentPoly.q_power(draw(st.integers(-2, 2)),
+                                                draw(st.sampled_from((-2, -1, 1, 3))))
+    return FockState(n, tail, terms)
+
+
+class TestTransportReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)), prune=st.booleans())
+    def test_matches_whole_word_reference(self, s, i, prune):
+        rules = standard_rules(s.n)
+        assert apply_b(i, s, rules, prune=prune) == reference_apply_b(i, s, rules, prune=prune)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per normal_form_stats call made during the test."""
+        calls = []
+        orig = modealg.normal_form_stats
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(modealg, "normal_form_stats", counting)
+        return calls
+
+    def test_no_reuse_across_calls(self, calls):
+        # the slot transports live for one apply_b call, so a repeated
+        # computation repeats its reductions
+        rules = standard_rules(3)
+        first = commutator_on_vacuum(3, 3, 3, rules=rules)
+        once = len(calls)
+        second = commutator_on_vacuum(3, 3, 3, rules=rules)
+        assert once > 0 and len(calls) == 2 * once
+        assert first == second
+
+    def test_alike_slots_share_one_reduction(self, calls):
+        # on the vacuum every slot crosses the same full columns, so each of
+        # the n positions in a column is reduced once, not once per column
+        for n in (2, 3):
+            calls.clear()
+            out = apply_b(2, vacuum(n, 0), prune=False, slot_window=(0, 5))
+            assert not out and len(calls) == n

@@ -1,8 +1,10 @@
+import heapq
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braided_fock import modealg
 from braided_fock.coeff import LaurentPoly
 from braided_fock.modealg import (
     BudgetExceededError,
@@ -277,19 +279,107 @@ def test_measure_decreases_along_rewrites():
             assert word_measure(child) < m
 
 
-def test_incremental_measure_matches_direct():
-    # the per-child measure update agrees with recomputation from scratch
-    from braided_fock.modealg import _bad_pair, _child_measure, _expand
+class _Audit:
+    """Checks the bad pair and measure each pending word carries in normal_form_stats.
 
-    rng = random.Random(71)
-    rules = standard_rules(3)
-    checked = 0
-    while checked < 300:
-        w = rand_word(rng, 3)
-        p = _bad_pair(w, "leftmost")
-        if p is None:
-            continue
-        mu, nu = word_measure(w)
-        for child, _, g1, g2 in _expand(w, p, rules):
-            assert _child_measure(w, p, g1, g2, mu, nu) == word_measure(child)
-            checked += 1
+    While active, every rewrite position passed to ``_expand`` and every
+    measure pushed on the heap is compared with ``_bad_pair`` and
+    ``word_measure`` recomputed from scratch.
+    """
+
+    def __init__(self, strategy):
+        self.strategy = strategy
+        self.pairs = self.measures = 0
+
+    def __enter__(self):
+        self.saved = modealg._expand, modealg.heapq
+        expand = modealg._expand
+        audit = self
+
+        def checked_expand(word, p, rules):
+            assert p == modealg._bad_pair(word, audit.strategy), (word, p)
+            audit.pairs += 1
+            return expand(word, p, rules)
+
+        class CheckedHeap:
+            heappop = staticmethod(heapq.heappop)
+
+            @staticmethod
+            def heappush(heap, item):
+                neg_mu, neg_nu, word = item
+                assert (-neg_mu, -neg_nu) == word_measure(word), word
+                audit.measures += 1
+                heapq.heappush(heap, item)
+
+        modealg._expand, modealg.heapq = checked_expand, CheckedHeap
+        return self
+
+    def __exit__(self, *exc):
+        modealg._expand, modealg.heapq = self.saved
+
+
+def test_incremental_measure_matches_direct():
+    # the carried bad pair and the per-child measure update agree with
+    # recomputation from scratch along whole reductions, for both rule
+    # variants and both strategies
+    for strategy in ("leftmost", "rightmost"):
+        for variant in ("theorem21", "gerv"):
+            rng = random.Random(71)
+            with _Audit(strategy) as audit:
+                for _ in range(300):
+                    n = rng.randint(1, 3)
+                    w = rand_word(rng, n, max_len=7, mode_span=3)
+                    x = ModeElement.from_word(n, w)
+                    normal_form(x, standard_rules(n, variant), strategy)
+            assert audit.pairs > 1000 and audit.measures > 1000, (strategy, variant)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_carried_state_on_slot_words(monkeypatch, strategy):
+    # the same audit on the words apply_b reduces (long words, deep chains)
+    from braided_fock import fock
+
+    words = []
+    orig = fock.normal_form
+
+    def recording(x, rules, *args, **kwargs):
+        words.append((x, rules))
+        return orig(x, rules, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "normal_form", recording)
+    fock.commutator_on_vacuum(4, 4, 2)
+    fock.commutator_on_vacuum(3, 3, 3)
+    monkeypatch.undo()
+    assert len(words) > 20
+    with _Audit(strategy) as audit:
+        for x, rules in words:
+            normal_form(x, rules, strategy)
+    assert audit.pairs > 1000
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("word", [((1, 3), (0, 1)), ((0, 3), (0, 1)), ((0, 0),)])
+    def test_out_of_range_index_rejected(self, word):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            normal_form(ModeElement.from_word(2, word), standard_rules(2))
+
+    def test_multiply_left_rejects_index(self):
+        from braided_fock.fock import FockState, multiply_left, vacuum
+
+        with pytest.raises(ValueError, match="outside 1..2"):
+            multiply_left(ModeElement.from_word(2, ((0, 3),)), vacuum(2, 0))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            multiply_left(ModeElement.from_word(2, ((0, 3),)), FockState(2, 0))
+
+
+def test_budget_error_reports_progress():
+    rules = standard_rules(2)
+    word = ((3, 1), (0, 2), (-2, 1))
+    with pytest.raises(BudgetExceededError) as err:
+        normal_form(ModeElement.from_word(2, word), rules, budget=2)
+    exc = err.value
+    assert exc.budget == 2 and exc.depth == 2
+    assert exc.expansions >= 2 and exc.pending >= 1
+    assert len(exc.word) == len(word)
+    assert "depth 2, %d expansions, %d words pending" % (exc.expansions, exc.pending) \
+        in str(exc)
