@@ -59,7 +59,6 @@ from .modealg import (
 from .fock import (
     FockState,
     apply_b,
-    apply_b_to_columns,
     commutator_on_vacuum,
     heisenberg_matches,
     lemma33_closed_form,

@@ -5,6 +5,10 @@ to nonzero arbitrary-precision integer coefficients; the zero polynomial is
 the empty map.  Identities that would involve denominators are handled by the
 callers in denominator-cleared form, so no fraction-field arithmetic is ever
 needed here.
+
+The sparse plumbing the other modules share lives here too: ``add_term``
+merges one term into a map and drops it when it cancels, and
+``LinearCombination`` is the arithmetic of wedge and mode elements.
 """
 
 from __future__ import annotations
@@ -37,7 +41,112 @@ def _json_exponent(text) -> int:
     return int(text)
 
 
-class LaurentPoly:
+def add_term(terms: dict, key, coeff):
+    """Add ``coeff`` to ``terms[key]``, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+class _SparsePoly:
+    """What the two polynomial classes share: a sparse ``terms`` map from
+    exponent keys to nonzero integers, and everything but the ring operations.
+
+    A subclass sets ``_UNIT_KEY`` (the exponent key of the constant term) and
+    defines ``_factors`` (the printed factors of one monomial), ``_json_key``
+    and ``_parse_key``; ``__add__`` and ``__mul__`` stay in each subclass.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({cls._UNIT_KEY: 1})
+
+    @classmethod
+    def from_int(cls, c: int):
+        """Embed an integer scalar."""
+        return cls({cls._UNIT_KEY: c})
+
+    def _coerce(self, other):
+        cls = self.__class__
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, int):
+            r = cls.__new__(cls)
+            r.terms = {cls._UNIT_KEY: other} if other else {}
+            return r
+        return NotImplemented
+
+    def __neg__(self):
+        r = self.__class__.__new__(self.__class__)
+        r.terms = {k: -c for k, c in self.terms.items()}
+        return r
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # ---- serialization and display ----------------------------------------
+
+    def to_json(self) -> dict:
+        return {self._json_key(k): c for k, c in sorted(self.terms.items())}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(_json_terms(obj, cls._parse_key))
+
+    def __repr__(self):
+        return "%s(%r)" % (self.__class__.__name__, self.terms)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, reverse=True):
+            c = self.terms[key]
+            body = "*".join(self._factors(key))
+            if not body:
+                body = str(abs(c))
+            elif abs(c) != 1:
+                body = "%d*%s" % (abs(c), body)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)
+
+
+def _power(var: str, e: int) -> list:
+    """The printed factor var**e, as a list that is empty for e = 0."""
+    return [] if not e else [var] if e == 1 else ["%s^%d" % (var, e)]
+
+
+class LaurentPoly(_SparsePoly):
     """Sparse Laurent polynomial in q over the integers.
 
     ``terms`` maps an integer q-exponent to a nonzero integer coefficient.
@@ -46,27 +155,13 @@ class LaurentPoly:
     """
 
     __slots__ = ("terms",)
+    _UNIT_KEY = 0
 
     def __init__(self, terms=None):
         if terms:
             self.terms = {int(e): c for e, c in terms.items() if c}
         else:
             self.terms = {}
-
-    # ---- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def from_int(cls, c: int) -> "LaurentPoly":
-        """Embed an integer scalar."""
-        return cls({0: c})
 
     @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
@@ -78,14 +173,6 @@ class LaurentPoly:
         return cls({1: 1})
 
     # ---- ring operations -------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
-        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -103,23 +190,6 @@ class LaurentPoly:
         return r
 
     __radd__ = __add__
-
-    def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -152,15 +222,6 @@ class LaurentPoly:
             k >>= 1
         return r
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # ---- structure -------------------------------------------------------
 
     def min_exp(self):
@@ -168,12 +229,6 @@ class LaurentPoly:
 
     def max_exp(self):
         return max(self.terms) if self.terms else None
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q**k."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e + k: c for e, c in self.terms.items()}
-        return r
 
     def unit_inverse(self) -> "LaurentPoly":
         """Invert a unit monomial (+-q**k); raises for anything else."""
@@ -226,35 +281,15 @@ class LaurentPoly:
 
     # ---- serialization and display ----------------------------------------
 
-    def to_json(self) -> dict:
-        return {str(e): c for e, c in sorted(self.terms.items())}
+    _json_key = staticmethod(str)
+    _parse_key = staticmethod(_json_exponent)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LaurentPoly":
-        return cls(_json_terms(obj, _json_exponent))
-
-    def __repr__(self):
-        return "LaurentPoly(%r)" % (self.terms,)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else "q^%d" % e
-                body = var if abs(c) == 1 else "%d*%s" % (abs(c), var)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+    @staticmethod
+    def _factors(e):
+        return _power("q", e)
 
 
-class PolyQZW:
+class PolyQZW(_SparsePoly):
     """Sparse polynomial with integer q-exponents and nonnegative z, w degrees.
 
     ``terms`` maps (q_exp, z_deg, w_deg) to a nonzero integer coefficient,
@@ -262,6 +297,7 @@ class PolyQZW:
     """
 
     __slots__ = ("terms",)
+    _UNIT_KEY = (0, 0, 0)
 
     def __init__(self, terms=None):
         out = {}
@@ -276,29 +312,9 @@ class PolyQZW:
         self.terms = out
 
     @classmethod
-    def zero(cls) -> "PolyQZW":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PolyQZW":
-        return cls({(0, 0, 0): 1})
-
-    @classmethod
-    def from_int(cls, c: int) -> "PolyQZW":
-        return cls({(0, 0, 0): c})
-
-    @classmethod
     def from_laurent(cls, p: LaurentPoly, z_deg: int = 0, w_deg: int = 0) -> "PolyQZW":
         """Embed a Laurent polynomial, optionally times z**z_deg * w**w_deg."""
         return cls({(e, z_deg, w_deg): c for e, c in p.terms.items()})
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PolyQZW):
-            return other
-        if isinstance(other, int):
-            return PolyQZW({(0, 0, 0): other})
-        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -316,17 +332,6 @@ class PolyQZW:
         return r
 
     __radd__ = __add__
-
-    def __neg__(self):
-        r = PolyQZW.__new__(PolyQZW)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -347,15 +352,6 @@ class PolyQZW:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def substitute(self, z=None, w=None) -> "PolyQZW":
         """Substitute integer values for z and/or w (exactly)."""
         out = {}
@@ -366,14 +362,7 @@ class PolyQZW:
             if w is not None:
                 c *= w**wd
                 wd = 0
-            if not c:
-                continue
-            k = (qe, zd, wd)
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+            add_term(out, (qe, zd, wd), c)
         r = PolyQZW.__new__(PolyQZW)
         r.terms = out
         return r
@@ -394,46 +383,64 @@ class PolyQZW:
         qs = [k[0] for k in self.terms]
         return (min(qs), max(qs), max(k[1] for k in self.terms), max(k[2] for k in self.terms))
 
-    def to_json(self) -> dict:
-        return {"%d,%d,%d" % k: c for k, c in sorted(self.terms.items())}
+    @staticmethod
+    def _json_key(key):
+        return "%d,%d,%d" % key
+
+    @staticmethod
+    def _parse_key(key):
+        parts = key.split(",") if isinstance(key, str) else ()
+        if len(parts) != 3:
+            raise ValueError("malformed exponent key %r" % (key,))
+        return tuple(_json_exponent(x) for x in parts)
+
+    @staticmethod
+    def _factors(key):
+        qe, zd, wd = key
+        return _power("q", qe) + _power("z", zd) + _power("w", wd)
+
+
+class LinearCombination:
+    """``n`` plus a sparse map from tuple keys to nonzero coefficients.
+
+    The shared arithmetic of wedge elements and mode elements: keys are
+    index monomials or mode words, coefficients are Laurent polynomials.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms = {tuple(k): c for k, c in terms.items() if c} if terms else {}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PolyQZW":
-        def parse_key(key):
-            parts = key.split(",") if isinstance(key, str) else ()
-            if len(parts) != 3:
-                raise ValueError("malformed exponent key %r" % (key,))
-            return tuple(_json_exponent(x) for x in parts)
+    def zero(cls, n):
+        return cls(n)
 
-        return cls(_json_terms(obj, parse_key))
+    @classmethod
+    def unit(cls, n):
+        return cls(n, {(): LaurentPoly.one()})
 
-    def __repr__(self):
-        return "PolyQZW(%r)" % (self.terms,)
+    def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError("mixed dimensions")
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(out, k, c)
+        return self.__class__(self.n, out)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            qe, zd, wd = key
-            c = self.terms[key]
-            factors = []
-            if qe:
-                factors.append("q" if qe == 1 else "q^%d" % qe)
-            if zd:
-                factors.append("z" if zd == 1 else "z^%d" % zd)
-            if wd:
-                factors.append("w" if wd == 1 else "w^%d" % wd)
-            body = "*".join(factors) if factors else "1"
-            if factors and abs(c) != 1:
-                body = "%d*%s" % (abs(c), body)
-            elif not factors:
-                body = str(abs(c))
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, coeff):
+        return self.__class__(self.n, {k: c * coeff for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, self.__class__) and self.n == other.n
+                and self.terms == other.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 def braided_int_scalar(m: int, step: int = -2) -> LaurentPoly:

@@ -35,7 +35,7 @@ and term with the same key; nothing is kept between calls.
 
 from __future__ import annotations
 
-from .coeff import LaurentPoly, braided_int_scalar
+from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
 from .modealg import ExchangeRules, ModeElement, check_indices, normal_form, standard_rules
 
 
@@ -52,12 +52,11 @@ class FockState:
 
     def __init__(self, n: int, tail_start: int, terms=None):
         raw = {}
-        full = tuple(range(1, n + 1))
         if terms:
             for cfg, c in terms.items():
                 if not c:
                     continue
-                cols = {int(m): tuple(ix) for m, ix in cfg if len(ix)}
+                cols = {m: tuple(ix) for m, ix in cfg if len(ix)}
                 for ix in cols.values():
                     if not all(1 <= a <= n for a in ix) or any(
                         x >= y for x, y in zip(ix, ix[1:])
@@ -65,19 +64,9 @@ class FockState:
                         raise ValueError(
                             "column content must be strictly increasing indices in 1..n"
                         )
-                t = tail_start
-                while cols.get(t - 1) == full:
-                    t -= 1
-                    del cols[t]
-                if any(m >= t for m in cols):
+                if any(m >= tail_start for m in cols):
                     raise ValueError("explicit column inside the implicit tail")
-                key = (t, tuple(sorted(cols.items())))
-                cur = raw.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    raw[key] = cur
-                else:
-                    del raw[key]
+                add_term(raw, _strip(cols, tail_start, n), c)
         other = _assemble(n, raw, tail_start)
         self.n = n
         self.tail_start = other.tail_start
@@ -96,8 +85,6 @@ class FockState:
         return self.tail_start == other.tail_start and self.terms == other.terms
 
     def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
         return FockState(self.n, self.tail_start, {k: c * coeff for k, c in self.terms.items()})
 
     def __add__(self, other):
@@ -106,12 +93,7 @@ class FockState:
         raw = {}
         for s in (self, other):
             for key, c in _to_raw(s).items():
-                cur = raw.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    raw[key] = cur
-                else:
-                    del raw[key]
+                add_term(raw, key, c)
         return _assemble(self.n, raw, min(self.tail_start, other.tail_start))
 
     def __sub__(self, other):
@@ -130,11 +112,26 @@ class FockState:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict) or not {"n", "tail_start", "terms"} <= set(obj):
+            raise ValueError("a state must be an object with n, tail_start and terms")
+        n = strict_int(obj["n"], "n")
+        tail_start = strict_int(obj["tail_start"], "tail_start")
+        if not isinstance(obj["terms"], list):
+            raise ValueError("terms must be a list of {coeff, columns}")
         terms = {}
         for t in obj["terms"]:
-            cfg = tuple(sorted((int(m), tuple(ix)) for m, ix in t["columns"].items()))
-            terms[cfg] = LaurentPoly.from_json(t["coeff"])
-        return cls(int(obj["n"]), int(obj["tail_start"]), terms)
+            if not (isinstance(t, dict) and isinstance(t.get("columns"), dict)):
+                raise ValueError("malformed term %r: expected {coeff, columns}" % (t,))
+            cols = []
+            for m, ix in t["columns"].items():
+                if not isinstance(ix, list):
+                    raise ValueError("column %r must be a list of indices" % (m,))
+                cols.append((_json_exponent(m), tuple([strict_int(a, "index") for a in ix])))
+            cfg = tuple(sorted(cols))
+            if cfg in terms:
+                raise ValueError("duplicate term for columns %r" % (cfg,))
+            terms[cfg] = LaurentPoly.from_json(t.get("coeff"))
+        return cls(n, tail_start, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -170,14 +167,7 @@ def _strip(cols: dict, window_end: int, n: int):
 def _to_raw(s: FockState) -> dict:
     raw = {}
     for cfg, c in s.terms.items():
-        t, cfg2 = _strip(dict(cfg), s.tail_start, s.n)
-        key = (t, cfg2)
-        cur = raw.get(key)
-        cur = c if cur is None else cur + c
-        if cur:
-            raw[key] = cur
-        else:
-            del raw[key]
+        add_term(raw, _strip(dict(cfg), s.tail_start, s.n), c)
     return raw
 
 
@@ -197,14 +187,8 @@ def _assemble(n: int, raw: dict, fallback_tail: int) -> FockState:
     T = max(t for t, _ in raw)
     terms = {}
     for (t, cfg), c in raw.items():
-        cfg2 = cfg + tuple((m, full) for m in range(t, T))
-        cfg2 = tuple(sorted(cfg2))
-        cur = terms.get(cfg2)
-        cur = c if cur is None else cur + c
-        if cur:
-            terms[cfg2] = cur
-        else:
-            del terms[cfg2]
+        # config tuples from lists, as in apply_b
+        add_term(terms, tuple(sorted(list(cfg) + [(m, full) for m in range(t, T)])), c)
     if not terms:
         return _make_state(n, fallback_tail, {})
     return _make_state(n, T, terms)
@@ -247,13 +231,7 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
             coeff = sc * xc
             nf = normal_form(ModeElement.from_word(s.n, word, coeff), rules, budget=budget)
             for w2, c2 in nf.terms.items():
-                key = _strip(_word_to_cols(w2), W, s.n)
-                cur = raw.get(key)
-                cur = c2 if cur is None else cur + c2
-                if cur:
-                    raw[key] = cur
-                else:
-                    del raw[key]
+                add_term(raw, _strip(_word_to_cols(w2), W, s.n), c2)
     return _assemble(s.n, raw, s.tail_start)
 
 
@@ -334,14 +312,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                     cols2 = dict(outside)
                     for r, ix in rel:
                         cols2[lo + r] = ix
-                    key = _strip(cols2, W, n)
-                    c2 = c2 * sc
-                    cur = raw.get(key)
-                    cur = c2 if cur is None else cur + c2
-                    if cur:
-                        raw[key] = cur
-                    else:
-                        del raw[key]
+                    add_term(raw, _strip(cols2, W, n), c2 * sc)
     return _assemble(n, raw, s.tail_start)
 
 
@@ -358,12 +329,6 @@ def _transport(block, lo, col, pos, k, rules, budget):
     # tuples built from lists, as for the block keys in apply_b
     return [(tuple([(m - lo, ix) for m, ix in sorted(_word_to_cols(w).items())]), c)
             for w, c in nf.terms.items()]
-
-
-def apply_b_to_columns(i: int, s: FockState, cols, rules: ExchangeRules = None,
-                       budget=None) -> FockState:
-    """The Leibniz sum restricted to slots in the listed columns."""
-    return apply_b(i, s, rules=rules, columns=tuple(cols), budget=budget)
 
 
 def translate(s: FockState, d: int) -> FockState:
@@ -421,15 +386,20 @@ def heisenberg_matches(scalar: LaurentPoly, i: int, j: int, n: int) -> bool:
     return lhs == rhs
 
 
+def _column_piece(n: int, column: int, rules: ExchangeRules = None) -> LaurentPoly:
+    """b_2 applied to the part of b_{-2} omega from slots in one column."""
+    rules = rules or standard_rules(n)
+    s = apply_b(-2, vacuum(n, 0), rules=rules, columns=(column,))
+    c = scalar_part(apply_b(2, s, rules=rules))
+    if c is None:
+        raise ArithmeticError(
+            "column-%d contribution is not a multiple of the vacuum" % column)
+    return c
+
+
 def lemma33_coefficient(n: int, rules: ExchangeRules = None) -> LaurentPoly:
     """Engine value of the column-0 piece: b_2 applied to b_{-2} of column 0."""
-    rules = rules or standard_rules(n)
-    s = apply_b_to_columns(-2, vacuum(n, 0), [0], rules=rules)
-    out = apply_b(2, s, rules=rules)
-    c = scalar_part(out)
-    if c is None:
-        raise ArithmeticError("column-0 contribution is not a multiple of the vacuum")
-    return c
+    return _column_piece(n, 0, rules)
 
 
 def lemma33_closed_form(n: int) -> LaurentPoly:
@@ -444,13 +414,7 @@ def lemma33_closed_form(n: int) -> LaurentPoly:
 
 def lemma33_second_term(n: int, rules: ExchangeRules = None) -> LaurentPoly:
     """Engine value of the column-1 piece: b_2 applied to b_{-2} of column 1."""
-    rules = rules or standard_rules(n)
-    s = apply_b_to_columns(-2, vacuum(n, 0), [1], rules=rules)
-    out = apply_b(2, s, rules=rules)
-    c = scalar_part(out)
-    if c is None:
-        raise ArithmeticError("column-1 contribution is not a multiple of the vacuum")
-    return c
+    return _column_piece(n, 1, rules)
 
 
 def lemma33_second_term_expected(n: int) -> LaurentPoly:

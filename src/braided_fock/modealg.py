@@ -42,14 +42,16 @@ from __future__ import annotations
 
 import heapq
 import os
+import re
 from functools import lru_cache
 
-from .coeff import LaurentPoly
+from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
 from .wedge import derive_wedge_rules
 
 DEFAULT_BUDGET = 10**7
+_DECIMAL = re.compile(r"[0-9]+")
 
 VARIANTS = ("theorem21", "gerv")
 
@@ -75,67 +77,36 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_budget(budget=None) -> int:
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("BRAIDED_FOCK_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The rewrite budget: ``budget``, else BRAIDED_FOCK_BUDGET, else the default.
+
+    A budget is a nonnegative int (0 allows no rewrite); anything else, or an
+    environment value that is not a plain decimal integer, raises ValueError.
+    """
+    if budget is None:
+        env = os.environ.get("BRAIDED_FOCK_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        if not _DECIMAL.fullmatch(env):
+            raise ValueError("BRAIDED_FOCK_BUDGET must be a nonnegative decimal integer, got %r"
+                             % env)
+        return int(env)
+    if type(budget) is not int or budget < 0:
+        raise ValueError("rewrite budget (--budget) must be a nonnegative integer, got %r"
+                         % (budget,))
+    return budget
 
 
-class ModeElement:
+class ModeElement(LinearCombination):
     """Linear combination of mode words with Laurent coefficients.
 
     A word is a tuple of (mode, index) pairs; the empty word is the unit.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        out = {}
-        if terms:
-            for word, c in terms.items():
-                if c:
-                    out[tuple(word)] = c
-        self.terms = out
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {(): LaurentPoly.one()})
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, n, word, coeff=None):
         return cls(n, {tuple(word): coeff if coeff is not None else LaurentPoly.one()})
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed dimensions")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        return ModeElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        return ModeElement(self.n, {w: c * coeff for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ModeElement) and self.n == other.n and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def to_json(self):
         out = []
@@ -181,7 +152,7 @@ class ExchangeRules:
         qinv = data.q.unit_inverse()
         self.pr_cols = _columns_of(pr)
         self.pbold_cols = _columns_of(pr.scale(-qinv))
-        one = TensorOp.identity(self.n, 2, ring=data.R.ring)
+        one = TensorOp.identity(self.n, 2)
         self.plus_pbold_cols = _columns_of(one + pr.scale(-qinv))
         self.pr_inv_cols = _columns_of(hecke_PR_inverse(data))
         self.q = data.q
@@ -441,12 +412,7 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
                     shared = (_shared_bad_pair(word, p, strategy),)
                 cp = shared[0]
             if cp is None:
-                s = done.get(child)
-                s = cc if s is None else s + cc
-                if s:
-                    done[child] = s
-                else:
-                    del done[child]
+                add_term(done, child, cc)
                 continue
             if same_mode:
                 cmu, cnu = -neg_mu, -neg_nu - 1
@@ -478,10 +444,7 @@ def r_anticommutator(rules: ExchangeRules, g1, g2) -> ModeElement:
     (i, a), (j, b) = g1, g2
     terms = {((i, a), (j, b)): LaurentPoly.one()}
     for (c, d), coeff in rules.pr_cols.get((a, b), ()):
-        w = ((j, c), (i, d))
-        s = terms.get(w)
-        v = rules.q_inv * coeff
-        terms[w] = v if s is None else s + v
+        add_term(terms, ((j, c), (i, d)), rules.q_inv * coeff)
     return ModeElement(rules.n, terms)
 
 
@@ -503,12 +466,12 @@ def check_moderel(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
         for b in range(1, n + 1):
             lhs = {}
             for (c, d), coeff in rules.pr_cols.get((a, b), ()):
-                _acc(lhs, ((j, c), (i, d)), coeff)
-            _acc(lhs, ((i, a), (j, b)), rules.q * one)
+                add_term(lhs, ((j, c), (i, d)), coeff)
+            add_term(lhs, ((i, a), (j, b)), rules.q * one)
             rhs = {}
             for (c, d), coeff in rules.pr_inv_cols.get((a, b), ()):
-                _acc(rhs, ((j + 1, c), (i - 1, d)), coeff)
-            _acc(rhs, ((i - 1, a), (j + 1, b)), rules.q_inv * one)
+                add_term(rhs, ((j + 1, c), (i - 1, d)), coeff)
+            add_term(rhs, ((i - 1, a), (j + 1, b)), rules.q_inv * one)
             L = normal_form(ModeElement(n, lhs), rules)
             R = normal_form(ModeElement(n, rhs), rules)
             if L != R:
@@ -530,7 +493,7 @@ def check_modeind(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
         raise ValueError("need i - j >= 2")
     rules = rules or standard_rules(n)
     lam = rules.q - rules.q_inv
-    ident = TensorOp.identity(n, 2, ring=rules.data.R.ring)
+    ident = TensorOp.identity(n, 2)
     pr = rules.data.PR()
     m1_cols = _columns_of(ident + pr.scale(lam))
     m2_cols = _columns_of(ident - pr.scale(rules.q_inv))
@@ -542,7 +505,7 @@ def check_modeind(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
                 rhs = rhs + r_anticommutator(rules, (i - 1, c), (j + 1, d)).scale(coeff)
             extra = {}
             for (c, d), coeff in m2_cols.get((a, b), ()):
-                _acc(extra, ((j + 1, c), (i - 1, d)), rules.qm2_minus_1 * coeff)
+                add_term(extra, ((j + 1, c), (i - 1, d)), rules.qm2_minus_1 * coeff)
             rhs = normal_form(rhs + ModeElement(n, extra), rules)
             if lhs != rhs:
                 return False
@@ -554,26 +517,17 @@ def check_modeanticom(i: int, j: int, n: int, rules: ExchangeRules = None) -> bo
     if i <= j:
         raise ValueError("need i > j")
     rules = rules or standard_rules(n)
-    m = rules.data.PR() + TensorOp.identity(n, 2, ring=rules.data.R.ring).scale(rules.q_inv)
+    m = rules.data.PR() + TensorOp.identity(n, 2).scale(rules.q_inv)
     cols = _columns_of(m)
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             acc = {}
             for (c, d), coeff in cols.get((a, b), ()):
-                _acc(acc, ((i, c), (j, d)), coeff)
-                _acc(acc, ((j, c), (i, d)), coeff)
+                add_term(acc, ((i, c), (j, d)), coeff)
+                add_term(acc, ((j, c), (i, d)), coeff)
             if normal_form(ModeElement(n, acc), rules):
                 return False
     return True
-
-
-def _acc(terms: dict, word, coeff):
-    s = terms.get(word)
-    s = coeff if s is None else s + coeff
-    if s:
-        terms[word] = s
-    else:
-        terms.pop(word, None)
 
 
 def shift_leibniz(i: int, x: ModeElement) -> ModeElement:
@@ -581,7 +535,7 @@ def shift_leibniz(i: int, x: ModeElement) -> ModeElement:
     out = {}
     for word, c in x.terms.items():
         for p, (m, a) in enumerate(word):
-            _acc(out, word[:p] + ((m + i, a),) + word[p + 1:], c)
+            add_term(out, word[:p] + ((m + i, a),) + word[p + 1:], c)
     return ModeElement(x.n, out)
 
 

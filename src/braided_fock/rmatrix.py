@@ -3,8 +3,9 @@
 Provides the standard sl_n family, the quadratic Hecke check, the braid
 relation, Baxterisation into a two-parameter spectral numerator, the
 parametrised Yang-Baxter identity in denominator-cleared form, unitarity at
-exact rational sample points, and the braided-integer operators that drive
-braided differentiation.
+exact rational sample points (on operators with ``Fraction`` entries, the
+Laurent operators evaluated there), and the braided-integer operators that
+drive braided differentiation.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import LaurentPoly, PolyQZW
-from .tensor import (
-    TensorOp,
-    embed,
-    invert,
-    permutation_P,
-    rat_compose,
-    rat_identity,
-    rat_add,
-    rat_scale,
-    rat_swapped_legs,
-)
+from .tensor import TensorOp, embed, invert, permutation_P
 
 
 @dataclass
@@ -39,15 +30,9 @@ class HeckeData:
     n: int
     R: TensorOp
     q: LaurentPoly = field(default_factory=LaurentPoly.q)
-    q_normalization: dict = field(
-        default_factory=lambda: {
-            "quotient": "(PR - q)(PR + 1/q) = 0",
-            "eigenvalues": ["q", "-1/q"],
-        }
-    )
 
     def PR(self) -> TensorOp:
-        return permutation_P(self.n, ring=self.R.ring) @ self.R
+        return permutation_P(self.n) @ self.R
 
     def bold_R(self) -> TensorOp:
         """-1/q times R, the normalization used in braided differentiation."""
@@ -116,10 +101,9 @@ def check_hecke(data: HeckeData) -> CheckResult:
     if data.R.legs != 2:
         raise ValueError("the Hecke check needs a two-leg operator")
     pr = data.PR()
-    ring = data.R.ring
     qv = data.q
     qinv = qv.unit_inverse()
-    ident = TensorOp.identity(data.n, 2, ring=ring)
+    ident = TensorOp.identity(data.n, 2)
     prod = (pr - ident.scale(qv)) @ (pr + ident.scale(qinv))
     degs = _laurent_degrees(data.R)
     return CheckResult("hecke", data.n, prod.is_zero(), _first_entry_witness(prod), degs)
@@ -163,8 +147,8 @@ class BaxterisedR:
 
 def baxterise(data: HeckeData) -> BaxterisedR:
     r21_inv = invert(data.R).swapped_legs()
-    w_R = data.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1), ring=PolyQZW)
-    z_R21inv = r21_inv.map_coefficients(lambda c: PolyQZW.from_laurent(c, z_deg=1), ring=PolyQZW)
+    w_R = data.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1))
+    z_R21inv = r21_inv.map_coefficients(lambda c: PolyQZW.from_laurent(c, z_deg=1))
     S = w_R - z_R21inv
     denom = PolyQZW.from_laurent(data.q, w_deg=1) - PolyQZW.from_laurent(
         data.q.unit_inverse(), z_deg=1
@@ -228,29 +212,34 @@ def admissible_samples(count: int, seed: int):
     return samples
 
 
-def _rational_spectral(data: HeckeData, r21_inv: TensorOp, q0: Fraction, z0: Fraction) -> dict:
-    """R(z0) at q = q0 as a sparse rational matrix."""
+def _spectral_at(data: HeckeData, R: TensorOp, r21_inv: TensorOp, q0: Fraction,
+                 z0: Fraction) -> TensorOp:
+    """R(z0) at q = q0, from R and R_21^{-1} already evaluated there."""
     denom = data.q.evaluate(q0) - z0 * data.q.unit_inverse().evaluate(q0)
     if denom == 0:
         raise ValueError("sample hits a pole of the spectral family: q0=%s z0=%s" % (q0, z0))
-    num = rat_add(data.R.evaluate_rational(q0), r21_inv.evaluate_rational(q0), scalar=-z0)
-    return rat_scale(num, Fraction(1) / denom)
+    return (R + r21_inv.scale(-z0)).scale(1 / denom)
 
 
 def check_unitarity(data: HeckeData, samples) -> CheckResult:
-    """Check R(z) R(1/z)_21 = id at exact rational (q0, z0) sample points."""
+    """Check R(z) R(1/z)_21 = id at exact rational (q0, z0) sample points.
+
+    Each side is an operator with ``Fraction`` entries: R and R_21^{-1}
+    evaluated at q0, combined for the sample's z0.
+    """
     r21_inv = invert(data.R).swapped_legs()
-    ident = rat_identity(data.n, 2)
+    ident = TensorOp.identity(data.n, 2)
     bad = None
     checked = []
     for q0, z0 in samples:
         q0, z0 = Fraction(q0), Fraction(z0)
         if q0 in (0, 1, -1) or z0 in (0, q0**2, 1 / q0**2):
             raise ValueError("inadmissible sample: q0=%s z0=%s" % (q0, z0))
-        lhs = _rational_spectral(data, r21_inv, q0, z0)
-        rhs = rat_swapped_legs(_rational_spectral(data, r21_inv, q0, 1 / z0))
-        prod = rat_compose(lhs, rhs)
-        ok = prod == ident
+        R0, r21_inv0, ident0 = [op.map_coefficients(lambda c: c.evaluate(q0))
+                                for op in (data.R, r21_inv, ident)]
+        lhs = _spectral_at(data, R0, r21_inv0, q0, z0)
+        rhs = _spectral_at(data, R0, r21_inv0, q0, 1 / z0).swapped_legs()
+        ok = lhs @ rhs == ident0
         checked.append({"q0": str(q0), "z0": str(z0), "pass": ok})
         if not ok and bad is None:
             bad = {"q0": str(q0), "z0": str(z0)}
@@ -262,68 +251,57 @@ def check_unitarity(data: HeckeData, samples) -> CheckResult:
 # ---- braided integer operators ---------------------------------------------
 
 
-def braided_integer(m: int, r_like: TensorOp) -> TensorOp:
-    """1 + (PR)_12 + (PR)_12 (PR)_23 + ... on m legs, built from R-like input."""
+def _pr_chain(r_like: TensorOp, ks, total: int) -> list:
+    """Running products of (PR)_{k,k+1} on ``total`` legs, for k in ``ks`` in order.
+
+    Entry t is (PR)_{k0,k0+1} ... (PR)_{kt,kt+1}.
+    """
+    chain = []
+    if ks:
+        pr = permutation_P(r_like.n) @ r_like
+        for k in ks:
+            factor = embed(pr, [k, k + 1], total)
+            chain.append(chain[-1] @ factor if chain else factor)
+    return chain
+
+
+def _braided_integer(m: int, r_like: TensorOp, ks) -> TensorOp:
     if m < 1:
         raise ValueError("braided integer needs m >= 1")
-    n = r_like.n
-    out = TensorOp.identity(n, m, ring=r_like.ring)
-    if m == 1:
-        return out
-    pr = permutation_P(n, ring=r_like.ring) @ r_like
-    acc = None
-    for k in range(1, m):
-        factor = embed(pr, [k, k + 1], m)
-        acc = factor if acc is None else acc @ factor
-        out = out + acc
+    out = TensorOp.identity(r_like.n, m)
+    for prefix in _pr_chain(r_like, ks, m):
+        out = out + prefix
     return out
+
+
+def braided_integer(m: int, r_like: TensorOp) -> TensorOp:
+    """1 + (PR)_12 + (PR)_12 (PR)_23 + ... on m legs, built from R-like input."""
+    return _braided_integer(m, r_like, range(1, m))
 
 
 def braided_integer_bar(m: int, r_like: TensorOp) -> TensorOp:
     """1 + (PR)_{m-1,m} + (PR)_{m-1,m} (PR)_{m-2,m-1} + ... on m legs."""
-    if m < 1:
-        raise ValueError("braided integer needs m >= 1")
-    n = r_like.n
-    out = TensorOp.identity(n, m, ring=r_like.ring)
-    if m == 1:
-        return out
-    pr = permutation_P(n, ring=r_like.ring) @ r_like
-    acc = None
-    for k in range(m - 1, 0, -1):
-        factor = embed(pr, [k, k + 1], m)
-        acc = factor if acc is None else acc @ factor
-        out = out + acc
-    return out
+    return _braided_integer(m, r_like, range(m - 1, 0, -1))
+
+
+def _interval_product(m: int, n_leg: int, r_like: TensorOp, total, ks) -> TensorOp:
+    if m >= n_leg:
+        raise ValueError("interval product needs m < n")
+    return _pr_chain(r_like, ks, total or n_leg)[-1]
 
 
 def interval_product(m: int, n_leg: int, r_like: TensorOp, total: int = None) -> TensorOp:
     """(PR)_{m,m+1} (PR)_{m+1,m+2} ... (PR)_{n-1,n} on ``total`` legs."""
-    if m >= n_leg:
-        raise ValueError("interval product needs m < n")
-    total = total or n_leg
-    pr = permutation_P(r_like.n, ring=r_like.ring) @ r_like
-    acc = None
-    for k in range(m, n_leg):
-        factor = embed(pr, [k, k + 1], total)
-        acc = factor if acc is None else acc @ factor
-    return acc
+    return _interval_product(m, n_leg, r_like, total, range(m, n_leg))
 
 
 def interval_product_bar(m: int, n_leg: int, r_like: TensorOp, total: int = None) -> TensorOp:
     """(PR)_{n-1,n} ... (PR)_{m+1,m+2} (PR)_{m,m+1} on ``total`` legs."""
-    if m >= n_leg:
-        raise ValueError("interval product needs m < n")
-    total = total or n_leg
-    pr = permutation_P(r_like.n, ring=r_like.ring) @ r_like
-    acc = None
-    for k in range(n_leg - 1, m - 1, -1):
-        factor = embed(pr, [k, k + 1], total)
-        acc = factor if acc is None else acc @ factor
-    return acc
+    return _interval_product(m, n_leg, r_like, total, range(n_leg - 1, m - 1, -1))
 
 
 def hecke_PR_inverse(data: HeckeData) -> TensorOp:
     """(PR)^{-1} = PR - (q - 1/q), the quadratic-relation shortcut."""
     pr = data.PR()
     lam = data.q - data.q.unit_inverse()
-    return pr - TensorOp.identity(data.n, 2, ring=data.R.ring).scale(lam)
+    return pr - TensorOp.identity(data.n, 2).scale(lam)

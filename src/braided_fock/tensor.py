@@ -6,16 +6,17 @@ are tuples over 1..n and tuple position p corresponds to leg p+1.  Elements of
 the underlying module are thought of as column vectors indexed by the same
 multi-indices, so ``compose(A, B)`` applied to v is A(B(v)).
 
-Coefficients live in either of the rings from :mod:`braided_fock.coeff`; the
-ring class is carried on the operator so identities and scalars can be built.
+Coefficients are Laurent polynomials, or anything with the same arithmetic:
+:class:`~braided_fock.coeff.PolyQZW` for the Baxterised family and
+``Fraction`` for an operator evaluated at a rational point.  Identities and
+flips are built over :class:`~braided_fock.coeff.LaurentPoly`.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .coeff import LaurentPoly, strict_int
+from .coeff import LaurentPoly, add_term, strict_int
 
 
 class SingularOperatorError(ValueError):
@@ -27,14 +28,13 @@ class LaurentInversionError(ValueError):
 
 
 class TensorOp:
-    __slots__ = ("n", "legs", "entries", "ring")
+    __slots__ = ("n", "legs", "entries")
 
-    def __init__(self, n: int, legs: int, entries=None, ring=LaurentPoly):
+    def __init__(self, n: int, legs: int, entries=None):
         if n < 1 or legs < 1:
             raise ValueError("need n >= 1 and legs >= 1")
         self.n = n
         self.legs = legs
-        self.ring = ring
         out = {}
         if entries:
             for (row, col), coeff in entries.items():
@@ -48,49 +48,39 @@ class TensorOp:
                 out[(row, col)] = coeff
         self.entries = out
 
+    def _like(self, entries, legs=None) -> "TensorOp":
+        """An operator on the same space (or ``legs`` legs) with checked ``entries``."""
+        r = TensorOp.__new__(TensorOp)
+        r.n, r.legs, r.entries = self.n, legs or self.legs, entries
+        return r
+
     # ---- constructors ----------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, legs: int, ring=LaurentPoly) -> "TensorOp":
-        one = ring.one()
-        op = cls(n, legs, ring=ring)
+    def identity(cls, n: int, legs: int) -> "TensorOp":
+        one = LaurentPoly.one()
+        op = cls(n, legs)
         op.entries = {(ix, ix): one for ix in itertools.product(range(1, n + 1), repeat=legs)}
         return op
 
     # ---- basic algebra -----------------------------------------------------
 
     def _check_compat(self, other):
-        if self.n != other.n or self.legs != other.legs or self.ring is not other.ring:
-            raise ValueError("operator shape or coefficient ring mismatch")
+        if self.n != other.n or self.legs != other.legs:
+            raise ValueError("operator shape mismatch")
 
     def __add__(self, other):
         self._check_compat(other)
         out = dict(self.entries)
         for k, c in other.entries.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = TensorOp.__new__(TensorOp)
-        r.n, r.legs, r.ring, r.entries = self.n, self.legs, self.ring, out
-        return r
+            add_term(out, k, c)
+        return self._like(out)
 
     def __sub__(self, other):
-        return self + other.scale(self.ring.from_int(-1))
+        return self + other.scale(-1)
 
     def scale(self, coeff) -> "TensorOp":
-        if isinstance(coeff, int):
-            coeff = self.ring.from_int(coeff)
-        out = {}
-        for k, c in self.entries.items():
-            v = c * coeff
-            if v:
-                out[k] = v
-        r = TensorOp.__new__(TensorOp)
-        r.n, r.legs, r.ring, r.entries = self.n, self.legs, self.ring, out
-        return r
+        return self.map_coefficients(lambda c: c * coeff)
 
     def __matmul__(self, other) -> "TensorOp":
         """Composition: (self @ other)(v) = self(other(v))."""
@@ -107,20 +97,12 @@ class TensorOp:
                 s = v if s is None else s + v
                 out[k] = s
         # drop exact cancellations
-        out = {k: v for k, v in out.items() if v}
-        r = TensorOp.__new__(TensorOp)
-        r.n, r.legs, r.ring, r.entries = self.n, self.legs, self.ring, out
-        return r
+        return self._like({k: v for k, v in out.items() if v})
 
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.legs == other.legs
-            and self.ring is other.ring
-            and self.entries == other.entries
-        )
+        return self.n == other.n and self.legs == other.legs and self.entries == other.entries
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -129,10 +111,8 @@ class TensorOp:
         """For a two-leg operator A, return A_21 = P A P."""
         if self.legs != 2:
             raise ValueError("leg transposition is defined for two-leg operators")
-        out = {((r2, r1), (c2, c1)): c for ((r1, r2), (c1, c2)), c in self.entries.items()}
-        r = TensorOp.__new__(TensorOp)
-        r.n, r.legs, r.ring, r.entries = self.n, self.legs, self.ring, out
-        return r
+        return self._like(
+            {((r2, r1), (c2, c1)): c for ((r1, r2), (c1, c2)), c in self.entries.items()})
 
     def apply_to_vector(self, vec: dict) -> dict:
         """Apply to a sparse column vector {multi-index: coeff}."""
@@ -142,28 +122,17 @@ class TensorOp:
         out = {}
         for col, x in vec.items():
             for row, c in by_col.get(col, ()):
-                v = c * x
-                s = out.get(row)
-                s = v if s is None else s + v
-                if s:
-                    out[row] = s
-                else:
-                    del out[row]
-        return {k: v for k, v in out.items() if v}
+                add_term(out, row, c * x)
+        return out
 
-    def map_coefficients(self, fn, ring=None) -> "TensorOp":
+    def map_coefficients(self, fn) -> "TensorOp":
+        """Apply ``fn`` to every entry, e.g. to evaluate at a rational point."""
         out = {}
         for k, c in self.entries.items():
             v = fn(c)
             if v:
                 out[k] = v
-        r = TensorOp.__new__(TensorOp)
-        r.n, r.legs, r.ring, r.entries = self.n, self.legs, ring or self.ring, out
-        return r
-
-    def evaluate_rational(self, q0) -> dict:
-        """Evaluate all entries at a rational q0: {(row, col): Fraction}."""
-        return {k: c.evaluate(q0) for k, c in self.entries.items()}
+        return self._like(out)
 
     # ---- serialization -----------------------------------------------------
 
@@ -174,7 +143,7 @@ class TensorOp:
         return {"n": self.n, "legs": self.legs, "entries": ents}
 
     @classmethod
-    def from_json(cls, obj: dict, ring=LaurentPoly) -> "TensorOp":
+    def from_json(cls, obj: dict) -> "TensorOp":
         if not isinstance(obj, dict) or not {"n", "legs", "entries"} <= set(obj):
             raise ValueError("an operator must be an object with n, legs and entries")
         n, legs = strict_int(obj["n"], "n"), strict_int(obj["legs"], "legs")
@@ -188,21 +157,21 @@ class TensorOp:
             key = tuple(tuple(strict_int(i, "multi-index entry") for i in ix) for ix in ent[:2])
             if key in entries:
                 raise ValueError("duplicate entry for %r" % (key,))
-            entries[key] = ring.from_json(ent[2])
-        return cls(n, legs, entries, ring=ring)
+            entries[key] = LaurentPoly.from_json(ent[2])
+        return cls(n, legs, entries)
 
     def __repr__(self):
         return "TensorOp(n=%d, legs=%d, %d entries)" % (self.n, self.legs, len(self.entries))
 
 
-def permutation_P(n: int, ring=LaurentPoly) -> TensorOp:
+def permutation_P(n: int) -> TensorOp:
     """The flip P(e_a x e_b) = e_b x e_a on two legs."""
-    one = ring.one()
+    one = LaurentPoly.one()
     entries = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             entries[((b, a), (a, b))] = one
-    return TensorOp(n, 2, entries, ring=ring)
+    return TensorOp(n, 2, entries)
 
 
 def embed(op: TensorOp, positions, total: int) -> TensorOp:
@@ -232,9 +201,7 @@ def embed(op: TensorOp, positions, total: int) -> TensorOp:
                 full_row[p - 1] = fill[i]
                 full_col[p - 1] = fill[i]
             out[(tuple(full_row), tuple(full_col))] = c
-    r = TensorOp.__new__(TensorOp)
-    r.n, r.legs, r.ring, r.entries = n, total, op.ring, out
-    return r
+    return op._like(out, total)
 
 
 def _exact_div(num, den):
@@ -252,7 +219,7 @@ def invert(op: TensorOp) -> TensorOp:
     field but the determinant is not a unit, so the inverse has non-Laurent
     entries.
     """
-    if op.ring is not LaurentPoly:
+    if not all(isinstance(c, LaurentPoly) for c in op.entries.values()):
         raise ValueError("inversion is supported for Laurent-coefficient operators")
     all_indices = list(itertools.product(range(1, op.n + 1), repeat=op.legs))
     index_of = {ix: i for i, ix in enumerate(all_indices)}
@@ -312,49 +279,7 @@ def invert(op: TensorOp) -> TensorOp:
                 )
             if q:
                 entries[(all_indices[i], all_indices[j - d])] = q
-    r = TensorOp.__new__(TensorOp)
-    r.n, r.legs, r.ring, r.entries = op.n, op.legs, op.ring, entries
-    return r
+    return op._like(entries)
 
 
 _ZERO = LaurentPoly.zero()
-
-
-# ---- exact rational matrices (sparse dicts of Fractions) -------------------
-
-
-def rat_identity(n: int, legs: int) -> dict:
-    one = Fraction(1)
-    return {(ix, ix): one for ix in itertools.product(range(1, n + 1), repeat=legs)}
-
-
-def rat_compose(a: dict, b: dict) -> dict:
-    by_row = {}
-    for (row, col), c in b.items():
-        by_row.setdefault(row, []).append((col, c))
-    out = {}
-    for (row, mid), c1 in a.items():
-        for col, c2 in by_row.get(mid, ()):
-            k = (row, col)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def rat_add(a: dict, b: dict, scalar=1) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) + scalar * c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def rat_scale(a: dict, scalar) -> dict:
-    scalar = Fraction(scalar)
-    return {k: scalar * c for k, c in a.items() if scalar * c}
-
-
-def rat_swapped_legs(a: dict) -> dict:
-    return {((r2, r1), (c2, c1)): c for ((r1, r2), (c1, c2)), c in a.items()}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coeff import LaurentPoly
+from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, braided_integer, braided_integer_bar
 from .tensor import TensorOp
 
@@ -56,57 +56,10 @@ class SwapRuleTable:
         return c, tuple(word)
 
 
-class WedgeElement:
+class WedgeElement(LinearCombination):
     """Linear combination of strictly increasing index monomials."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        out = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    out[tuple(mono)] = c
-        self.terms = out
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, {(): LaurentPoly.one()})
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed dimensions")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return WedgeElement(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(LaurentPoly.from_int(-1))
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        return WedgeElement(self.n, {k: c * coeff for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WedgeElement) and self.n == other.n and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degrees(self):
-        return sorted({len(k) for k in self.terms})
+    __slots__ = ()
 
     def __repr__(self):
         if not self.terms:
@@ -127,9 +80,8 @@ def derive_wedge_rules(data: HeckeData) -> SwapRuleTable:
     Completeness is certified by a rank check at exact rational sample points.
     """
     n = data.n
-    ring = data.R.ring
     qinv = data.q.unit_inverse()
-    M = data.PR() + TensorOp.identity(n, 2, ring=ring).scale(qinv)
+    M = data.PR() + TensorOp.identity(n, 2).scale(qinv)
     columns = {}
     for (row, col), c in M.entries.items():
         columns.setdefault(col, {})[row] = c
@@ -193,13 +145,8 @@ def _verify_rule_span(M: TensorOp, table: SwapRuleTable, n: int):
         acc = {}
         for row, c in rows.items():
             rc, mono = table.reduce_word(row)
-            if mono is None:
-                continue
-            s = acc.get(mono, LaurentPoly.zero()) + rc * c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
+            if mono is not None:
+                add_term(acc, mono, rc * c)
         if acc:
             raise NonPBWInputError("derived rules do not annihilate relation column %r" % (col,))
     target = n * (n + 1) // 2
@@ -270,19 +217,6 @@ def wedgify(word, coeff, table: SwapRuleTable) -> WedgeElement:
 def top_form(n: int) -> WedgeElement:
     """The monomial theta_1 ... theta_n spanning the top degree."""
     return WedgeElement(n, {tuple(range(1, n + 1)): LaurentPoly.one()})
-
-
-def apply_operator(op: TensorOp, words: dict, table: SwapRuleTable) -> WedgeElement:
-    """Apply an m-leg operator to a combination of length-m index words.
-
-    ``words`` maps index tuples (not necessarily sorted) to coefficients; the
-    operator is contracted against the word slots and the result is reduced.
-    """
-    vec = op.apply_to_vector(words)
-    out = WedgeElement.zero(table.n)
-    for word, c in vec.items():
-        out = out + wedgify(word, c, table)
-    return out
 
 
 def braided_partial(i: int, x: WedgeElement, table: SwapRuleTable,

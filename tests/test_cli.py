@@ -149,6 +149,22 @@ class TestNfCommand:
         code, _, err = run(capsys, "nf", "t[3]_1 t[0]_2 t[-2]_1", "--n", "2")
         assert code == 3
 
+    def test_negative_budget_rejected(self, capsys):
+        code, _, err = run(capsys, "nf", "t[2]_1 t[0]_2", "--n", "2", "--budget", "-3")
+        assert code == 2 and "--budget" in err
+
+    def test_zero_budget_allows_no_rewrite(self, capsys):
+        code, out, _ = run(capsys, "nf", "t[0]_1 t[2]_2", "--n", "2", "--budget", "0")
+        assert code == 0 and out.strip() == "(1) t[0]_1 t[2]_2"
+        code, _, err = run(capsys, "nf", "t[2]_1 t[0]_2", "--n", "2", "--budget", "0")
+        assert code == 3 and "budget 0 exceeded" in err
+
+    @pytest.mark.parametrize("value", ["-1", "abc", " 5", "2.0", "+3"])
+    def test_env_budget_must_be_decimal(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BRAIDED_FOCK_BUDGET", value)
+        code, _, err = run(capsys, "heisenberg", "1", "1")
+        assert code == 2 and "BRAIDED_FOCK_BUDGET" in err
+
     def test_gerv_rules_flag(self, capsys):
         code, out, _ = run(capsys, "nf", "t[2]_1 t[0]_2", "--n", "2",
                            "--rules", "gerv", "--output", "json")

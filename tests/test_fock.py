@@ -10,7 +10,6 @@ from braided_fock.coeff import LaurentPoly, braided_int_scalar
 from braided_fock.fock import (
     FockState,
     apply_b,
-    apply_b_to_columns,
     commutator_on_vacuum,
     heisenberg_matches,
     lemma33_closed_form,
@@ -66,6 +65,29 @@ class TestStateBasics:
         s = apply_b(-1, vacuum(2, 0))
         blob = json.dumps(s.to_json(), sort_keys=True)
         assert FockState.from_json(json.loads(blob)) == s
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", 2.9, "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("tail_start", 1.7, "tail_start must be an integer"),
+        ("columns", {" 0": [1]}, "malformed exponent key"),
+        ("columns", {"0": [1.0]}, "index must be an integer"),
+        ("columns", {"0": "1"}, "must be a list of indices"),
+    ])
+    def test_json_rejects_coercible_fields(self, field, value, match):
+        # each case spoils one field of a valid one-term state on n = 2
+        blob = {"n": 2, "tail_start": 1, "terms": [{"coeff": {"0": 1}, "columns": {"0": [1]}}]}
+        if field == "columns":
+            blob["terms"][0]["columns"] = value
+        else:
+            blob[field] = value
+        with pytest.raises(ValueError, match=match):
+            FockState.from_json(blob)
+
+    def test_json_rejects_duplicate_terms(self):
+        term = {"coeff": {"0": 1}, "columns": {"0": [1]}}
+        with pytest.raises(ValueError, match="duplicate term"):
+            FockState.from_json({"n": 2, "tail_start": 1, "terms": [term, term]})
 
     def test_scalar_part(self):
         v = vacuum(3, 0)
@@ -173,8 +195,8 @@ class TestShiftOperator:
         got = apply_b(-2, vacuum(2, 0))
         modes = {m for cfg in got.terms for m, _ in cfg}
         assert min(modes) == -2
-        assert got == apply_b_to_columns(-2, vacuum(2, 0), [0]) + apply_b_to_columns(
-            -2, vacuum(2, 0), [1]
+        assert got == apply_b(-2, vacuum(2, 0), columns=(0,)) + apply_b(
+            -2, vacuum(2, 0), columns=(1,)
         )
 
     def test_pruning_logged(self):

@@ -383,3 +383,23 @@ def test_budget_error_reports_progress():
     assert len(exc.word) == len(word)
     assert "depth 2, %d expansions, %d words pending" % (exc.expansions, exc.pending) \
         in str(exc)
+
+
+class TestResolveBudget:
+    def test_explicit_budget(self):
+        assert modealg.resolve_budget(5) == 5
+        assert modealg.resolve_budget(0) == 0
+
+    @pytest.mark.parametrize("budget", [-1, 2.7, True, "5"])
+    def test_rejects_non_budget(self, budget):
+        with pytest.raises(ValueError, match="--budget"):
+            modealg.resolve_budget(budget)
+
+    def test_env_and_default(self, monkeypatch):
+        monkeypatch.delenv("BRAIDED_FOCK_BUDGET", raising=False)
+        assert modealg.resolve_budget() == modealg.DEFAULT_BUDGET
+        monkeypatch.setenv("BRAIDED_FOCK_BUDGET", "12")
+        assert modealg.resolve_budget() == 12
+        monkeypatch.setenv("BRAIDED_FOCK_BUDGET", "1e3")
+        with pytest.raises(ValueError, match="BRAIDED_FOCK_BUDGET"):
+            modealg.resolve_budget()

@@ -101,14 +101,14 @@ class TestBaxterise:
         d = standard_sln_R(2)
         bax = baxterise(d)
         at_z0 = bax.S.map_coefficients(lambda c: c.substitute(z=0))
-        wR = d.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1), ring=PolyQZW)
+        wR = d.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1))
         assert at_z0 == wR
 
     def test_z1_w1_is_R_minus_R21inv(self):
         d = standard_sln_R(2)
         bax = baxterise(d)
         r21inv = invert(d.R).swapped_legs()
-        want = (d.R - r21inv).map_coefficients(PolyQZW.from_laurent, ring=PolyQZW)
+        want = (d.R - r21inv).map_coefficients(PolyQZW.from_laurent)
         assert bax.at(1, 1) == want
 
     def test_denominator(self):
@@ -180,6 +180,30 @@ class TestUnitarity:
             [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
         ]
         assert check_unitarity(standard_sln_R(n), [(q0, z0)]).passed
+
+
+def _lambda_doubled(n):
+    """The standard R with every off-diagonal entry doubled: no longer Hecke."""
+    entries = dict(standard_sln_R(n).R.entries)
+    for (row, col), c in entries.items():
+        if row != col:
+            entries[(row, col)] = c * 2
+    return HeckeData(n=n, R=TensorOp(n, 2, entries))
+
+
+class TestBrokenR:
+    def test_unitarity_rejects_with_first_failing_sample(self):
+        res = check_unitarity(_lambda_doubled(2), admissible_samples(5, seed=11))
+        assert not res.passed
+        samples = res.details["samples"]
+        first_bad = next(s for s in samples if not s["pass"])
+        assert res.witness == {"q0": first_bad["q0"], "z0": first_bad["z0"]}
+        assert len(samples) == 5
+
+    def test_pybe_rejects_with_witness(self):
+        res = check_pybe(_lambda_doubled(2))
+        assert not res.passed
+        assert res.witness is not None
 
 
 class TestBraidedIntegers:

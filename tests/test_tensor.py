@@ -80,6 +80,9 @@ class TestCompose:
         for _ in range(10):
             A, B = random_op(rng), random_op(rng)
             assert dense_from_op(A @ B, q0) == dense_mul(dense_from_op(A, q0), dense_from_op(B, q0))
+            # the same through operators with Fraction entries
+            at_q0 = [op.map_coefficients(lambda c: c.evaluate(q0)) for op in (A @ B, A, B)]
+            assert at_q0[0] == at_q0[1] @ at_q0[2]
 
     def test_shape_mismatch_rejected(self):
         A = TensorOp.identity(2, 2)
