@@ -159,7 +159,7 @@ class LaurentPoly(_SparsePoly):
 
     def __init__(self, terms=None):
         if terms:
-            self.terms = {int(e): c for e, c in terms.items() if c}
+            self.terms = {strict_int(e, "q-exponent"): c for e, c in terms.items() if c}
         else:
             self.terms = {}
 
@@ -305,10 +305,10 @@ class PolyQZW(_SparsePoly):
             for key, c in terms.items():
                 if not c:
                     continue
-                qe, zd, wd = key
+                qe, zd, wd = [strict_int(e, "exponent") for e in key]
                 if zd < 0 or wd < 0:
                     raise ValueError("z and w degrees must be nonnegative")
-                out[(int(qe), int(zd), int(wd))] = c
+                out[(qe, zd, wd)] = c
         self.terms = out
 
     @classmethod

@@ -265,7 +265,8 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     full = _full(n)
     raw = {}
     transports = {}
-    for cfg, sc in s.terms.items():
+    # in key order, so the pruned-slot log does not depend on how s was built
+    for cfg, sc in sorted(s.terms.items()):
         T = s.tail_start
         if slot_window is not None:
             w_lo, w_hi = slot_window

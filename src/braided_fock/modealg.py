@@ -12,30 +12,29 @@ strictly increasing.  Reordering uses three families of rules:
     supported on mode pairs (j+s, i-s) strictly inside the gap, and, for even
     gaps, on the middle mode.
 
-Every rewrite strictly decreases the pair (mode inversion weight, index
-inversion count) lexicographically, which gives termination: the mode weight
-sums mode differences over inverted positions, correction pairs move modes
-toward the middle of the gap, and convexity keeps contributions from
-untouched positions from growing.  Reduction processes pending words largest
-measure first, so each distinct word is expanded at most once per call.  The
-rewrite budget guards the length of sequential rewrite chains, the quantity
-the termination measure bounds; exceeding it raises with the offending word
-and how far the reduction got.
+Every rewrite of the bad pair at p keeps the prefix before p and puts a
+strictly smaller generator at p: a same-mode swap puts the smaller index
+first, and every cross-mode term starts at mode m2 + s with s <= (m1 - m2)/2.
+So every child is lexicographically smaller than its parent.  Rewrites keep
+the length and keep modes inside the range of the pair they rewrite, so a
+reduction only meets finitely many words, and it terminates (the ordering
+argument of Bergman's diamond lemma).  ``word_measure`` gives a second
+decreasing quantity, (mode inversion weight, index inversion count), which
+bounds chain lengths and sizes budgets.  The rewrite budget guards the
+length of sequential rewrite chains; exceeding it raises with the offending
+word and how far the reduction got.
 
-Each pending word carries its bad pair and its measure, and a child gets
-both from its parent without rescanning:
+Inside a reduction a generator (m, a) is coded as the int -(m(n+1) + a),
+which reverses the generator order, so the smallest coded word on the heap
+is the lexicographically largest word.  Popping largest first, every word
+is expanded once, after all of its parents, with its final coefficient and
+depth.  The rewrites of each coded pair are looked up once per call.
 
-  * bad pair: a child differs from its parent at p, p+1 only.  Under the
-    leftmost strategy every pair before p is good, so the child's bad pair is
-    at p-1, p or p+1, or else it is the parent's first bad pair at p+2 or
-    later, found once per parent and only when needed (mirrored for
-    rightmost);
-  * measure: a same-mode swap has measure (mu, nu - 1).  A cross-mode
-    rewrite of modes m1 > m2 puts out two modes in [m2, m1] with the same
-    sum, so untouched generators with modes outside [m2, m1] contribute as
-    before, and for the leading term the mode weight drops by exactly
-    m1 - m2.  The update looks only at the generators with modes in
-    [m2, m1].
+Each pending word carries its bad pair.  A child differs from its parent at
+p, p+1 only.  Under the leftmost strategy every pair before p is good, so
+the child's bad pair is at p-1, p or p+1, or else it is the parent's first
+bad pair at p+2 or later, found once per parent and only when needed
+(mirrored for rightmost).
 """
 
 from __future__ import annotations
@@ -209,7 +208,10 @@ def standard_rules(n: int, variant: str = "theorem21") -> ExchangeRules:
 
 
 def word_measure(word):
-    """(mode inversion weight, same-mode index inversion count)."""
+    """(mode inversion weight, same-mode index inversion count).
+
+    Every rewrite strictly lowers it, so it bounds rewrite chains.
+    """
     mu = nu = 0
     L = len(word)
     for p in range(L):
@@ -223,111 +225,58 @@ def word_measure(word):
     return mu, nu
 
 
-class _PairContext:
-    """Measures of the children of one cross-mode rewrite, from the parent's.
-
-    Rewriting (m1, a1)(m2, a2), m1 > m2, at p puts (m2 + s, c)(m1 - s', d)
-    in its place, with s + s' = m1 - m2: both modes stay in [m2, m1] and
-    their sum is kept.  Against an untouched generator of mode u outside
-    [m2, m1] the pair's mode weight is therefore unchanged; for u inside it
-    drops by min(u - m2, s, m1 - u), which is 0 for the leading term (s = 0).
-    The index inversions change only against untouched generators of the
-    same mode as a pair member.  So only the generators with modes in
-    [m2, m1] (``left`` and ``right`` of the pair) are looked at.
-    """
-
-    __slots__ = ("left", "right", "lo", "hi", "mu", "nu")
-
-    def __init__(self, word, p, mu, nu):
-        g1, g2 = word[p], word[p + 1]
-        lo, hi = g2[0], g1[0]
-        self.left = [g for g in word[:p] if lo <= g[0] <= hi]
-        self.right = [g for g in word[p + 2:] if lo <= g[0] <= hi]
-        self.lo, self.hi = lo, hi
-        # the pair itself weighs hi - lo and has no index inversion
-        self.mu = mu - (hi - lo)
-        self.nu = nu - self._same_mode_inversions(g1, g2)
-
-    def _same_mode_inversions(self, g1, g2):
-        (v1, x1), (v2, x2) = g1, g2
-        k = 0
-        for u, b in self.left:
-            if u == v1 and b > x1:
-                k += 1
-            if u == v2 and b > x2:
-                k += 1
-        for u, b in self.right:
-            if u == v1 and b < x1:
-                k += 1
-            if u == v2 and b < x2:
-                k += 1
-        return k
-
-    def measure(self, g1, g2):
-        """(mu, nu) of the word with g1, g2 in place of the pair."""
-        mu, lo, hi = self.mu, self.lo, self.hi
-        s = g1[0] - lo
-        if s:
-            for u, _ in self.left:
-                mu -= min(u - lo, s, hi - u)
-            for u, _ in self.right:
-                mu -= min(u - lo, s, hi - u)
-        nu = self.nu + self._same_mode_inversions(g1, g2)
-        if g1[0] == g2[0] and g1[1] > g2[1]:
-            nu += 1
-        return mu, nu
+def _pair_rewrites(g1, g2, rules: ExchangeRules):
+    """Rewrites of the bad pair g1 g2: (h1, h2, coeff) with g1 g2 = sum coeff h1 h2."""
+    (m1, a1), (m2, a2) = g1, g2
+    if m1 == m2:
+        if a1 == a2:
+            return []
+        return [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
+    return [((m2 + dm1, c), (m2 + dm2, d), coeff)
+            for dm1, dm2, c, d, coeff in rules.cross_expansion(m1 - m2, a1, a2)]
 
 
-def _bad_pair(word, strategy, lo=0, hi=None):
-    """First bad pair in strategy order among pairs (t, t+1) with lo <= t < hi."""
-    rng = range(lo, len(word) - 1 if hi is None else hi)
+def _encode(g, base):
+    """The int code of generator g = (m, a) for base n + 1; codes reverse the order."""
+    return -(g[0] * base + g[1])
+
+
+def _decode(code, base):
+    return tuple([divmod(-c, base) for c in code])
+
+
+def _bad_pair(code, strategy, lo=0, hi=None):
+    """First bad pair of a coded word in strategy order among (t, t+1), lo <= t < hi."""
+    rng = range(lo, len(code) - 1 if hi is None else hi)
     if strategy == "rightmost":
         rng = reversed(rng)
     for p in rng:
-        if word[p] >= word[p + 1]:
+        if code[p] <= code[p + 1]:
             return p
     return None
 
 
-def _local_bad_pair(word, p, g1, g2, strategy):
+def _local_bad_pair(code, p, d1, d2, strategy):
     """Bad pair among the three pairs of a child that touch positions p, p+1.
 
-    ``word`` is the parent, whose pair at p is replaced by g1, g2 in the child.
+    ``code`` is the parent, whose pair at p is replaced by d1, d2 in the child.
     """
-    before = p > 0 and word[p - 1] >= g1
-    after = p + 2 < len(word) and g2 >= word[p + 2]
+    before = p > 0 and code[p - 1] <= d1
+    after = p + 2 < len(code) and d2 <= code[p + 2]
     if strategy == "rightmost":
-        return p + 1 if after else p if g1 >= g2 else p - 1 if before else None
-    return p - 1 if before else p if g1 >= g2 else p + 1 if after else None
+        return p + 1 if after else p if d1 <= d2 else p - 1 if before else None
+    return p - 1 if before else p if d1 <= d2 else p + 1 if after else None
 
 
-def _shared_bad_pair(word, p, strategy):
-    """The bad pair a child of ``word`` rewritten at p shares with its parent.
+def _shared_bad_pair(code, p, strategy):
+    """The bad pair a child of ``code`` rewritten at p shares with its parent.
 
     p is the parent's bad pair in strategy order, so every pair on its near
     side is good; of the far side, only pairs clear of p, p+1 are shared.
     """
     if strategy == "rightmost":
-        return _bad_pair(word, strategy, 0, p - 1)
-    return _bad_pair(word, strategy, p + 2)
-
-
-def _expand(word, p, rules: ExchangeRules):
-    """One rewrite of the bad adjacent pair at position p; yields (word, coeff, gens)."""
-    (m1, a1), (m2, a2) = word[p], word[p + 1]
-    head, tail = word[:p], word[p + 2:]
-    out = []
-    if m1 == m2:
-        if a1 == a2:
-            return out
-        c = rules.swap.coeff[(a1, a2)]
-        g1, g2 = (m1, a2), (m1, a1)
-        out.append((head + (g1, g2) + tail, c, g1, g2))
-        return out
-    for dm1, dm2, c, d, coeff in rules.cross_expansion(m1 - m2, a1, a2):
-        g1, g2 = (m2 + dm1, c), (m2 + dm2, d)
-        out.append((head + (g1, g2) + tail, coeff, g1, g2))
-    return out
+        return _bad_pair(code, strategy, 0, p - 1)
+    return _bad_pair(code, strategy, p + 2)
 
 
 def check_indices(word, n):
@@ -360,70 +309,73 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
                       budget=None):
     """Reduce to normal form; returns (element, :class:`ReductionStats`).
 
-    Pending words are processed largest measure first and like terms are
-    merged eagerly, so every distinct word is expanded at most once per call;
-    all contributions to a word arrive before it is expanded, which makes its
-    recorded chain depth final.  Each pending word carries its bad pair.
+    Pending words are coded and processed lexicographically largest first,
+    and like terms are merged eagerly, so every distinct word is expanded
+    once per call, after all its parents: its coefficient and recorded chain
+    depth are final.  Each pending word carries its bad pair.
     """
     budget = resolve_budget(budget)
+    base = rules.n + 1
+    heappush, heappop = heapq.heappush, heapq.heappop
+    rewrites = {}
     done = {}
     pending = {}
     heap = []
 
     for word, coeff in x.terms.items():
         check_indices(word, rules.n)
-        p = _bad_pair(word, strategy)
+        code = tuple([_encode(g, base) for g in word])
+        p = _bad_pair(code, strategy)
         if p is None:
-            done[word] = coeff
+            done[code] = coeff
         else:
-            mu, nu = word_measure(word)
-            pending[word] = [coeff, 0, p]
-            heapq.heappush(heap, (-mu, -nu, word))
+            pending[code] = [coeff, 0, p]
+            heappush(heap, code)
 
     stats = ReductionStats()
     while heap:
-        neg_mu, neg_nu, word = heapq.heappop(heap)
-        entry = pending.pop(word, None)
-        if entry is None or not entry[0]:
+        code = heappop(heap)
+        coeff, depth, p = pending.pop(code)
+        if not coeff:
             continue
-        coeff, depth, p = entry
         depth += 1
         if depth > budget:
-            raise BudgetExceededError(word, budget, stats.depth, stats.expansions,
-                                      len(pending) + 1)
+            raise BudgetExceededError(_decode(code, base), budget, stats.depth,
+                                      stats.expansions, len(pending) + 1)
         stats.expansions += 1
         if depth > stats.depth:
             stats.depth = depth
-        same_mode = word[p][0] == word[p + 1][0]
-        shared = ctx = None
-        for child, c, g1, g2 in _expand(word, p, rules):
+        pair = code[p:p + 2]
+        rule = rewrites.get(pair)
+        if rule is None:
+            g1, g2 = _decode(pair, base)
+            rule = rewrites[pair] = [(_encode(h1, base), _encode(h2, base), c)
+                                     for h1, h2, c in _pair_rewrites(g1, g2, rules)]
+        head, tail = code[:p], code[p + 2:]
+        shared = None
+        for d1, d2, c in rule:
             cc = coeff * c
             if not cc:
                 continue
+            child = head + (d1, d2) + tail
             cur = pending.get(child)
             if cur is not None:
                 cur[0] = cur[0] + cc
                 if depth > cur[1]:
                     cur[1] = depth
                 continue
-            cp = _local_bad_pair(word, p, g1, g2, strategy)
+            cp = _local_bad_pair(code, p, d1, d2, strategy)
             if cp is None:
                 if shared is None:
-                    shared = (_shared_bad_pair(word, p, strategy),)
+                    shared = (_shared_bad_pair(code, p, strategy),)
                 cp = shared[0]
             if cp is None:
                 add_term(done, child, cc)
                 continue
-            if same_mode:
-                cmu, cnu = -neg_mu, -neg_nu - 1
-            else:
-                if ctx is None:
-                    ctx = _PairContext(word, p, -neg_mu, -neg_nu)
-                cmu, cnu = ctx.measure(g1, g2)
             pending[child] = [cc, depth, cp]
-            heapq.heappush(heap, (-cmu, -cnu, child))
+            heappush(heap, child)
 
-    return ModeElement(x.n, done), stats
+    return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

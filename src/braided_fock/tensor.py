@@ -43,8 +43,8 @@ class TensorOp:
                 row, col = tuple(row), tuple(col)
                 if len(row) != legs or len(col) != legs:
                     raise ValueError("multi-index length must equal the leg count")
-                if not all(1 <= i <= n for i in row + col):
-                    raise ValueError("multi-index entries must lie in 1..n")
+                if not all(type(i) is int and 1 <= i <= n for i in row + col):
+                    raise ValueError("multi-index entries must be integers in 1..n")
                 out[(row, col)] = coeff
         self.entries = out
 

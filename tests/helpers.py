@@ -164,3 +164,48 @@ def reference_apply_b(i, s, rules, prune=True):
                     cfg2 = tuple((m, tuple(ix)) for m, ix in sorted(by_mode.items()))
                     out = out + FockState(n, end, {cfg2: coeff})
     return out
+
+
+def reference_normal_form(x, rules):
+    """Normal form by plain recursive leftmost rewriting, memoised per word.
+
+    Works on (mode, index) words directly: no heap, no coding of words and
+    no state carried between words.  Reads only the rule data,
+    ``rules.swap`` and ``rules.cross_expansion``.
+    """
+    from braided_fock.modealg import ModeElement
+
+    memo = {}
+
+    def accumulate(out, word, coeff):
+        total = out[word] + coeff if word in out else coeff
+        if total:
+            out[word] = total
+        else:
+            del out[word]
+
+    def reduce(word):
+        if word in memo:
+            return memo[word]
+        p = next((t for t in range(len(word) - 1) if word[t] >= word[t + 1]), None)
+        if p is None:
+            memo[word] = {word: 1}
+            return memo[word]
+        (m1, a1), (m2, a2) = word[p], word[p + 1]
+        if m1 == m2:
+            pairs = [] if a1 == a2 else [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
+        else:
+            pairs = [((m2 + dm1, c), (m2 + dm2, d), k)
+                     for dm1, dm2, c, d, k in rules.cross_expansion(m1 - m2, a1, a2)]
+        out = {}
+        for h1, h2, k in pairs:
+            for w, c in reduce(word[:p] + (h1, h2) + word[p + 2:]).items():
+                accumulate(out, w, k * c)
+        memo[word] = out
+        return out
+
+    out = {}
+    for word, coeff in x.terms.items():
+        for w, c in reduce(tuple(word)).items():
+            accumulate(out, w, coeff * c)
+    return ModeElement(x.n, out)

@@ -239,3 +239,14 @@ def test_stretch_level_three_reported():
     ok = scalar == expected and heisenberg_matches(scalar, 3, 3, 2)
     print("%s stretch [extrapolation]: [b_3, b_-3] = 3(1-q^-6n)/(1-q^-6), "
           "n = 2  (%.2fs)" % ("PASS" if ok else "FAIL", time.perf_counter() - t0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stretch_level_four_reported(n):
+    # reported, not gating, like the level-3 row
+    t0 = time.perf_counter()
+    scalar, state = commutator_on_vacuum(4, 4, n)
+    expected = braided_int_scalar(n, -8) * 4
+    ok = scalar == expected and heisenberg_matches(scalar, 4, 4, n)
+    print("%s stretch [extrapolation]: [b_4, b_-4] = 4(1-q^-8n)/(1-q^-8), "
+          "n = %d  (%.2fs)" % ("PASS" if ok else "FAIL", n, time.perf_counter() - t0))

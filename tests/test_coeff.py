@@ -204,6 +204,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             LaurentPoly.from_json(blob)
 
+    @pytest.mark.parametrize("terms", [{1.7: 1}, {1.0: 1}, {True: 1}, {"1": 1}])
+    def test_laurent_constructor_rejects_non_int_exponent(self, terms):
+        with pytest.raises(ValueError, match="exponent"):
+            LaurentPoly(terms)
+
+    @pytest.mark.parametrize("key", [(1.5, 0.9, 0), (0, 1.0, 0), (0, 0, True), ("1", 0, 0)])
+    def test_qzw_constructor_rejects_non_int_exponent(self, key):
+        with pytest.raises(ValueError, match="exponent"):
+            PolyQZW({key: 2})
+
     @pytest.mark.parametrize("blob", [{"1,0,0": 2.0}, {"1,0,0": False}, {"1,0": 1},
                                       {"1,0,0,0": 1}, {"a,0,0": 1}, None])
     def test_qzw_rejects_coercion(self, blob):

@@ -207,6 +207,19 @@ class TestShiftOperator:
         apply_b(1, s, log_pruned=log)
         assert log and all(entry["target_mode"] >= 1 for entry in log)
 
+    def test_pruned_log_independent_of_term_order(self):
+        # equal states whose terms were inserted in opposite orders give the
+        # same result and the same pruned-slot log, entry for entry
+        s = apply_b(-2, vacuum(2, 0))
+        items = list(s.terms.items())
+        assert len(items) > 1
+        a = FockState(2, s.tail_start, dict(items))
+        b = FockState(2, s.tail_start, dict(reversed(items)))
+        assert a == b and list(a.terms) != list(b.terms)
+        log_a, log_b = [], []
+        assert apply_b(1, a, log_pruned=log_a) == apply_b(1, b, log_pruned=log_b)
+        assert log_a and log_a == log_b
+
     def test_two_raises_annihilate(self):
         for i in (1, 2):
             for j in (1, 2):

@@ -1,5 +1,6 @@
 import heapq
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from braided_fock import modealg
 from braided_fock.coeff import LaurentPoly
 from braided_fock.modealg import (
+    VARIANTS,
     BudgetExceededError,
     ExchangeRules,
     ModeElement,
@@ -24,6 +26,7 @@ from braided_fock.modealg import (
 )
 from braided_fock.rmatrix import standard_sln_R
 from braided_fock.wedge import wedge_normal_form
+from helpers import reference_normal_form
 
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
@@ -263,67 +266,97 @@ def test_termination_budget_large_suite():
         assert stats.depth <= budget
 
 
+def _first_bad_pair(word, strategy):
+    """First pair (t, t+1) with word[t] >= word[t+1] in strategy order, from scratch."""
+    rng = range(len(word) - 1)
+    if strategy == "rightmost":
+        rng = reversed(rng)
+    return next((t for t in rng if word[t] >= word[t + 1]), None)
+
+
 def test_measure_decreases_along_rewrites():
-    # spot check: expansions of a bad pair strictly lower (mu, nu)
-    from braided_fock.modealg import _bad_pair, _expand
+    # spot check: rewrites of a bad pair strictly lower (mu, nu), and each
+    # child is lexicographically smaller than its parent
+    from braided_fock.modealg import _pair_rewrites
 
     rng = random.Random(53)
-    rules = standard_rules(3)
-    for _ in range(100):
-        w = rand_word(rng, 3)
-        p = _bad_pair(w, "leftmost")
-        if p is None:
-            continue
-        m = word_measure(w)
-        for child, _, _, _ in _expand(w, p, rules):
-            assert word_measure(child) < m
+    for variant in VARIANTS:
+        rules = standard_rules(3, variant)
+        for _ in range(100):
+            w = rand_word(rng, 3)
+            p = _first_bad_pair(w, "leftmost")
+            if p is None:
+                continue
+            m = word_measure(w)
+            for h1, h2, _ in _pair_rewrites(w[p], w[p + 1], rules):
+                child = w[:p] + (h1, h2) + w[p + 2:]
+                assert word_measure(child) < m
+                assert child < w
 
 
 class _Audit:
-    """Checks the bad pair and measure each pending word carries in normal_form_stats.
+    """Checks the coded words normal_form_stats pushes on its heap.
 
-    While active, every rewrite position passed to ``_expand`` and every
-    measure pushed on the heap is compared with ``_bad_pair`` and
-    ``word_measure`` recomputed from scratch.
+    While active, every pushed word is decoded, and the bad pair it carries
+    (its entry in the reduction's ``pending`` map) is compared with the first
+    bad pair recomputed from scratch; every word pushed while a word is being
+    expanded must be lexicographically smaller than that word, and words
+    must come off the heap in strictly decreasing lexicographic order.
     """
 
     def __init__(self, strategy):
         self.strategy = strategy
-        self.pairs = self.measures = 0
+        self.pairs = self.children = self.pops = 0
 
     def __enter__(self):
-        self.saved = modealg._expand, modealg.heapq
-        expand = modealg._expand
+        self.saved = modealg.heapq
         audit = self
+        # the heap and coded word of the last pop: the word being expanded
+        last_pop = [None, None]
 
-        def checked_expand(word, p, rules):
-            assert p == modealg._bad_pair(word, audit.strategy), (word, p)
-            audit.pairs += 1
-            return expand(word, p, rules)
+        def decode(code, base):
+            return tuple(divmod(-c, base) for c in code)
 
         class CheckedHeap:
-            heappop = staticmethod(heapq.heappop)
+            @staticmethod
+            def heappop(heap):
+                code = heapq.heappop(heap)
+                if last_pop[0] is heap:
+                    # largest first, so each word comes after all its parents
+                    base = sys._getframe(1).f_locals["rules"].n + 1
+                    word, before = decode(code, base), decode(last_pop[1], base)
+                    assert word < before, (word, before)
+                    audit.pops += 1
+                last_pop[:] = heap, code
+                return code
 
             @staticmethod
-            def heappush(heap, item):
-                neg_mu, neg_nu, word = item
-                assert (-neg_mu, -neg_nu) == word_measure(word), word
-                audit.measures += 1
-                heapq.heappush(heap, item)
+            def heappush(heap, code):
+                scope = sys._getframe(1).f_locals
+                base = scope["rules"].n + 1
+                word = decode(code, base)
+                carried = scope["pending"][code][2]
+                assert carried == _first_bad_pair(word, audit.strategy), (word, carried)
+                audit.pairs += 1
+                if last_pop[0] is heap:
+                    parent = decode(last_pop[1], base)
+                    assert word < parent, (word, parent)
+                    audit.children += 1
+                heapq.heappush(heap, code)
 
-        modealg._expand, modealg.heapq = checked_expand, CheckedHeap
+        modealg.heapq = CheckedHeap
         return self
 
     def __exit__(self, *exc):
-        modealg._expand, modealg.heapq = self.saved
+        modealg.heapq = self.saved
 
 
-def test_incremental_measure_matches_direct():
-    # the carried bad pair and the per-child measure update agree with
-    # recomputation from scratch along whole reductions, for both rule
-    # variants and both strategies
+def test_carried_state_matches_direct():
+    # along whole reductions, for both rule variants and both strategies,
+    # the carried bad pair agrees with recomputation from scratch and every
+    # child is lexicographically below the word it was rewritten from
     for strategy in ("leftmost", "rightmost"):
-        for variant in ("theorem21", "gerv"):
+        for variant in VARIANTS:
             rng = random.Random(71)
             with _Audit(strategy) as audit:
                 for _ in range(300):
@@ -331,30 +364,65 @@ def test_incremental_measure_matches_direct():
                     w = rand_word(rng, n, max_len=7, mode_span=3)
                     x = ModeElement.from_word(n, w)
                     normal_form(x, standard_rules(n, variant), strategy)
-            assert audit.pairs > 1000 and audit.measures > 1000, (strategy, variant)
+            assert min(audit.pairs, audit.children, audit.pops) > 1000, (strategy, variant)
+
+
+def _slot_words(monkeypatch, *commutators):
+    """The (element, rules) pairs apply_b normal-orders for [b_i, b_-i], n."""
+    from braided_fock import fock
+
+    calls = []
+    orig = fock.normal_form
+
+    def recording(x, rules, *args, **kwargs):
+        calls.append((x, rules))
+        return orig(x, rules, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "normal_form", recording)
+    for i, n in commutators:
+        fock.commutator_on_vacuum(i, i, n)
+    monkeypatch.undo()
+    return calls
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_carried_state_on_slot_words(monkeypatch, strategy):
     # the same audit on the words apply_b reduces (long words, deep chains)
-    from braided_fock import fock
-
-    words = []
-    orig = fock.normal_form
-
-    def recording(x, rules, *args, **kwargs):
-        words.append((x, rules))
-        return orig(x, rules, *args, **kwargs)
-
-    monkeypatch.setattr(fock, "normal_form", recording)
-    fock.commutator_on_vacuum(4, 4, 2)
-    fock.commutator_on_vacuum(3, 3, 3)
-    monkeypatch.undo()
-    assert len(words) > 20
+    calls = _slot_words(monkeypatch, (4, 2), (3, 3))
+    assert len(calls) > 20
     with _Audit(strategy) as audit:
-        for x, rules in words:
+        for x, rules in calls:
             normal_form(x, rules, strategy)
-    assert audit.pairs > 1000
+    assert min(audit.pairs, audit.children, audit.pops) > 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_reference_normal_form_hypothesis(data):
+    # the heap-ordered coded reduction against plain recursive rewriting
+    n = data.draw(st.integers(1, 3))
+    variant = data.draw(st.sampled_from(VARIANTS))
+    gen = st.tuples(st.integers(-3, 3), st.integers(1, n))
+    words = data.draw(st.lists(st.lists(gen, max_size=6).map(tuple),
+                               min_size=1, max_size=3, unique=True))
+    x = ModeElement(n, {
+        w: LaurentPoly.q_power(data.draw(st.integers(-2, 2)),
+                               data.draw(st.sampled_from([-2, -1, 1, 3])))
+        for w in words})
+    rules = standard_rules(n, variant)
+    want = reference_normal_form(x, rules)
+    for strategy in ("leftmost", "rightmost"):
+        assert normal_form(x, rules, strategy) == want, strategy
+
+
+def test_slot_words_match_reference_normal_form(monkeypatch):
+    # every block word apply_b reduces for [b_3, b_-3], n = 2
+    calls = _slot_words(monkeypatch, (3, 2))
+    assert len(calls) > 10
+    for x, rules in calls:
+        want = reference_normal_form(x, rules)
+        for strategy in ("leftmost", "rightmost"):
+            assert normal_form(x, rules, strategy) == want
 
 
 class TestIndexValidation:
@@ -380,7 +448,10 @@ def test_budget_error_reports_progress():
     exc = err.value
     assert exc.budget == 2 and exc.depth == 2
     assert exc.expansions >= 2 and exc.pending >= 1
-    assert len(exc.word) == len(word)
+    # the word is reported as (mode, index) pairs, readable and in range
+    assert isinstance(exc.word, tuple) and len(exc.word) == len(word)
+    assert all(isinstance(g, tuple) and len(g) == 2 and 1 <= g[1] <= 2 for g in exc.word)
+    assert repr(exc.word) in str(exc)
     assert "depth 2, %d expansions, %d words pending" % (exc.expansions, exc.pending) \
         in str(exc)
 

@@ -217,3 +217,15 @@ class TestSerialization:
         assert R - R == TensorOp(2, 2)
         assert (R + R) == R.scale(2)
         assert R.scale(Q).scale(LaurentPoly.q_power(-1)) == R
+
+
+class TestConstructorIndices:
+    @pytest.mark.parametrize("key", [((1.0,), (2,)), ((1,), (2.0,)), ((True,), (2,)),
+                                     (("1",), (2,)), ((3,), (1,)), ((0,), (1,))])
+    def test_rejects_non_int_or_out_of_range(self, key):
+        with pytest.raises(ValueError, match="integers in 1..n"):
+            TensorOp(2, 1, {key: LaurentPoly.one()})
+
+    def test_accepts_int_indices(self):
+        op = TensorOp(2, 1, {((1,), (2,)): LaurentPoly.one()})
+        assert list(op.entries) == [((1,), (2,))]
