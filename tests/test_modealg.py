@@ -351,10 +351,11 @@ class _Audit:
         modealg.heapq = self.saved
 
 
-def test_carried_state_matches_direct():
+def test_incremental_measure_matches_direct():
     # along whole reductions, for both rule variants and both strategies,
     # the carried bad pair agrees with recomputation from scratch and every
-    # child is lexicographically below the word it was rewritten from
+    # child is lexicographically below the word it was rewritten from (the
+    # lexicographic order is the termination measure)
     for strategy in ("leftmost", "rightmost"):
         for variant in VARIANTS:
             rng = random.Random(71)
