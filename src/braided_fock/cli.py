@@ -3,8 +3,10 @@
 Subcommands: ``check`` (hecke, ybe, pybe, unitarity, moderel, modeind),
 ``nf`` (normal forms), ``heisenberg``, ``lemma33``, ``dims`` and ``bench``.
 Exit codes: 0 pass, 1 mathematical failure, 2 usage or parse error,
-3 rewrite budget exceeded.  The environment variable BRAIDED_FOCK_BUDGET
-overrides the default rewrite budget.
+3 rewrite budget exceeded; only ``main`` maps exceptions to exit codes.
+``nf`` and ``heisenberg`` take the rewrite budget from ``--budget``; without
+it, and for every other command, the environment variable
+BRAIDED_FOCK_BUDGET overrides the default.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .rmatrix import (
 )
 from .wedge import degree_rank, derive_wedge_rules
 from .modealg import (
+    VARIANTS,
     BudgetExceededError,
     ExchangeRules,
     ModeElement,
@@ -71,7 +74,7 @@ def parse_word(text: str):
 
 
 def _load_hecke(args) -> HeckeData:
-    if getattr(args, "matrix", None):
+    if args.matrix:
         with open(args.matrix) as fh:
             obj = json.load(fh)
         op = TensorOp.from_json(obj)
@@ -90,37 +93,20 @@ def _emit(args, report: dict, text_lines):
 def cmd_check(args) -> int:
     data = _load_hecke(args)
     kind = args.kind
-    if kind == "hecke":
-        res = check_hecke(data)
-    elif kind == "ybe":
-        res = check_braid(data)
-    elif kind == "pybe":
-        res = check_pybe(data)
-    elif kind == "unitarity":
-        samples = admissible_samples(5, args.seed)
-        res = check_unitarity(data, samples)
-    elif kind in ("moderel", "modeind"):
+    if kind in ("moderel", "modeind"):
         if args.i is None or args.j is None:
-            print("check %s needs --i and --j" % kind, file=sys.stderr)
-            return EXIT_USAGE
-        rules = standard_rules(data.n, args.rules) if not getattr(args, "matrix", None) \
-            else ExchangeRules(data, args.rules)
-        try:
-            if kind == "moderel":
-                ok = check_moderel(args.i, args.j, data.n, rules)
-            else:
-                ok = check_modeind(args.i, args.j, data.n, rules)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("check %s needs --i and --j" % kind)
+        check = check_moderel if kind == "moderel" else check_modeind
+        ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules))
         report = {"check": kind, "n": data.n, "i": args.i, "j": args.j, "pass": ok,
                   "witness": None, "degrees": {}}
         _emit(args, report, ["%s i=%d j=%d n=%d: %s" % (kind, args.i, args.j, data.n,
                                                         "pass" if ok else "FAIL")])
         return EXIT_PASS if ok else EXIT_FAIL
+    if kind == "unitarity":
+        res = check_unitarity(data, admissible_samples(5, args.seed))
     else:
-        print("unknown check kind %r" % kind, file=sys.stderr)
-        return EXIT_USAGE
+        res = {"hecke": check_hecke, "ybe": check_braid, "pybe": check_pybe}[kind](data)
     report = res.to_json()
     lines = ["%s n=%d: %s" % (res.check, res.n, "pass" if res.passed else "FAIL")]
     if not res.passed and res.witness:
@@ -130,18 +116,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    try:
-        word = parse_word(args.expr)
-    except ParseError as exc:
-        print("parse error at position %d: %s" % (exc.position, exc), file=sys.stderr)
-        return EXIT_USAGE
+    word = parse_word(args.expr)
     rules = standard_rules(args.n, args.rules)
     elem = ModeElement.from_word(args.n, word)
-    try:
-        out = normal_form(elem, rules, budget=resolve_budget(args.budget))
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
+    out = normal_form(elem, rules, budget=resolve_budget(args.budget))
     report = {"command": "nf", "n": args.n, "rules": args.rules, "input": args.expr,
               "normal_form": out.to_json()}
     _emit(args, report, [repr(out)])
@@ -150,16 +128,9 @@ def cmd_nf(args) -> int:
 
 def cmd_heisenberg(args) -> int:
     i, j, n = args.i, args.j, args.n
-    if i < 1 or j < 1:
-        print("shifts i and j must be positive", file=sys.stderr)
-        return EXIT_USAGE
     log = [] if args.log_pruned else None
-    try:
-        scalar, state = fock.commutator_on_vacuum(i, j, n, budget=resolve_budget(args.budget),
-                                                  log_pruned=log)
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
+    scalar, state = fock.commutator_on_vacuum(i, j, n, budget=resolve_budget(args.budget),
+                                              log_pruned=log)
     extrapolation = i >= 3 or j >= 3
     if scalar is None:
         report = {"check": "heisenberg", "i": i, "j": j, "n": n, "pass": False,
@@ -193,12 +164,8 @@ def cmd_heisenberg(args) -> int:
 
 def cmd_lemma33(args) -> int:
     n = args.n
-    try:
-        engine = fock.lemma33_coefficient(n)
-        second = fock.lemma33_second_term(n)
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
+    engine = fock.lemma33_coefficient(n)
+    second = fock.lemma33_second_term(n)
     closed = fock.lemma33_closed_form(n)
     second_expected = fock.lemma33_second_term_expected(n)
     ok = engine == closed and second == second_expected
@@ -252,51 +219,45 @@ def cmd_bench(args) -> int:
     return EXIT_PASS
 
 
+# every option, in the order a subcommand's usage line lists them
+_OPTIONS = {
+    "--matrix": dict(help="JSON operator file with a user-supplied R"),
+    "--i": dict(type=int, default=None),
+    "--j": dict(type=int, default=None),
+    "--log-pruned": dict(action="store_true"),
+    "--n": dict(type=int, default=2),
+    "--output": dict(choices=("text", "json"), default="text"),
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=None),
+    "--rules": dict(choices=VARIANTS, default="theorem21"),
+}
+
+# (name, help, handler, positionals, the options it reads besides --output)
+_COMMANDS = (
+    ("check", "run one identity check", cmd_check,
+     [("kind", dict(choices=("hecke", "ybe", "pybe", "unitarity", "moderel", "modeind")))],
+     ("--matrix", "--i", "--j", "--n", "--seed", "--rules")),
+    ("nf", "normal form of a word", cmd_nf, [("expr", {})], ("--n", "--budget", "--rules")),
+    ("heisenberg", "commutator [b_i, b_-j] on the vacuum", cmd_heisenberg,
+     [("i", dict(type=int)), ("j", dict(type=int))], ("--log-pruned", "--n", "--budget")),
+    ("lemma33", "column pieces of [b_2, b_-2] against closed forms", cmd_lemma33, [], ("--n",)),
+    ("dims", "wedge dimensions against binomials", cmd_dims, [], ("--matrix", "--n")),
+    ("bench", "time a few standard workloads", cmd_bench, [], ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="braided-fock",
                                  description="exact checks for Hecke R-matrix exchange algebras")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, with_rules=True):
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None)
-        if with_rules:
-            p.add_argument("--rules", choices=("theorem21", "gerv"), default="theorem21")
-
-    p = sub.add_parser("check", help="run one identity check")
-    p.add_argument("kind", choices=("hecke", "ybe", "pybe", "unitarity", "moderel", "modeind"))
-    p.add_argument("--matrix", help="JSON operator file with a user-supplied R")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("nf", help="normal form of a word")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=cmd_nf)
-
-    p = sub.add_parser("heisenberg", help="commutator [b_i, b_-j] on the vacuum")
-    p.add_argument("i", type=int)
-    p.add_argument("j", type=int)
-    p.add_argument("--log-pruned", action="store_true")
-    common(p, with_rules=False)
-    p.set_defaults(fn=cmd_heisenberg)
-
-    p = sub.add_parser("lemma33", help="column pieces of [b_2, b_-2] against closed forms")
-    common(p, with_rules=False)
-    p.set_defaults(fn=cmd_lemma33)
-
-    p = sub.add_parser("dims", help="wedge dimensions against binomials")
-    p.add_argument("--matrix", help="JSON operator file with a user-supplied R")
-    common(p, with_rules=False)
-    p.set_defaults(fn=cmd_dims)
-
-    p = sub.add_parser("bench", help="time a few standard workloads")
-    common(p, with_rules=False)
-    p.set_defaults(fn=cmd_bench)
+    for name, help_text, fn, positionals, reads in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg, kw in positionals:
+            p.add_argument(arg, **kw)
+        for flag, kw in _OPTIONS.items():
+            if flag in reads or flag == "--output":
+                p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -311,6 +272,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
+    except ParseError as exc:
+        print("parse error at position %d: %s" % (exc.position, exc), file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -250,14 +250,17 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
             slot_window=None, columns=None, log_pruned=None, budget=None) -> FockState:
     """The shift derivation b_i applied to a state.
 
-    ``slot_window=(lo, hi)`` restricts the generator slots to columns in the
-    given range and materializes the tail through ``hi``; with ``prune=False``
-    this is the brute-force oracle.  ``columns`` restricts the slots to the
-    listed columns only (the per-column pieces of the derivation).  Pruned
-    slots are appended to ``log_pruned`` when a list is supplied.
+    ``columns`` restricts the generator slots to the given columns (a
+    container such as a tuple or a range) and materializes the tail through
+    the largest of them; with a window of columns and ``prune=False`` this is
+    the brute-force oracle.  ``slot_window=(lo, hi)`` is shorthand for
+    ``columns=range(lo, hi + 1)``.  Pruned slots are appended to
+    ``log_pruned`` when a list is supplied.
     """
     if i == 0:
         raise ValueError("shift must be nonzero")
+    if slot_window is not None:
+        columns = range(slot_window[0], slot_window[1] + 1)
     if columns is not None and not columns:
         return _make_state(s.n, s.tail_start, {})
     rules = rules or standard_rules(s.n)
@@ -268,10 +271,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     # in key order, so the pruned-slot log does not depend on how s was built
     for cfg, sc in sorted(s.terms.items()):
         T = s.tail_start
-        if slot_window is not None:
-            w_lo, w_hi = slot_window
-            T_impl = max(T, w_hi + 1)
-        elif columns is not None:
+        if columns is not None:
             T_impl = max(T, max(columns) + 1)
         elif i < 0:
             T_impl = T - i
@@ -281,8 +281,6 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
         for c in range(T, T_impl):
             cols[c] = full
         for j in sorted(cols):
-            if slot_window is not None and not (w_lo <= j <= w_hi):
-                continue
             if columns is not None and j not in columns:
                 continue
             for pos, a in enumerate(cols[j]):
@@ -357,13 +355,13 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     [-W, W + max(i, j)].
     """
     if not (i >= 1 and j >= 1):
-        raise ValueError("commutator_on_vacuum expects positive i and j")
+        raise ValueError("shifts i and j must be positive")
     rules = rules or standard_rules(n)
     v = vacuum(n, 0)
     kw = {"rules": rules, "budget": budget}
     if window is not None:
         kw["prune"] = False
-        kw["slot_window"] = (-window, window + max(i, j))
+        kw["columns"] = range(-window, window + max(i, j) + 1)
     else:
         kw["log_pruned"] = log_pruned
     first = apply_b(i, apply_b(-j, v, **kw), **kw)

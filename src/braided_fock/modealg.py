@@ -157,18 +157,7 @@ class ExchangeRules:
         self.q = data.q
         self.q_inv = qinv
         self.qm2_minus_1 = qinv * qinv - LaurentPoly.one()
-        self._gap_coeffs = {}
         self._expansions = {}
-
-    def _descendant_factor(self, s: int) -> LaurentPoly:
-        # weight of the depth-s correction pair; the one-step recursion forces
-        # the geometric weight q^(-2(s-1)) because (1 + PbR)(1 + (q - 1/q)PR)
-        # collapses to q^(-2) (1 + PbR) under the quadratic relation
-        f = self._gap_coeffs.get(s)
-        if f is None:
-            f = self.qm2_minus_1 * self.q_inv ** (2 * (s - 1))
-            self._gap_coeffs[s] = f
-        return f
 
     def cross_expansion(self, gap: int, a: int, b: int):
         """Rewrite data for theta^(i)_a theta^(j)_b with i - j = gap > 0.
@@ -184,16 +173,20 @@ class ExchangeRules:
         for (c, d), coeff in self.pbold_cols.get((a, b), ()):
             out.append((0, gap, c, d, coeff))
         if self.variant == "theorem21" and gap >= 2:
-            s = 1
-            while 2 * s < gap:
-                f = self._descendant_factor(s)
-                for (c, d), coeff in self.plus_pbold_cols.get((a, b), ()):
-                    out.append((s, gap - s, c, d, coeff * f))
-                s += 1
-            if gap % 2 == 0:
-                mid = gap // 2
-                coeff = self.qm2_minus_1 * self.q_inv ** (gap - 2)
-                out.append((mid, mid, a, b, coeff))
+            # f is the weight (q^-2 - 1) q^(-2(s-1)) of the depth-s correction
+            # pair; the one-step recursion forces the geometric weight because
+            # (1 + PbR)(1 + (q - 1/q)PR) collapses to q^(-2) (1 + PbR) under
+            # the quadratic relation
+            f = self.qm2_minus_1
+            for s in range(1, gap // 2 + 1):
+                if s > 1:
+                    f = f * self.q_inv * self.q_inv
+                if 2 * s == gap:
+                    # the middle pair carries the same weight
+                    out.append((s, s, a, b, f))
+                else:
+                    for (c, d), coeff in self.plus_pbold_cols.get((a, b), ()):
+                        out.append((s, gap - s, c, d, coeff * f))
         out = tuple(out)
         self._expansions[key] = out
         return out

@@ -30,11 +30,11 @@ class SwapRuleTable:
     """Swap rules for one mode: coefficients c(b, a) with b > a, diagonal kill.
 
     ``coeff[(b, a)]`` is the scalar with theta_b theta_a = c * theta_a theta_b.
-    ``data`` remembers the R-matrix the rules were derived from, which the
+    ``data`` is the R-matrix the rules were derived from, which the
     differentiation operators need.
     """
 
-    def __init__(self, n: int, coeff: dict, data=None):
+    def __init__(self, n: int, coeff: dict, data: HeckeData):
         self.n = n
         self.coeff = dict(coeff)
         self.data = data
@@ -127,20 +127,19 @@ def derive_wedge_rules(data: HeckeData) -> SwapRuleTable:
         raise NonPBWInputError("non-PBW Hecke input: missing swap rules")
 
     table = SwapRuleTable(n, rules, data)
-    _verify_rule_span(M, table, n)
+    _verify_rule_span(columns, table, n)
     return table
 
 
-def _verify_rule_span(M: TensorOp, table: SwapRuleTable, n: int):
+def _verify_rule_span(columns: dict, table: SwapRuleTable, n: int):
     """Relation rows and derived rules must span the same subspace.
 
-    Each relation column reduces to zero under the rules (rules imply the
-    relations), and the rank of the relation operator at sampled rational q
-    equals the rule count n(n+1)/2 (relations imply the rules).
+    ``columns`` maps each column of the relation operator to its
+    {row: coefficient} entries.  Each relation column reduces to zero under
+    the rules (rules imply the relations), and the rank of the relation
+    operator at sampled rational q equals the rule count n(n+1)/2 (relations
+    imply the rules).
     """
-    columns = {}
-    for (row, col), c in M.entries.items():
-        columns.setdefault(col, {})[row] = c
     for col, rows in columns.items():
         acc = {}
         for row, c in rows.items():
@@ -229,8 +228,6 @@ def braided_partial(i: int, x: WedgeElement, table: SwapRuleTable,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if table.data is None:
-        raise ValueError("rule table carries no R-matrix; derive it from HeckeData")
     n = x.n
     out = WedgeElement.zero(n)
     bold = table.data.bold_R()

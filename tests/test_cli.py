@@ -63,6 +63,13 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "modeind", "--i", "2", "--j", "0", "--n", "2")
         assert code == 0
 
+    def test_mode_checks_dispatch_by_kind(self, capsys):
+        # gap 1 is a valid exchange pair but too small for the recursion check
+        code, out, _ = run(capsys, "check", "moderel", "--i", "1", "--j", "0")
+        assert code == 0 and out.startswith("moderel")
+        code, out, err = run(capsys, "check", "modeind", "--i", "1", "--j", "0")
+        assert code == 2 and "need i - j >= 2" in err and out == ""
+
     def test_unknown_kind(self, capsys):
         code, _, _ = run(capsys, "check", "nonsense")
         assert code == 2
@@ -259,6 +266,45 @@ class TestOtherCommands:
         assert main([]) == 2
 
 
+class TestOptionsPerCommand:
+    # each subcommand declares only the options it reads; these were once
+    # accepted everywhere and silently ignored
+    @pytest.mark.parametrize("argv", [
+        ["check", "hecke", "--budget", "5"],
+        ["nf", "t2 t1", "--seed", "3"],
+        ["heisenberg", "1", "1", "--seed", "3"],
+        ["lemma33", "--seed", "3"],
+        ["lemma33", "--budget", "-3"],
+        ["dims", "--seed", "3"],
+        ["dims", "--budget", "5"],
+        ["bench", "--n", "3"],
+        ["bench", "--seed", "3"],
+        ["bench", "--budget", "5"],
+    ], ids=lambda argv: "%s%s" % (argv[0], argv[-2]))
+    def test_unread_option_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "moderel", "--i", "6", "--j", "0"],
+        ["lemma33"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_env_budget_governs_commands_without_flag(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BRAIDED_FOCK_BUDGET", "0")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and "budget 0 exceeded" in err and out == ""
+
+    def test_rules_choices_are_the_library_variants(self, capsys):
+        from braided_fock.modealg import VARIANTS
+
+        for variant in VARIANTS:
+            code, _, _ = run(capsys, "check", "moderel", "--i", "1", "--j", "0",
+                             "--rules", variant)
+            assert code == 0
+        code, _, err = run(capsys, "nf", "t2 t1", "--rules", "nonsense")
+        assert code == 2 and "invalid choice" in err
+
+
 class TestGoldenFiles:
     CASES = {
         "heisenberg_22_n2.json": ["heisenberg", "2", "2", "--n", "2", "--output", "json"],
@@ -267,6 +313,11 @@ class TestGoldenFiles:
         "check_hecke_n3.json": ["check", "hecke", "--n", "3", "--output", "json"],
         "check_unitarity_n2_seed5.json": ["check", "unitarity", "--n", "2", "--seed", "5",
                                           "--output", "json"],
+        "lemma33_n3.json": ["lemma33", "--n", "3", "--output", "json"],
+        "check_modeind_i2_j0_n3.json": ["check", "modeind", "--i", "2", "--j", "0", "--n", "3",
+                                        "--output", "json"],
+        "heisenberg_33_n3_pruned.json": ["heisenberg", "3", "3", "--n", "3", "--log-pruned",
+                                         "--output", "json"],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

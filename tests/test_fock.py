@@ -199,6 +199,19 @@ class TestShiftOperator:
             -2, vacuum(2, 0), columns=(1,)
         )
 
+    @pytest.mark.parametrize("i, lo, hi", [(1, -2, 0), (1, -1, -1), (-1, -2, 2), (2, -2, -1)])
+    def test_slot_window_is_the_sum_of_its_columns(self, i, lo, hi):
+        # slot_window=(lo, hi) takes the slots of every column lo..hi, hi
+        # included, and of no other column; both end columns contribute, so
+        # a window that drops either one shows
+        s = apply_b(-2, vacuum(2, 0))
+        pieces = [apply_b(i, s, prune=False, columns=(c,)) for c in range(lo, hi + 1)]
+        assert pieces[0] and pieces[-1]
+        want = FockState(2, s.tail_start)
+        for piece in pieces:
+            want = want + piece
+        assert apply_b(i, s, prune=False, slot_window=(lo, hi)) == want
+
     def test_pruning_logged(self):
         # raising slots on a deviated state: exactly the provably-dead slots
         # are logged
