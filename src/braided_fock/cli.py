@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``check`` (hecke, ybe, pybe, unitarity, moderel, modeind),
-``nf`` (normal forms), ``heisenberg``, ``lemma33``, ``dims`` and ``bench``.
+``nf`` (normal forms), ``heisenberg``, ``lemma33`` and ``dims``.
 Exit codes: 0 pass, 1 mathematical failure, 2 usage or parse error,
 3 rewrite budget exceeded; only ``main`` maps exceptions to exit codes.
 ``nf`` and ``heisenberg`` take the rewrite budget from ``--budget``; without
@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-import time
 
 from .coeff import LaurentPoly
 from .tensor import TensorOp
@@ -90,21 +89,29 @@ def _emit(args, report: dict, text_lines):
             print(line)
 
 
+# the check kinds that read each of these options; the others reject it
+_CHECK_READS = {"seed": ("unitarity",), "rules": ("moderel", "modeind"),
+                "i": ("moderel", "modeind"), "j": ("moderel", "modeind")}
+
+
 def cmd_check(args) -> int:
-    data = _load_hecke(args)
     kind = args.kind
+    for opt, kinds in _CHECK_READS.items():
+        if getattr(args, opt) is not None and kind not in kinds:
+            raise ValueError("check %s does not read --%s" % (kind, opt))
+    data = _load_hecke(args)
     if kind in ("moderel", "modeind"):
         if args.i is None or args.j is None:
             raise ValueError("check %s needs --i and --j" % kind)
         check = check_moderel if kind == "moderel" else check_modeind
-        ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules))
+        ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules or "theorem21"))
         report = {"check": kind, "n": data.n, "i": args.i, "j": args.j, "pass": ok,
                   "witness": None, "degrees": {}}
         _emit(args, report, ["%s i=%d j=%d n=%d: %s" % (kind, args.i, args.j, data.n,
                                                         "pass" if ok else "FAIL")])
         return EXIT_PASS if ok else EXIT_FAIL
     if kind == "unitarity":
-        res = check_unitarity(data, admissible_samples(5, args.seed))
+        res = check_unitarity(data, admissible_samples(5, args.seed or 0))
     else:
         res = {"hecke": check_hecke, "ybe": check_braid, "pybe": check_pybe}[kind](data)
     report = res.to_json()
@@ -117,10 +124,10 @@ def cmd_check(args) -> int:
 
 def cmd_nf(args) -> int:
     word = parse_word(args.expr)
-    rules = standard_rules(args.n, args.rules)
+    variant = args.rules or "theorem21"
     elem = ModeElement.from_word(args.n, word)
-    out = normal_form(elem, rules, budget=resolve_budget(args.budget))
-    report = {"command": "nf", "n": args.n, "rules": args.rules, "input": args.expr,
+    out = normal_form(elem, standard_rules(args.n, variant), budget=resolve_budget(args.budget))
+    report = {"command": "nf", "n": args.n, "rules": variant, "input": args.expr,
               "normal_form": out.to_json()}
     _emit(args, report, [repr(out)])
     return EXIT_PASS
@@ -203,22 +210,6 @@ def cmd_dims(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_bench(args) -> int:
-    timings = {}
-    t0 = time.perf_counter()
-    check_hecke(standard_sln_R(3))
-    timings["hecke_n3"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    check_pybe(standard_sln_R(2))
-    timings["pybe_n2"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fock.commutator_on_vacuum(1, 1, 2)
-    timings["heisenberg_11_n2"] = time.perf_counter() - t0
-    report = {"command": "bench", "seconds": {k: round(v, 4) for k, v in timings.items()}}
-    _emit(args, report, ["%s: %.4f s" % (k, v) for k, v in timings.items()])
-    return EXIT_PASS
-
-
 # every option, in the order a subcommand's usage line lists them
 _OPTIONS = {
     "--matrix": dict(help="JSON operator file with a user-supplied R"),
@@ -227,9 +218,9 @@ _OPTIONS = {
     "--log-pruned": dict(action="store_true"),
     "--n": dict(type=int, default=2),
     "--output": dict(choices=("text", "json"), default="text"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=None),
     "--budget": dict(type=int, default=None),
-    "--rules": dict(choices=VARIANTS, default="theorem21"),
+    "--rules": dict(choices=VARIANTS, default=None),
 }
 
 # (name, help, handler, positionals, the options it reads besides --output)
@@ -242,7 +233,6 @@ _COMMANDS = (
      [("i", dict(type=int)), ("j", dict(type=int))], ("--log-pruned", "--n", "--budget")),
     ("lemma33", "column pieces of [b_2, b_-2] against closed forms", cmd_lemma33, [], ("--n",)),
     ("dims", "wedge dimensions against binomials", cmd_dims, [], ("--matrix", "--n")),
-    ("bench", "time a few standard workloads", cmd_bench, [], ()),
 )
 
 

@@ -19,18 +19,15 @@ the way live strictly between k and j and die against the same full columns.
 Every pruned slot can be logged, and pruning can be switched off entirely
 inside a finite slot window for oracle comparisons.
 
-A slot's normal form is local to the columns it crosses.  Every rewrite
-keeps both output modes inside the mode range of the pair it rewrites, so a
-generator moved from column j to mode k only ever rewrites generators of
-columns min(j, k) .. max(j, k) (the block).  The columns before and after
-the block are normal and stay strictly below and above its modes, so under
-the leftmost strategy the bad pair is always inside the block and the whole
-word reduces to prefix . NF(block) . suffix, term for term and with the same
-rewrite chain.  The rules depend only on mode gaps, so NF(block) depends
-only on the slot's position, the shift and the block's column contents
-relative to its lowest column.  ``apply_b`` reduces each such block once per
-call and reuses the result, scaled by the term's coefficient, for every slot
-and term with the same key; nothing is kept between calls.
+``apply_b`` pads the word of every unpruned slot of every term with full
+columns up to one common end, the materialised tail plus i for a raising
+shift, so that every shifted slot lands below it, and normal-orders all of
+them in one insertion call (``modealg``), whose memo the slots share.
+Truncation keeps this local: every rewrite keeps both output modes inside
+the mode range of the pair it rewrites, so inserting a generator never
+touches the columns above its mode, and the memo keys each insertion on the
+columns at or below it.  The full columns above a slot stay in the normal
+suffix the fold starts from.
 """
 
 from __future__ import annotations
@@ -201,13 +198,16 @@ def _word_to_cols(word) -> dict:
     return {m: tuple(v) for m, v in cols.items()}
 
 
-def _flatten(cols: dict):
-    """Word of all generators in order; also the start offset of each column."""
+def _flatten(cols: dict, gens: dict):
+    """Word of all generators in order; also the start offset of each column.
+
+    Generators are taken from ``gens``, so words flattened with one map share them.
+    """
     word = []
     offsets = {}
     for m in sorted(cols):
         offsets[m] = len(word)
-        word.extend((m, a) for a in cols[m])
+        word.extend([gens.setdefault((m, a), (m, a)) for a in cols[m]])
     return word, offsets
 
 
@@ -226,10 +226,11 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
             cols = dict(cfg)
             for k in range(s.tail_start, W):
                 cols[k] = full
-            flat, _ = _flatten(cols)
+            flat, _ = _flatten(cols, {})
             word = tuple(xword) + tuple(flat)
             coeff = sc * xc
-            nf = normal_form(ModeElement.from_word(s.n, word, coeff), rules, budget=budget)
+            nf = normal_form(ModeElement.from_word(s.n, word, coeff), rules, strategy="insertion",
+                             budget=budget)
             for w2, c2 in nf.terms.items():
                 add_term(raw, _strip(_word_to_cols(w2), W, s.n), c2)
     return _assemble(s.n, raw, s.tail_start)
@@ -266,20 +267,23 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     rules = rules or standard_rules(s.n)
     n = s.n
     full = _full(n)
-    raw = {}
-    transports = {}
+    T = s.tail_start
+    if columns is not None:
+        T_impl = max(T, max(columns) + 1)
+    elif i < 0:
+        T_impl = T - i
+    else:
+        T_impl = T
+    # every shifted slot lands below W, so one strip maps each output back
+    W = T_impl + max(i, 0)
+    words = {}
+    gens = {}
     # in key order, so the pruned-slot log does not depend on how s was built
     for cfg, sc in sorted(s.terms.items()):
-        T = s.tail_start
-        if columns is not None:
-            T_impl = max(T, max(columns) + 1)
-        elif i < 0:
-            T_impl = T - i
-        else:
-            T_impl = T
         cols = dict(cfg)
         for c in range(T, T_impl):
             cols[c] = full
+        flat, offsets = _flatten({**cols, **dict.fromkeys(range(T_impl, W), full)}, gens)
         for j in sorted(cols):
             if columns is not None and j not in columns:
                 continue
@@ -291,43 +295,16 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                             {"column": j, "index": a, "target_mode": k, "term": list(map(list, cfg))}
                         )
                     continue
-                # i is fixed within the call, so the slot's column within
-                # the block is too and stays out of the key
-                lo, hi = (j, k) if k > j else (k, j)
-                # from a list, not a generator: a tuple grown from a generator
-                # bypasses the tuple free list but is freed into it, which
-                # fills the list and raises peak memory
-                block = tuple([cols.get(c) or (full if c >= T_impl else ())
-                               for c in range(lo, hi + 1)])
-                moved = transports.get((pos, block))
-                if moved is None:
-                    moved = _transport(block, lo, j - lo, pos, k, rules, budget)
-                    transports[(pos, block)] = moved
-                if not moved:
-                    continue
-                W = max(T_impl, k + 1)
-                outside = {m: ix for m, ix in cols.items() if m < lo or m > hi}
-                for rel, c2 in moved:
-                    cols2 = dict(outside)
-                    for r, ix in rel:
-                        cols2[lo + r] = ix
-                    add_term(raw, _strip(cols2, W, n), c2 * sc)
-    return _assemble(n, raw, s.tail_start)
-
-
-def _transport(block, lo, col, pos, k, rules, budget):
-    """Normal form of one shifted slot inside the columns it crosses.
-
-    ``block`` holds the contents of columns lo.. in order; the generator at
-    ``pos`` of column ``lo + col`` moves to mode ``k``.  Returns the terms as
-    (columns relative to lo, coefficient) pairs for a unit input coefficient.
-    """
-    flat, offsets = _flatten({lo + r: ix for r, ix in enumerate(block)})
-    flat[offsets[lo + col] + pos] = (k, block[col][pos])
-    nf = normal_form(ModeElement.from_word(rules.n, tuple(flat)), rules, budget=budget)
-    # tuples built from lists, as for the block keys in apply_b
-    return [(tuple([(m - lo, ix) for m, ix in sorted(_word_to_cols(w).items())]), c)
-            for w, c in nf.terms.items()]
+                word = flat[:]
+                word[offsets[j] + pos] = gens.setdefault((k, a), (k, a))
+                add_term(words, tuple(word), sc)
+    x = ModeElement(n)
+    x.terms = words  # the words are not copied
+    nf = normal_form(x, rules, strategy="insertion", budget=budget)
+    raw = {}
+    for w, c in nf.terms.items():
+        add_term(raw, _strip(_word_to_cols(w), W, n), c)
+    return _assemble(n, raw, T)
 
 
 def translate(s: FockState, d: int) -> FockState:

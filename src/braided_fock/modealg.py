@@ -35,6 +35,23 @@ p, p+1 only.  Under the leftmost strategy every pair before p is good, so
 the child's bad pair is at p-1, p or p+1, or else it is the parent's first
 bad pair at p+2 or later, found once per parent and only when needed
 (mirrored for rightmost).
+
+``strategy="insertion"`` multiplies a generator into a normal word instead,
+the multiplication-table technique of Plural for G-algebras.  For a normal
+word w: if w is empty or g < w[0], g.w is normal; if g = w[0], g.w = 0;
+otherwise the pair rewrites to sum c h1 h2 and
+
+    NF(g.w) = sum c NF(h1 . NF(h2 . w[1:])).
+
+The recursion ends: the inner call has a shorter word, the outer one a
+smaller generator h1 < g and a word of the same length, and every mode
+stays inside [mode(w[0]), mode(g)], so only finitely many generators occur.
+Confluence makes the result the normal form.  A word is a right fold of
+insertions from its longest normal suffix.  NF(g.w) is memoised for one
+call under two normalisations: the suffix of w with modes above g's is cut
+off and appended back unchanged, since no rewrite reaches above mode(g),
+and the key is translated to put g at a fixed mode, since the rules depend
+only on mode gaps.  Here the budget guards the nesting depth of memo misses.
 """
 
 from __future__ import annotations
@@ -43,6 +60,7 @@ import heapq
 import os
 import re
 from functools import lru_cache
+from operator import ge
 
 from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
@@ -61,7 +79,8 @@ class BudgetExceededError(RuntimeError):
     Besides the budget and the word whose rewrite would exceed it, records
     how far the reduction got: the longest chain finished (``depth``), the
     words expanded so far (``expansions``) and the words still waiting,
-    including this one (``pending``).
+    including this one (``pending``).  Under the insertion strategy these
+    are the deepest nesting of misses, the misses and the open ones.
     """
 
     def __init__(self, word, budget, depth, expansions, pending):
@@ -285,7 +304,9 @@ class ReductionStats:
     ``depth`` is the longest sequential rewrite chain from an input word to
     any word it produced; the budget guards this quantity, which the strictly
     decreasing termination measure bounds.  ``expansions`` is the total number
-    of distinct words rewritten (tree size after merging like terms).
+    of distinct words rewritten (tree size after merging like terms).  Under
+    the insertion strategy they are the deepest nesting of memo misses and
+    the number of misses.
     """
 
     __slots__ = ("depth", "expansions")
@@ -302,12 +323,16 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
                       budget=None):
     """Reduce to normal form; returns (element, :class:`ReductionStats`).
 
-    Pending words are coded and processed lexicographically largest first,
-    and like terms are merged eagerly, so every distinct word is expanded
-    once per call, after all its parents: its coefficient and recorded chain
-    depth are final.  Each pending word carries its bad pair.
+    ``strategy`` is "leftmost" or "rightmost" (the heap engine below, which
+    rewrites the first bad pair in that order) or "insertion".  In the heap
+    engine, pending words are coded and processed lexicographically largest
+    first, and like terms are merged eagerly, so every distinct word is
+    expanded once per call, after all its parents: its coefficient and
+    recorded chain depth are final.  Each pending word carries its bad pair.
     """
     budget = resolve_budget(budget)
+    if strategy == "insertion":
+        return _insertion_normal_form(x, rules, budget)
     base = rules.n + 1
     heappush, heappop = heapq.heappush, heapq.heappop
     rewrites = {}
@@ -369,6 +394,83 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
             heappush(heap, child)
 
     return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
+
+
+def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
+    """Normal form as a right fold of memoised insertions (``strategy="insertion"``).
+
+    Here (m, a) is coded as m(n+1) + a, in generator order, so a normal word
+    has increasing codes.  Memo keys put g at mode ``low``, the highest whose
+    codes are below 256: the codes of modes 0..low are Python's cached small
+    ints, so neither keys nor the words of low modes allocate an int each.
+    """
+    base = rules.n + 1
+    low = 256 // base - 1
+    one = LaurentPoly.one()
+    rewrites = {}
+    memo = {}
+    frames = []  # the translation of each open miss, outermost first
+    stats = ReductionStats()
+
+    def insert(g, w):
+        # NF(g . w) for a normal coded word w, as ((coded word, coefficient), ...)
+        if not w or g < w[0]:
+            return (((g,) + w, one),)
+        if g == w[0]:
+            return ()
+        # cut off the suffix above g's mode, and translate g to mode low
+        top, t, L = (g // base + 1) * base, 1, len(w)
+        s = top - (low + 1) * base
+        while t < L and w[t] < top:
+            t += 1
+        key = (g - s,) + tuple([c - s for c in w[:t]])
+        out = memo.get(key)
+        if out is None:
+            if len(frames) >= budget:
+                off = sum(frames)
+                raise BudgetExceededError(tuple([divmod(c + off, base) for c in (g,) + w]),
+                                          budget, stats.depth, stats.expansions, len(frames) + 1)
+            frames.append(s)
+            stats.expansions += 1
+            stats.depth = max(stats.depth, len(frames))
+            rule = rewrites.get(key[:2])
+            if rule is None:
+                g1, g2 = divmod(key[0], base), divmod(key[1], base)
+                rule = rewrites[key[:2]] = [(h1[0] * base + h1[1], h2[0] * base + h2[1], c)
+                                            for h1, h2, c in _pair_rewrites(g1, g2, rules)]
+            acc = {}
+            for d1, d2, c in rule:
+                for u, cu in insert(d2, key[2:]):
+                    cu = c if cu is one else c * cu
+                    for v, cv in insert(d1, u):
+                        add_term(acc, v, cu if cv is one else cu * cv)
+            out = memo[key] = tuple(acc.items())
+            frames.pop()
+        high = w[t:]
+        return tuple([(tuple([c + s for c in v]) + high, cv) for v, cv in out])
+
+    done = {}
+    for word, coeff in x.terms.items():
+        check_indices(word, rules.n)
+        code = tuple([m * base + a for m, a in word])
+        # fold from the longest normal suffix, code[t:]
+        t = bytes(map(ge, code, code[1:])).rfind(1) + 1
+        cur = {code[t:]: coeff}
+        for g in reversed(code[:t]):
+            if not cur:
+                break
+            nxt = {}
+            for u, cu in cur.items():
+                for v, cv in insert(g, u):
+                    add_term(nxt, v, cu if cv is one else cu * cv)
+            cur = nxt
+        for v, c in cur.items():
+            add_term(done, v, c)
+    # insert refers to itself, so free the memo now, not in a garbage collection
+    del insert
+    # output words share one (mode, index) tuple per generator
+    gens = {c: divmod(c, base) for w in done for c in w}
+    return ModeElement(x.n, {tuple([gens[c] for c in w]): c for w, c in done.items()}), stats
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

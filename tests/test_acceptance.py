@@ -201,15 +201,17 @@ def test_c13_off_diagonal():
 
 
 def test_c14_pruning_oracles():
-    c = Criterion("14: window stability and no-pruning oracle, i,j <= 2, n = 2", 120)
+    c = Criterion("14: pruning against two unpruned windows, i,j <= 4 and i = j = 5, "
+                  "n in {2,3,4}", 120)
     ok = True
-    for i in (1, 2):
-        for j in (1, 2):
-            pruned_scalar, pruned_state = commutator_on_vacuum(i, j, 2)
-            w4_scalar, w4_state = commutator_on_vacuum(i, j, 2, window=4)
-            w6_scalar, w6_state = commutator_on_vacuum(i, j, 2, window=6)
-            ok = ok and pruned_scalar == w4_scalar == w6_scalar
-            ok = ok and pruned_state == w4_state == w6_state
+    cases = [(i, j) for i in range(1, 5) for j in range(1, 5)] + [(5, 5)]
+    for n in (2, 3, 4):
+        for i, j in cases:
+            # unpruned slots in columns [-W, W + max(i, j)], then two columns more
+            w = max(i, j) + 2
+            pruned = commutator_on_vacuum(i, j, n)
+            ok = ok and pruned == commutator_on_vacuum(i, j, n, window=w)
+            ok = ok and pruned == commutator_on_vacuum(i, j, n, window=w + 2)
     c.done(ok)
 
 
@@ -249,4 +251,15 @@ def test_stretch_level_four_reported(n):
     expected = braided_int_scalar(n, -8) * 4
     ok = scalar == expected and heisenberg_matches(scalar, 4, 4, n)
     print("%s stretch [extrapolation]: [b_4, b_-4] = 4(1-q^-8n)/(1-q^-8), "
+          "n = %d  (%.2fs)" % ("PASS" if ok else "FAIL", n, time.perf_counter() - t0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stretch_level_five_reported(n):
+    # reported, not gating, like the level-3 row
+    t0 = time.perf_counter()
+    scalar, state = commutator_on_vacuum(5, 5, n)
+    expected = braided_int_scalar(n, -10) * 5
+    ok = scalar == expected and heisenberg_matches(scalar, 5, 5, n)
+    print("%s stretch [extrapolation]: [b_5, b_-5] = 5(1-q^-10n)/(1-q^-10), "
           "n = %d  (%.2fs)" % ("PASS" if ok else "FAIL", n, time.perf_counter() - t0))

@@ -258,9 +258,11 @@ class TestOtherCommands:
         code, _, err = run(capsys, "dims", "--matrix", str(path))
         assert code == 2 and "non-PBW" in err
 
-    def test_bench(self, capsys):
-        code, out, _ = run(capsys, "bench")
-        assert code == 0 and "pybe" in out
+    def test_bench_removed(self, capsys):
+        # bench/run.py is the benchmark; the subcommand that timed three
+        # millisecond workloads is gone
+        code, out, err = run(capsys, "bench")
+        assert code == 2 and "invalid choice: 'bench'" in err and out == ""
 
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -277,13 +279,28 @@ class TestOptionsPerCommand:
         ["lemma33", "--budget", "-3"],
         ["dims", "--seed", "3"],
         ["dims", "--budget", "5"],
-        ["bench", "--n", "3"],
-        ["bench", "--seed", "3"],
-        ["bench", "--budget", "5"],
     ], ids=lambda argv: "%s%s" % (argv[0], argv[-2]))
     def test_unread_option_rejected(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["hecke", "--seed", "3"],
+        ["hecke", "--rules", "gerv"],
+        ["hecke", "--i", "5"],
+        ["ybe", "--j", "1"],
+        ["pybe", "--seed", "0"],
+        ["unitarity", "--i", "3"],
+        ["unitarity", "--rules", "theorem21"],
+        ["moderel", "--i", "1", "--j", "0", "--seed", "3"],
+        ["modeind", "--i", "2", "--j", "0", "--seed", "3"],
+    ], ids=lambda argv: "%s%s" % (argv[0], argv[-2]))
+    def test_check_kind_rejects_unread_option(self, capsys, argv):
+        # check takes these options for some kinds only; a value given to a
+        # kind that would ignore it, even the default value, is rejected
+        code, out, err = run(capsys, "check", *argv, "--n", "2")
+        assert code == 2 and "check %s does not read %s" % (argv[0], argv[-2]) in err
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ["check", "moderel", "--i", "6", "--j", "0"],

@@ -458,31 +458,36 @@ class TestTransportReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """One entry per normal_form_stats call made during the test."""
+        """The ReductionStats of each normal_form_stats call made during the test."""
         calls = []
         orig = modealg.normal_form_stats
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
+            out, stats = orig(*args, **kwargs)
+            calls.append(stats)
+            return out, stats
 
         monkeypatch.setattr(modealg, "normal_form_stats", counting)
         return calls
 
     def test_no_reuse_across_calls(self, calls):
-        # the slot transports live for one apply_b call, so a repeated
-        # computation repeats its reductions
+        # the insertion memo lives for one normal_form call, so a repeated
+        # computation repeats its calls and its memo misses exactly
         rules = standard_rules(3)
         first = commutator_on_vacuum(3, 3, 3, rules=rules)
-        once = len(calls)
+        once = [(s.expansions, s.depth) for s in calls]
         second = commutator_on_vacuum(3, 3, 3, rules=rules)
-        assert once > 0 and len(calls) == 2 * once
+        assert sum(e for e, _ in once) > 0
+        assert [(s.expansions, s.depth) for s in calls] == once * 2
         assert first == second
 
     def test_alike_slots_share_one_reduction(self, calls):
-        # on the vacuum every slot crosses the same full columns, so each of
-        # the n positions in a column is reduced once, not once per column
+        # every unpruned slot word of every term goes into one normal_form
+        # call per apply_b, so alike slots share its memo
         for n in (2, 3):
             calls.clear()
             out = apply_b(2, vacuum(n, 0), prune=False, slot_window=(0, 5))
-            assert not out and len(calls) == n
+            assert not out and len(calls) == 1
+        calls.clear()
+        commutator_on_vacuum(3, 3, 3)
+        assert len(calls) == 4

@@ -369,7 +369,10 @@ def test_incremental_measure_matches_direct():
 
 
 def _slot_words(monkeypatch, *commutators):
-    """The (element, rules) pairs apply_b normal-orders for [b_i, b_-i], n."""
+    """The (element, rules) pairs apply_b normal-orders for [b_i, b_-i], n.
+
+    Each apply_b call gathers the slot words of all its terms into one element.
+    """
     from braided_fock import fock
 
     calls = []
@@ -386,44 +389,62 @@ def _slot_words(monkeypatch, *commutators):
     return calls
 
 
+# [b_3, b_-3] at n = 2 and [b_4, b_-4] at n = 3: four apply_b calls each
+SLOT_COMMUTATORS = ((3, 2), (4, 3))
+
+
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_carried_state_on_slot_words(monkeypatch, strategy):
-    # the same audit on the words apply_b reduces (long words, deep chains)
-    calls = _slot_words(monkeypatch, (4, 2), (3, 3))
-    assert len(calls) > 20
+    # the same audit on the elements apply_b reduces (long words, deep chains)
+    calls = _slot_words(monkeypatch, *SLOT_COMMUTATORS)
+    assert len(calls) == 8
     with _Audit(strategy) as audit:
         for x, rules in calls:
             normal_form(x, rules, strategy)
     assert min(audit.pairs, audit.children, audit.pops) > 1000
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_matches_reference_normal_form_hypothesis(data):
-    # the heap-ordered coded reduction against plain recursive rewriting
-    n = data.draw(st.integers(1, 3))
+def _random_element(data, n, mode_span, max_len):
     variant = data.draw(st.sampled_from(VARIANTS))
-    gen = st.tuples(st.integers(-3, 3), st.integers(1, n))
-    words = data.draw(st.lists(st.lists(gen, max_size=6).map(tuple),
+    gen = st.tuples(st.integers(-mode_span, mode_span), st.integers(1, n))
+    words = data.draw(st.lists(st.lists(gen, max_size=max_len).map(tuple),
                                min_size=1, max_size=3, unique=True))
     x = ModeElement(n, {
         w: LaurentPoly.q_power(data.draw(st.integers(-2, 2)),
                                data.draw(st.sampled_from([-2, -1, 1, 3])))
         for w in words})
-    rules = standard_rules(n, variant)
+    return x, standard_rules(n, variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_matches_reference_normal_form_hypothesis(data):
+    # the heap-ordered coded reduction against plain recursive rewriting
+    x, rules = _random_element(data, data.draw(st.integers(1, 3)), 3, 6)
     want = reference_normal_form(x, rules)
     for strategy in ("leftmost", "rightmost"):
         assert normal_form(x, rules, strategy) == want, strategy
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_three_engines_agree_hypothesis(data):
+    # memoised insertion, the heap engine in both orders and plain
+    # recursive rewriting give one normal form
+    x, rules = _random_element(data, data.draw(st.integers(1, 4)), 3, 7)
+    want = reference_normal_form(x, rules)
+    for strategy in ("insertion", "leftmost", "rightmost"):
+        assert normal_form(x, rules, strategy) == want, strategy
+
+
 def test_slot_words_match_reference_normal_form(monkeypatch):
-    # every block word apply_b reduces for [b_3, b_-3], n = 2
-    calls = _slot_words(monkeypatch, (3, 2))
-    assert len(calls) > 10
+    # every gathered slot element of the two commutators, in all three engines
+    calls = _slot_words(monkeypatch, *SLOT_COMMUTATORS)
+    assert len(calls) == 8 and sum(len(x.terms) for x, _ in calls) > 100
     for x, rules in calls:
         want = reference_normal_form(x, rules)
-        for strategy in ("leftmost", "rightmost"):
-            assert normal_form(x, rules, strategy) == want
+        for strategy in ("insertion", "leftmost", "rightmost"):
+            assert normal_form(x, rules, strategy) == want, strategy
 
 
 class TestIndexValidation:
