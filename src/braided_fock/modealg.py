@@ -80,13 +80,15 @@ class BudgetExceededError(RuntimeError):
     how far the reduction got: the longest chain finished (``depth``), the
     words expanded so far (``expansions``) and the words still waiting,
     including this one (``pending``).  Under the insertion strategy these
-    are the deepest nesting of misses, the misses and the open ones.
+    are the deepest nesting of memo misses, the misses and the open ones,
+    and the message says so.
     """
 
-    def __init__(self, word, budget, depth, expansions, pending):
-        super().__init__(
-            "rewrite budget %d exceeded while reducing %r (depth %d, %d expansions, "
-            "%d words pending)" % (budget, word, depth, expansions, pending))
+    def __init__(self, word, budget, depth, expansions, pending, strategy="leftmost"):
+        progress = ("nesting depth %d, %d memo misses, %d misses open" if strategy == "insertion"
+                    else "depth %d, %d expansions, %d words pending")
+        super().__init__("rewrite budget %d exceeded while reducing %r (%s)" % (
+            budget, word, progress % (depth, expansions, pending)))
         self.word = word
         self.budget = budget
         self.depth = depth
@@ -429,7 +431,8 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
             if len(frames) >= budget:
                 off = sum(frames)
                 raise BudgetExceededError(tuple([divmod(c + off, base) for c in (g,) + w]),
-                                          budget, stats.depth, stats.expansions, len(frames) + 1)
+                                          budget, stats.depth, stats.expansions, len(frames) + 1,
+                                          "insertion")
             frames.append(s)
             stats.expansions += 1
             stats.depth = max(stats.depth, len(frames))
@@ -450,9 +453,14 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
         return tuple([(tuple([c + s for c in v]) + high, cv) for v, cv in out])
 
     done = {}
+    codes = {}  # the code of each generator met so far, validated once
     for word, coeff in x.terms.items():
-        check_indices(word, rules.n)
-        code = tuple([m * base + a for m, a in word])
+        try:
+            code = tuple([codes[g] for g in word])
+        except KeyError:
+            check_indices(word, rules.n)
+            codes.update((g, g[0] * base + g[1]) for g in word)
+            code = tuple([codes[g] for g in word])
         # fold from the longest normal suffix, code[t:]
         t = bytes(map(ge, code, code[1:])).rfind(1) + 1
         cur = {code[t:]: coeff}

@@ -10,11 +10,18 @@ Coefficients are Laurent polynomials, or anything with the same arithmetic:
 :class:`~braided_fock.coeff.PolyQZW` for the Baxterised family and
 ``Fraction`` for an operator evaluated at a rational point.  Identities and
 flips are built over :class:`~braided_fock.coeff.LaurentPoly`.
+
+``invert`` works on one connected block of the support graph at a time.  This
+is exact: a block's rows and columns share one index set, so the split permutes
+rows and columns alike.  The sl_n R-matrix couples (a, b) only with (b, a), so
+its blocks have at most 2 indices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 from .coeff import LaurentPoly, add_term, strict_int
 
@@ -77,7 +84,7 @@ class TensorOp:
         return self._like(out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + other.map_coefficients(operator.neg)
 
     def scale(self, coeff) -> "TensorOp":
         return self.map_coefficients(lambda c: c * coeff)
@@ -211,36 +218,19 @@ def _exact_div(num, den):
     return quot
 
 
-def invert(op: TensorOp) -> TensorOp:
-    """Exact inverse over Z[q, q^-1] via fraction-free Gauss-Jordan elimination.
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [A | I], in place.
 
-    Raises :class:`SingularOperatorError` when the operator is singular and
-    :class:`LaurentInversionError` when the inverse exists over the fraction
-    field but the determinant is not a unit, so the inverse has non-Laurent
-    entries.
+    ``rows`` are sparse dicts, columns 0..d-1 for A and d..2d-1 for I.
+    Returns (None, det A), after which every diagonal entry equals the last
+    pivot, or (k, None) when column k lies in the span of those before it.
     """
-    if not all(isinstance(c, LaurentPoly) for c in op.entries.values()):
-        raise ValueError("inversion is supported for Laurent-coefficient operators")
-    all_indices = list(itertools.product(range(1, op.n + 1), repeat=op.legs))
-    index_of = {ix: i for i, ix in enumerate(all_indices)}
-    d = len(all_indices)
-    # rows of [A | I] as sparse dicts, columns 0..d-1 for A and d..2d-1 for I
-    rows = []
-    for i in range(d):
-        rows.append({d + i: LaurentPoly.one()})
-    for (r, c), coeff in op.entries.items():
-        rows[index_of[r]][index_of[c]] = coeff
-
-    prev = LaurentPoly.one()
-    sign = 1
+    d = len(rows)
+    prev, sign = LaurentPoly.one(), 1
     for k in range(d):
-        pivot_row = None
-        for i in range(k, d):
-            if rows[i].get(k):
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(k, d) if rows[i].get(k)), None)
         if pivot_row is None:
-            raise SingularOperatorError("operator is singular (no pivot in column %d)" % k)
+            return k, None
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
@@ -263,22 +253,56 @@ def invert(op: TensorOp) -> TensorOp:
             new_row.pop(k, None)
             rows[i] = new_row
         prev = piv
+    return None, prev if sign == 1 else -prev
 
-    det = rows[d - 1][d - 1] if sign == 1 else -rows[d - 1][d - 1]
-    # after full elimination every diagonal entry equals the last pivot
-    entries = {}
-    for i in range(d):
-        diag = rows[i][i]
-        for j, v in rows[i].items():
-            if j < d:
-                continue
-            q = v.divide_exact(diag)
-            if q is None:
-                raise LaurentInversionError(
-                    "inverse is not Laurent: determinant obstruction, det = %s" % det
-                )
-            if q:
-                entries[(all_indices[i], all_indices[j - d])] = q
+
+def invert(op: TensorOp) -> TensorOp:
+    """Exact inverse over Z[q, q^-1], one connected block at a time.
+
+    The blocks are the components of the support graph, whose nodes are the
+    multi-indices and whose edges are the entries (row, col).  Rows and
+    columns of a block share its index set S, so the split is a simultaneous
+    permutation: the inverse is block diagonal with the inverses of the
+    A[S, S], each found by fraction-free Gauss-Jordan elimination, and det A
+    is the product of their determinants.
+
+    Raises :class:`SingularOperatorError` for a singular block (an index with
+    no entries is one), naming the first column of A in the span of those
+    before it, and :class:`LaurentInversionError` when det A is not a unit,
+    so some entry of the inverse is not Laurent.
+    """
+    if not all(isinstance(c, LaurentPoly) for c in op.entries.values()):
+        raise ValueError("inversion is supported for Laurent-coefficient operators")
+    indices = list(itertools.product(range(1, op.n + 1), repeat=op.legs))
+    by_row = {ix: {} for ix in indices}
+    block_of = {ix: [ix] for ix in indices}
+    for (r, c), coeff in op.entries.items():
+        by_row[r][c] = coeff
+        if block_of[r] is not block_of[c]:
+            small, big = sorted((block_of[r], block_of[c]), key=len)
+            big += small
+            block_of.update(dict.fromkeys(small, big))
+    dead, dets, entries = [], [], {}
+    for block in {id(b): b for b in block_of.values()}.values():
+        block.sort()
+        d = len(block)
+        local = {ix: i for i, ix in enumerate(block)}
+        rows = [{d + i: LaurentPoly.one(), **{local[c]: v for c, v in by_row[ix].items()}}
+                for i, ix in enumerate(block)]
+        k, det = _bareiss(rows)
+        if k is not None:
+            dead.append(indices.index(block[k]))
+            continue
+        dets.append(det)
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                if j >= d:
+                    entries[(block[i], block[j - d])] = v.divide_exact(row[i])
+    if dead:
+        raise SingularOperatorError("operator is singular (no pivot in column %d)" % min(dead))
+    if any(v is None for v in entries.values()):
+        raise LaurentInversionError("inverse is not Laurent: determinant obstruction, det = %s"
+                                    % math.prod(dets, start=LaurentPoly.one()))
     return op._like(entries)
 
 

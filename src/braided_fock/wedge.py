@@ -42,14 +42,15 @@ class SwapRuleTable:
     def reduce_word(self, word):
         """Reduce an index word to (coefficient, sorted monomial) or (0, None)."""
         word = list(word)
+        # a repeated index meets its twin while sorting, and theta_a theta_a = 0
+        if len(set(word)) < len(word):
+            return LaurentPoly.zero(), None
         c = LaurentPoly.one()
         # insertion sort; each swap applies one rule and strictly lowers the
         # inversion count, so this terminates
         for i in range(1, len(word)):
             j = i
-            while j > 0 and word[j - 1] >= word[j]:
-                if word[j - 1] == word[j]:
-                    return LaurentPoly.zero(), None
+            while j > 0 and word[j - 1] > word[j]:
                 c = c * self.coeff[(word[j - 1], word[j])]
                 word[j - 1], word[j] = word[j], word[j - 1]
                 j -= 1

@@ -453,6 +453,19 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match="outside 1..2"):
             normal_form(ModeElement.from_word(2, word), standard_rules(2))
 
+    def test_insertion_names_the_first_bad_word(self):
+        # generators are checked once per call, but the message is the heap
+        # engine's: the first word holding a bad index, and that index
+        rules = standard_rules(2)
+        x = ModeElement(2, {((0, 1), (1, 2)): LaurentPoly.one(),
+                            ((1, 2), (0, 1), (1, 3), (0, 4)): LaurentPoly.one(),
+                            ((0, 0),): LaurentPoly.one()})
+        msg = "generator index 3 outside 1..2 in ((1, 2), (0, 1), (1, 3), (0, 4))"
+        for strategy in ("insertion", "leftmost"):
+            with pytest.raises(ValueError) as err:
+                normal_form(x, rules, strategy)
+            assert str(err.value) == msg, strategy
+
     def test_multiply_left_rejects_index(self):
         from braided_fock.fock import FockState, multiply_left, vacuum
 
@@ -476,6 +489,16 @@ def test_budget_error_reports_progress():
     assert repr(exc.word) in str(exc)
     assert "depth 2, %d expansions, %d words pending" % (exc.expansions, exc.pending) \
         in str(exc)
+
+
+def test_budget_error_under_insertion_names_memo_misses():
+    word = ((3, 1), (0, 2), (-2, 1))
+    with pytest.raises(BudgetExceededError) as err:
+        normal_form(ModeElement.from_word(2, word), standard_rules(2), "insertion", budget=2)
+    exc = err.value
+    assert exc.budget == 2 and exc.depth == 2 and exc.pending == 3
+    assert str(exc).endswith("(nesting depth 2, %d memo misses, 3 misses open)" % exc.expansions)
+    assert repr(exc.word) in str(exc)
 
 
 class TestResolveBudget:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from braided_fock.coeff import LaurentPoly
+from braided_fock.coeff import LaurentPoly, PolyQZW
 from braided_fock.rmatrix import standard_sln_R
 from braided_fock.tensor import (
     LaurentInversionError,
@@ -21,7 +21,9 @@ from helpers import (
     dense_identity,
     dense_inverse,
     dense_mul,
+    dense_rank,
     dense_standard_R,
+    multi_indices,
 )
 
 Q = LaurentPoly.q()
@@ -182,6 +184,122 @@ class TestInvert:
             assert op @ invert(op) == TensorOp.identity(2, 2)
 
 
+def _unit(rng):
+    return LaurentPoly.q_power(rng.randint(-2, 2), rng.choice((1, -1)))
+
+
+def _poly(rng):
+    return LaurentPoly({rng.randint(-2, 2): rng.choice((1, 2, -1, -3)) for _ in range(2)})
+
+
+def _unit_det_block(rng, size):
+    """A square block over Z[q, q^-1] with a unit determinant: (rows, det).
+
+    Size 2 is flip-like, coupling x with y through entries (x, y) and (y, x)
+    and leaving (y, y) empty; size 3 is upper bidiagonal, connected only
+    through entries whose rows precede their columns; size 4 is L U with L
+    unit lower triangular and U upper triangular on a unit diagonal, so its
+    first row and column are full and the block is connected.
+    """
+    if size == 1:
+        u = _unit(rng)
+        return [[u]], u
+    if size == 2:
+        a, b = _unit(rng), _unit(rng)
+        return [[_poly(rng), a], [b, LaurentPoly.zero()]], -(a * b)
+    if size == 3:
+        diag = [_unit(rng) for _ in range(3)]
+        rows = [[diag[i] if j == i else _poly(rng) if j == i + 1 else LaurentPoly.zero()
+                 for j in range(3)] for i in range(3)]
+        return rows, diag[0] * diag[1] * diag[2]
+    L = [[ONE if i == j else _poly(rng) if j < i else LaurentPoly.zero() for j in range(size)]
+         for i in range(size)]
+    U = [[_unit(rng) if i == j else _poly(rng) if j > i else LaurentPoly.zero()
+          for j in range(size)] for i in range(size)]
+    M = [[sum((L[i][k] * U[k][j] for k in range(size)), LaurentPoly.zero())
+          for j in range(size)] for i in range(size)]
+    det = ONE
+    for i in range(size):
+        det = det * U[i][i]
+    return M, det
+
+
+def _block_op(rng, n, legs, blocks):
+    """An operator on shuffled index blocks, one (rows, det) pair per block."""
+    idx = multi_indices(n, legs)
+    rng.shuffle(idx)
+    entries, start = {}, 0
+    for rows, _ in blocks:
+        S = idx[start:start + len(rows)]
+        start += len(rows)
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                entries[(S[i], S[j])] = c
+    assert start == len(idx)
+    return TensorOp(n, legs, entries)
+
+
+def _first_dependent_column(mat):
+    """The first column that lies in the span of the columns before it."""
+    cols = [list(col) for col in zip(*mat)]
+    return next(j for j in range(len(cols)) if dense_rank(cols[:j + 1]) <= j)
+
+
+class TestBlockInvert:
+    SHAPES = [(3, 2, (4, 2, 2, 1)), (2, 3, (4, 2, 1, 1)), (2, 3, (3, 2, 2, 1)),
+              (3, 2, (3, 3, 2, 1))]
+
+    @pytest.mark.parametrize("n,legs,sizes", SHAPES)
+    def test_matches_dense_inverse(self, n, legs, sizes):
+        rng = random.Random(11 * n + legs)
+        for _ in range(4):
+            op = _block_op(rng, n, legs, [_unit_det_block(rng, s) for s in sizes])
+            inv = invert(op)
+            assert op @ inv == TensorOp.identity(n, legs)
+            for q0 in (Fraction(3, 2), Fraction(-2, 5)):
+                assert dense_from_op(inv, q0) == dense_inverse(dense_from_op(op, q0))
+
+    @pytest.mark.parametrize("kind", ["flip", "empty", "two"])
+    def test_singular_blocks(self, kind):
+        # a rank-1 flip-like block, an index with no entries, or both that
+        # block and a rank-2 dense 4 x 4 one, among invertible blocks; the
+        # column is the one the whole-matrix elimination stops at
+        rng = random.Random(5)
+        for _ in range(8):
+            flip = ([[Q, ONE], [Q * Q, Q]], None)
+            if kind == "two":
+                A = [[_poly(rng) for _ in range(2)] for _ in range(4)]
+                B = [[_poly(rng) for _ in range(4)] for _ in range(2)]
+                rank2 = [[A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(4)]
+                         for i in range(4)]
+                blocks = [(rank2, None), flip] + [_unit_det_block(rng, s) for s in (2, 1)]
+            elif kind == "flip":
+                blocks = [_unit_det_block(rng, s) for s in (4, 2, 1)] + [flip]
+            else:
+                blocks = [_unit_det_block(rng, s) for s in (4, 2, 1, 1)]
+                blocks.append(([[LaurentPoly.zero()]], None))
+            op = _block_op(rng, 3, 2, blocks)
+            with pytest.raises(SingularOperatorError) as err:
+                invert(op)
+            col = _first_dependent_column(dense_from_op(op, Fraction(3, 2)))
+            assert str(err.value) == "operator is singular (no pivot in column %d)" % col
+
+    def test_non_laurent_block_reports_whole_determinant(self):
+        # one block with determinant q + 1; the others have unit determinants
+        rng = random.Random(6)
+        for _ in range(4):
+            blocks = [_unit_det_block(rng, s) for s in (4, 2, 1)]
+            blocks.append(([[Q, ONE], [-ONE, ONE]], Q + ONE))
+            op = _block_op(rng, 3, 2, blocks)
+            det = ONE
+            for _, d in blocks:
+                det = det * d
+            with pytest.raises(LaurentInversionError) as err:
+                invert(op)
+            assert str(err.value) == (
+                "inverse is not Laurent: determinant obstruction, det = %s" % det)
+
+
 class TestUnitarityOperatorForm:
     @pytest.mark.parametrize("n", [2, 3])
     def test_rr21_plus_inverse_is_scalar(self, n):
@@ -217,6 +335,15 @@ class TestSerialization:
         assert R - R == TensorOp(2, 2)
         assert (R + R) == R.scale(2)
         assert R.scale(Q).scale(LaurentPoly.q_power(-1)) == R
+
+    def test_sub_in_each_coefficient_ring(self):
+        R = standard_sln_R(3).R
+        for op in (R, R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1)),
+                   R.map_coefficients(lambda c: c.evaluate(Fraction(3, 2)))):
+            diff = op - op.scale(3)
+            assert diff == op.scale(-2)
+            ring = type(next(iter(op.entries.values())))
+            assert all(type(c) is ring for c in diff.entries.values())
 
 
 class TestConstructorIndices:
