@@ -28,7 +28,23 @@ Inside a reduction a generator (m, a) is coded as the int -(m(n+1) + a),
 which reverses the generator order, so the smallest coded word on the heap
 is the lexicographically largest word.  Popping largest first, every word
 is expanded once, after all of its parents, with its final coefficient and
-depth.  The rewrites of each coded pair are looked up once per call.
+depth.
+
+A word holding a zero factor is never queued: an input word whose maximal
+same-mode run repeats a generator (that run is 0 in one mode's quantum
+plane), and a child whose rewritten pair puts one generator twice in a row
+at positions p-1..p+2 (the rule for g g is the empty sum).  Dropping such a
+word early is exact because the system is confluent (Bergman's diamond
+lemma; the acceptance suite checks every 3-letter overlap), so the normal
+form of a word does not depend on which rewrite reaches its zero factor.
+
+The coded rewrites of each pair live on the ``ExchangeRules`` object, next
+to the ``cross_expansion`` cache, so each is built once per rules object.
+The rules depend on the mode gap and the two indices only, so the keys are
+translation invariant: the heap engine keys a pair c1 c2 on (c1 - c2,
+c2 mod (n+1)) and stores its children as offsets from c2; the insertion
+engine keys on its translated pair.  Building an entry multiplies no
+coefficient.
 
 Each pending word carries its bad pair.  A child differs from its parent at
 p, p+1 only.  Under the leftmost strategy every pair before p is good, so
@@ -179,6 +195,10 @@ class ExchangeRules:
         self.q_inv = qinv
         self.qm2_minus_1 = qinv * qinv - LaurentPoly.one()
         self._expansions = {}
+        # coded pair rewrites of the heap and insertion engines, keyed so that
+        # translated pairs share an entry; filled on first use
+        self.heap_pairs = {}
+        self.insertion_pairs = {}
 
     def cross_expansion(self, gap: int, a: int, b: int):
         """Rewrite data for theta^(i)_a theta^(j)_b with i - j = gap > 0.
@@ -294,10 +314,27 @@ def _shared_bad_pair(code, p, strategy):
 
 
 def check_indices(word, n):
-    """Reject a word with a generator index outside 1..n."""
+    """Reject a word with a mode or index that is not an int, or an index outside 1..n."""
     for g in word:
+        if type(g[0]) is not int or type(g[1]) is not int:
+            raise ValueError("generator %r is not a pair of ints in %r" % (g, word))
         if not 1 <= g[1] <= n:
             raise ValueError("generator index %d outside 1..%d in %r" % (g[1], n, word))
+
+
+def _has_zero_run(word):
+    """Whether a maximal same-mode run of ``word`` repeats a generator.
+
+    Such a run reduces to 0 inside one mode (theta_a theta_a = 0), so the word does.
+    """
+    mode, run = None, set()
+    for g in word:
+        if g[0] != mode:
+            mode, run = g[0], set()
+        elif g in run:
+            return True
+        run.add(g)
+    return False
 
 
 class ReductionStats:
@@ -331,13 +368,14 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     first, and like terms are merged eagerly, so every distinct word is
     expanded once per call, after all its parents: its coefficient and
     recorded chain depth are final.  Each pending word carries its bad pair.
+    Words holding a zero factor are dropped instead of queued.
     """
     budget = resolve_budget(budget)
     if strategy == "insertion":
         return _insertion_normal_form(x, rules, budget)
     base = rules.n + 1
     heappush, heappop = heapq.heappush, heapq.heappop
-    rewrites = {}
+    table = rules.heap_pairs
     done = {}
     pending = {}
     heap = []
@@ -348,7 +386,7 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
         p = _bad_pair(code, strategy)
         if p is None:
             done[code] = coeff
-        else:
+        elif not _has_zero_run(word):
             pending[code] = [coeff, 0, p]
             heappush(heap, code)
 
@@ -365,15 +403,24 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
         stats.expansions += 1
         if depth > stats.depth:
             stats.depth = depth
-        pair = code[p:p + 2]
-        rule = rewrites.get(pair)
+        c1, c2 = code[p], code[p + 1]
+        # the rules depend on the mode gap and the two indices only
+        key = (c1 - c2, c2 % base)
+        rule = table.get(key)
         if rule is None:
-            g1, g2 = _decode(pair, base)
-            rule = rewrites[pair] = [(_encode(h1, base), _encode(h2, base), c)
-                                     for h1, h2, c in _pair_rewrites(g1, g2, rules)]
+            # children as offsets from c2, leaving out those of the form g g
+            g1, g2 = _decode((c1, c2), base)
+            rule = table[key] = [(_encode(h1, base) - c2, _encode(h2, base) - c2, c)
+                                 for h1, h2, c in _pair_rewrites(g1, g2, rules) if h1 != h2]
         head, tail = code[:p], code[p + 2:]
+        # a child repeating its neighbour's generator holds theta_a theta_a = 0
+        left = code[p - 1] if p else None
+        right = tail[0] if tail else None
         shared = None
-        for d1, d2, c in rule:
+        for o1, o2, c in rule:
+            d1, d2 = c2 + o1, c2 + o2
+            if d1 == left or d2 == right:
+                continue
             cc = coeff * c
             if not cc:
                 continue
@@ -409,7 +456,7 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
     base = rules.n + 1
     low = 256 // base - 1
     one = LaurentPoly.one()
-    rewrites = {}
+    rewrites = rules.insertion_pairs
     memo = {}
     frames = []  # the translation of each open miss, outermost first
     stats = ReductionStats()

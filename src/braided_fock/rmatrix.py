@@ -11,14 +11,12 @@ drive braided differentiation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coeff import LaurentPoly, PolyQZW
 from .tensor import TensorOp, embed, invert, permutation_P
 
 
-@dataclass
 class HeckeData:
     """A two-leg R-matrix together with its Hecke normalization.
 
@@ -27,9 +25,12 @@ class HeckeData:
     example the constant 1 for the plain permutation matrix).
     """
 
-    n: int
-    R: TensorOp
-    q: LaurentPoly = field(default_factory=LaurentPoly.q)
+    __slots__ = ("n", "R", "q")
+
+    def __init__(self, n: int, R: TensorOp, q: LaurentPoly = None):
+        self.n = n
+        self.R = R
+        self.q = LaurentPoly.q() if q is None else q
 
     def PR(self) -> TensorOp:
         return permutation_P(self.n) @ self.R
@@ -42,14 +43,17 @@ class HeckeData:
         return self.PR().scale(-self.q.unit_inverse())
 
 
-@dataclass
 class CheckResult:
-    check: str
-    n: int
-    passed: bool
-    witness: object = None
-    degrees: dict = None
-    details: dict = None
+    __slots__ = ("check", "n", "passed", "witness", "degrees", "details")
+
+    def __init__(self, check: str, n: int, passed: bool, witness=None, degrees: dict = None,
+                 details: dict = None):
+        self.check = check
+        self.n = n
+        self.passed = passed
+        self.witness = witness
+        self.degrees = degrees
+        self.details = details
 
     def __bool__(self):
         return self.passed
@@ -127,7 +131,6 @@ def _laurent_degrees(op: TensorOp) -> dict:
     return {"q_min": lo, "q_max": hi}
 
 
-@dataclass
 class BaxterisedR:
     """Denominator-cleared spectral numerator S(z, w) = w R - z R_21^{-1}.
 
@@ -136,9 +139,12 @@ class BaxterisedR:
     identity carry the same scalar factors, so checks work with S alone.
     """
 
-    n: int
-    S: TensorOp
-    denominator: PolyQZW
+    __slots__ = ("n", "S", "denominator")
+
+    def __init__(self, n: int, S: TensorOp, denominator: PolyQZW):
+        self.n = n
+        self.S = S
+        self.denominator = denominator
 
     def at(self, z: int, w: int) -> TensorOp:
         """S with integer values substituted for z and w."""

@@ -192,6 +192,8 @@ def _rat_rank(vectors) -> int:
 def wedge_normal_form(word, table: SwapRuleTable) -> WedgeElement:
     """Fully reduce an index word to the strictly increasing basis."""
     for a in word:
+        if type(a) is not int:
+            raise ValueError("index %r is not an int in %r" % (a, word))
         if not 1 <= a <= table.n:
             raise ValueError("index %r out of range 1..%d" % (a, table.n))
     c, mono = table.reduce_word(word)
@@ -256,18 +258,14 @@ def braided_partial(i: int, x: WedgeElement, table: SwapRuleTable,
 def degree_rank(n: int, m: int, table: SwapRuleTable, q0=Fraction(7, 5)) -> int:
     """Rank of the reduced images of all degree-m words, at rational q0.
 
-    Enumerates every length-m word over 1..n, reduces it, and computes the
-    rank of the coefficient matrix over the increasing-monomial basis.
+    Each word reduces to a scalar times one increasing monomial, so the rank
+    is the number of monomials some word reaches with a scalar nonzero at q0.
+    Words repeating an index reduce to 0, so only the arrangements of m
+    distinct indices are reduced.
     """
-    basis = {mono: k for k, mono in enumerate(itertools.combinations(range(1, n + 1), m))}
-    vectors = []
-    for word in itertools.product(range(1, n + 1), repeat=m):
+    hit = set()
+    for word in itertools.permutations(range(1, n + 1), m):
         c, mono = table.reduce_word(word)
-        if mono is None:
-            continue
-        vec = [Fraction(0)] * len(basis)
-        vec[basis[mono]] = c.evaluate(q0)
-        vectors.append(vec)
-    if not vectors:
-        return 0
-    return _rat_rank(vectors)
+        if c.evaluate(q0):
+            hit.add(mono)
+    return len(hit)

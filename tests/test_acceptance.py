@@ -42,6 +42,7 @@ from braided_fock.rmatrix import (
     standard_sln_R,
 )
 from braided_fock.wedge import degree_rank, derive_wedge_rules
+from helpers import reference_normal_form
 
 ONE = LaurentPoly.one()
 
@@ -231,6 +232,28 @@ def test_c15_property_suites():
         ok = ok and stats.depth <= budget
         ok = ok and out == normal_form(elem, rules, strategy="rightmost")
     c.done(ok)
+
+
+def test_c16_three_letter_overlaps():
+    c = Criterion("16: every 3-generator word, modes in [-3,3], reduces alike in all "
+                  "engines and by plain rewriting, n in {2,3}, both variants", 120)
+    # the rules have length-2 left sides, so every overlap ambiguity is a
+    # 3-letter word; plain leftmost rewriting, which drops no zero factor,
+    # and the rightmost order resolve each one alike (Bergman's diamond
+    # lemma); modes in [-3, 3] cover every gap up to 6
+    ok = True
+    words = 0
+    for n in (2, 3):
+        gens = list(itertools.product(range(-3, 4), range(1, n + 1)))
+        for variant in ("theorem21", "gerv"):
+            rules = standard_rules(n, variant)
+            for word in itertools.product(gens, repeat=3):
+                x = ModeElement.from_word(n, word)
+                want = reference_normal_form(x, rules)
+                words += 1
+                for strategy in ("leftmost", "rightmost", "insertion"):
+                    ok = ok and normal_form(x, rules, strategy) == want
+    c.done(ok and words == 24010)
 
 
 def test_stretch_level_three_reported():

@@ -353,3 +353,19 @@ def test_console_script_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and "pass" in proc.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost import time and memory in every fresh process
+    import os
+
+    import braided_fock
+
+    src = os.path.dirname(os.path.dirname(braided_fock.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, braided_fock; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -360,7 +360,7 @@ def test_incremental_measure_matches_direct():
         for variant in VARIANTS:
             rng = random.Random(71)
             with _Audit(strategy) as audit:
-                for _ in range(300):
+                for _ in range(500):
                     n = rng.randint(1, 3)
                     w = rand_word(rng, n, max_len=7, mode_span=3)
                     x = ModeElement.from_word(n, w)
@@ -453,6 +453,17 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match="outside 1..2"):
             normal_form(ModeElement.from_word(2, word), standard_rules(2))
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
+    @pytest.mark.parametrize("word, bad", [
+        (((1, 2), (0.5, 1)), (0.5, 1)),  # used to reduce to 0
+        (((0.5, 1), (1, 2)), (0.5, 1)),  # used to give a word holding (0.0, 2.5)
+        (((True, 1), (0, 2)), (True, 1)),  # True used to be read as mode 1
+    ])
+    def test_non_int_mode_rejected(self, word, bad, strategy):
+        with pytest.raises(ValueError) as err:
+            normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
+        assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, word)
+
     def test_insertion_names_the_first_bad_word(self):
         # generators are checked once per call, but the message is the heap
         # engine's: the first word holding a bad index, and that index
@@ -519,3 +530,72 @@ class TestResolveBudget:
         monkeypatch.setenv("BRAIDED_FOCK_BUDGET", "1e3")
         with pytest.raises(ValueError, match="BRAIDED_FOCK_BUDGET"):
             modealg.resolve_budget()
+
+
+# ---- zero factors and the pair table --------------------------------------------
+
+
+def _planted_zero_word(data, n, mode_span):
+    """A word whose same-mode run at mode m holds one generator (m, a) twice."""
+    gen = st.tuples(st.integers(-mode_span, mode_span), st.integers(1, n))
+    m = data.draw(st.integers(-mode_span, mode_span))
+    a = data.draw(st.integers(1, n))
+    run = data.draw(st.lists(st.integers(1, n), max_size=3))
+    i = data.draw(st.integers(0, len(run)))
+    j = data.draw(st.integers(i, len(run)))
+    run = run[:i] + [a] + run[i:j] + [a] + run[j:]
+    head = data.draw(st.lists(gen, max_size=3))
+    tail = data.draw(st.lists(gen, max_size=3))
+    return tuple(head) + tuple((m, b) for b in run) + tuple(tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_planted_zero_factor_matches_reference_hypothesis(data):
+    # a word holding theta_a theta_a inside one mode is 0; next to another
+    # word it leaves that word's normal form, as plain recursive rewriting
+    # (which does not look for zero factors) finds
+    n = data.draw(st.integers(1, 4))
+    rules = standard_rules(n, data.draw(st.sampled_from(VARIANTS)))
+    planted = _planted_zero_word(data, n, 2)
+    x = ModeElement.from_word(n, planted, LaurentPoly.q_power(data.draw(st.integers(-2, 2))))
+    assert not reference_normal_form(x, rules)
+    gen = st.tuples(st.integers(-2, 2), st.integers(1, n))
+    other = tuple(data.draw(st.lists(gen, min_size=1, max_size=5)))
+    if other != planted:
+        x = x + ModeElement.from_word(n, other)
+    want = reference_normal_form(x, rules)
+    for strategy in ("leftmost", "rightmost"):
+        assert normal_form(x, rules, strategy) == want, strategy
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_zero_run_word_takes_no_expansion(strategy):
+    # (0, 4) (0, 4) ends the word: it is 0 before any rewrite (it took 4,096
+    # expansions when zero factors were left for the reduction order to reach)
+    word = ((0, 1), (3, 2), (4, 2), (4, 3), (0, 1), (3, 4), (0, 4), (0, 4))
+    out, stats = normal_form_stats(ModeElement.from_word(4, word), standard_rules(4), strategy)
+    assert not out and stats.expansions == 0 and stats.depth == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pair_table_filled_once_per_rules_object(variant):
+    rules = ExchangeRules(standard_sln_R(3), variant)
+    assert not rules.heap_pairs and not rules.insertion_pairs
+    rng = random.Random(83)
+    words = [rand_word(rng, 3, max_len=6, mode_span=3) for _ in range(40)]
+    x = ModeElement(3, {w: ONE for w in words})
+    for strategy in ("leftmost", "rightmost", "insertion"):
+        normal_form(x, rules, strategy)
+    tables = {"heap": dict(rules.heap_pairs), "insertion": dict(rules.insertion_pairs)}
+    assert tables["heap"] and tables["insertion"]
+    # the gaps seen bound the table; translated words and later calls reuse
+    # the same entries and add none
+    for d in (1, -5, 9):
+        for strategy in ("leftmost", "rightmost", "insertion"):
+            normal_form(translate_element(d, x), rules, strategy)
+    for name, table in (("heap", rules.heap_pairs), ("insertion", rules.insertion_pairs)):
+        assert table.keys() == tables[name].keys(), name
+        assert all(table[k] is v for k, v in tables[name].items()), name
+    # another rules object starts with its own tables
+    assert not ExchangeRules(standard_sln_R(3), variant).heap_pairs

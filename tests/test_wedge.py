@@ -77,6 +77,12 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             wedge_normal_form([5], tables[2])
 
+    @pytest.mark.parametrize("word", [(2.0, 1), (True, 2)])
+    def test_non_int_index_rejected(self, tables, word):
+        with pytest.raises(ValueError) as err:
+            wedge_normal_form(word, tables[2])
+        assert str(err.value) == "index %r is not an int in %r" % (word[0], word)
+
     def test_idempotent(self, tables):
         rng = random.Random(31)
         for _ in range(100):
