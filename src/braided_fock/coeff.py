@@ -270,14 +270,20 @@ class LaurentPoly(_SparsePoly):
         return LaurentPoly(quot)
 
     def evaluate(self, q0) -> Fraction:
-        """Exact value at a rational point q0 (nonzero)."""
+        """Exact value at a rational point q0 (nonzero).
+
+        For q0 = a/b and exponents in lo..hi this is the integer
+        sum of c a^(e-lo) b^(hi-e), times a^lo / b^hi, made into one Fraction.
+        """
         q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at q = 0")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * q0**e
-        return total
+        if not self.terms:
+            return Fraction(0)
+        a, b = q0.numerator, q0.denominator
+        lo, hi = min(self.terms), max(self.terms)
+        total = sum(c * a**(e - lo) * b**(hi - e) for e, c in self.terms.items())
+        return Fraction(total * a**max(lo, 0) * b**max(-hi, 0), a**max(-lo, 0) * b**max(hi, 0))
 
     # ---- serialization and display ----------------------------------------
 

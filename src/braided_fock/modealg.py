@@ -75,6 +75,7 @@ from __future__ import annotations
 import heapq
 import os
 import re
+from bisect import bisect_left
 from functools import lru_cache
 from operator import ge
 
@@ -468,10 +469,9 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
         if g == w[0]:
             return ()
         # cut off the suffix above g's mode, and translate g to mode low
-        top, t, L = (g // base + 1) * base, 1, len(w)
+        top = (g // base + 1) * base
         s = top - (low + 1) * base
-        while t < L and w[t] < top:
-            t += 1
+        t = bisect_left(w, top, 1)
         key = (g - s,) + tuple([c - s for c in w[:t]])
         out = memo.get(key)
         if out is None:
@@ -500,14 +500,17 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
         return tuple([(tuple([c + s for c in v]) + high, cv) for v, cv in out])
 
     done = {}
-    codes = {}  # the code of each generator met so far, validated once
+    # the code of each generator met so far, validated once and keyed by
+    # identity, since (True, 1) and (1.0, 1) equal (1, 1) as dict keys; the
+    # words of x hold every generator, so no id is reused meanwhile
+    codes = {}
     for word, coeff in x.terms.items():
         try:
-            code = tuple([codes[g] for g in word])
+            code = tuple([codes[id(g)] for g in word])
         except KeyError:
             check_indices(word, rules.n)
-            codes.update((g, g[0] * base + g[1]) for g in word)
-            code = tuple([codes[g] for g in word])
+            codes.update((id(g), g[0] * base + g[1]) for g in word)
+            code = tuple([codes[id(g)] for g in word])
         # fold from the longest normal suffix, code[t:]
         t = bytes(map(ge, code, code[1:])).rfind(1) + 1
         cur = {code[t:]: coeff}

@@ -6,6 +6,17 @@ parametrised Yang-Baxter identity in denominator-cleared form, unitarity at
 exact rational sample points (on operators with ``Fraction`` entries, the
 Laurent operators evaluated there), and the braided-integer operators that
 drive braided differentiation.
+
+The parametrised Yang-Baxter check multiplies in Z[q, q^-1], not in
+Z[q, q^-1, z, w].  Kronecker substitution, the ring homomorphism
+q^a z^b w^c -> q^(a M^2 + b M + c), maps the three factors to Laurent
+operators.  M is one more than the larger of the summed z-degrees and the
+summed w-degrees of the factors, so every product of three entries, and every
+sum of such products, has z- and w-degrees in 0..M-1.  On polynomials with
+degrees in that range the map is injective: floor ``divmod`` by M recovers
+(a, b, c) from a M^2 + b M + c for any sign of a.  The two sides are
+therefore equal exactly when their images are.  It is an exact encoding, not
+an evaluation at sample points.
 """
 
 from __future__ import annotations
@@ -92,12 +103,12 @@ def standard_sln_R(n: int) -> HeckeData:
     return HeckeData(n=n, R=TensorOp(n, 2, entries))
 
 
-def _first_entry_witness(op: TensorOp):
+def _first_entry_witness(op: TensorOp, show=str):
     if not op.entries:
         return None
     key = min(op.entries)
     row, col = key
-    return [list(row), list(col), str(op.entries[key])]
+    return [list(row), list(col), show(op.entries[key])]
 
 
 def check_hecke(data: HeckeData) -> CheckResult:
@@ -118,8 +129,9 @@ def check_braid(data: HeckeData) -> CheckResult:
     pr = data.PR()
     a = embed(pr, [1, 2], 3)
     b = embed(pr, [2, 3], 3)
-    diff = (a @ b @ a) - (b @ a @ b)
-    return CheckResult("ybe", data.n, diff.is_zero(), _first_entry_witness(diff))
+    lhs, rhs = a @ b @ a, b @ a @ b
+    ok = lhs == rhs
+    return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(lhs - rhs))
 
 
 def _laurent_degrees(op: TensorOp) -> dict:
@@ -163,25 +175,34 @@ def baxterise(data: HeckeData) -> BaxterisedR:
 
 
 def check_pybe(data: HeckeData) -> CheckResult:
-    """Parametrised Yang-Baxter identity, fully symbolic in q, z, w.
+    """Parametrised Yang-Baxter identity, exact in q, z, w.
 
     Verifies S(z,w)_12 S(z,1)_13 S(w,1)_23 = S(w,1)_23 S(z,1)_13 S(z,w)_12
     where S is the cleared numerator; the denominators on the two sides agree
     identically so this is equivalent to the identity for R(z/w), R(z), R(w).
+
+    Both sides are computed in Z[q, q^-1] after the Kronecker substitution
+    q^a z^b w^c -> q^(a M^2 + b M + c), with M = 1 + max(summed z-degrees,
+    summed w-degrees) of the three factors.  Each side has z- and w-degrees
+    below M, where the substitution is injective, so the sides are equal
+    exactly when their images are.  A failure's witness is decoded back to
+    a polynomial in q, z and w.
     """
     bax = baxterise(data)
     S_zw = bax.S
     S_z1 = S_zw.map_coefficients(lambda c: c.substitute(w=1))
     # S(w, 1): rename the z parameter to w in S(z, 1)
     S_w1 = S_z1.map_coefficients(_swap_z_to_w)
-    a12 = embed(S_zw, [1, 2], 3)
-    a13 = embed(S_z1, [1, 3], 3)
-    a23 = embed(S_w1, [2, 3], 3)
-    diff = (a12 @ a13 @ a23) - (a23 @ a13 @ a12)
+    M = kronecker_base([op.entries.values() for op in (S_zw, S_z1, S_w1)])
+    a12, a13, a23 = [embed(op.map_coefficients(lambda c: kronecker_encode(c, M)), legs, 3)
+                     for op, legs in ((S_zw, [1, 2]), (S_z1, [1, 3]), (S_w1, [2, 3]))]
+    lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
+    ok = lhs == rhs
+    witness = None if ok else _first_entry_witness(
+        lhs - rhs, lambda c: str(kronecker_decode(c, M)))
     degs = {}
-    d = bax.S
     dd = None
-    for c in d.entries.values():
+    for c in S_zw.entries.values():
         g = c.degrees()
         if g:
             dd = g if dd is None else (
@@ -189,7 +210,38 @@ def check_pybe(data: HeckeData) -> CheckResult:
             )
     if dd:
         degs = {"q_min": dd[0], "q_max": dd[1], "z_max": dd[2], "w_max": dd[3]}
-    return CheckResult("pybe", data.n, diff.is_zero(), _first_entry_witness(diff), degs)
+    return CheckResult("pybe", data.n, ok, witness, degs)
+
+
+def kronecker_base(factors) -> int:
+    """The least M that keeps sums of products of the factors decodable.
+
+    Each factor is a collection of nonzero ``PolyQZW`` (an operator's
+    entries), and its degree in z or w is the largest over them.  M is one
+    more than the larger of the summed z-degrees and the summed w-degrees.
+    """
+    z_sum = w_sum = 0
+    for factor in factors:
+        degs = [c.degrees() for c in factor]
+        z_sum += max((d[2] for d in degs), default=0)
+        w_sum += max((d[3] for d in degs), default=0)
+    return 1 + max(z_sum, w_sum)
+
+
+def kronecker_encode(c: PolyQZW, M: int) -> LaurentPoly:
+    """The image of ``c`` under q^a z^b w^c -> q^(a M^2 + b M + c)."""
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.terms = {(qe * M + zd) * M + wd: v for (qe, zd, wd), v in c.terms.items()}
+    return r
+
+
+def kronecker_decode(p: LaurentPoly, M: int) -> PolyQZW:
+    """The preimage of ``p`` with z- and w-degrees in 0..M-1."""
+    out = {}
+    for e, v in p.terms.items():
+        qz, wd = divmod(e, M)
+        out[divmod(qz, M) + (wd,)] = v
+    return PolyQZW(out)
 
 
 def _swap_z_to_w(c: PolyQZW) -> PolyQZW:
@@ -234,18 +286,17 @@ def check_unitarity(data: HeckeData, samples) -> CheckResult:
     evaluated at q0, combined for the sample's z0.
     """
     r21_inv = invert(data.R).swapped_legs()
-    ident = TensorOp.identity(data.n, 2)
+    ident = TensorOp.identity(data.n, 2, Fraction(1))
     bad = None
     checked = []
     for q0, z0 in samples:
         q0, z0 = Fraction(q0), Fraction(z0)
         if q0 in (0, 1, -1) or z0 in (0, q0**2, 1 / q0**2):
             raise ValueError("inadmissible sample: q0=%s z0=%s" % (q0, z0))
-        R0, r21_inv0, ident0 = [op.map_coefficients(lambda c: c.evaluate(q0))
-                                for op in (data.R, r21_inv, ident)]
+        R0, r21_inv0 = [op.map_coefficients(lambda c: c.evaluate(q0)) for op in (data.R, r21_inv)]
         lhs = _spectral_at(data, R0, r21_inv0, q0, z0)
         rhs = _spectral_at(data, R0, r21_inv0, q0, 1 / z0).swapped_legs()
-        ok = lhs @ rhs == ident0
+        ok = lhs @ rhs == ident
         checked.append({"q0": str(q0), "z0": str(z0), "pass": ok})
         if not ok and bad is None:
             bad = {"q0": str(q0), "z0": str(z0)}

@@ -64,8 +64,9 @@ class TensorOp:
     # ---- constructors ----------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, legs: int) -> "TensorOp":
-        one = LaurentPoly.one()
+    def identity(cls, n: int, legs: int, one=None) -> "TensorOp":
+        """The identity, with ``one`` (default the Laurent unit) on the diagonal."""
+        one = LaurentPoly.one() if one is None else one
         op = cls(n, legs)
         op.entries = {(ix, ix): one for ix in itertools.product(range(1, n + 1), repeat=legs)}
         return op

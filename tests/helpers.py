@@ -8,6 +8,12 @@ def multi_indices(n, legs):
     return list(itertools.product(range(1, n + 1), repeat=legs))
 
 
+def reference_evaluate(p, q0):
+    """The value of a Laurent polynomial at q0, one Fraction power per term."""
+    q0 = Fraction(q0)
+    return sum((c * q0**e for e, c in p.terms.items()), Fraction(0))
+
+
 def dense_from_op(op, q0):
     """Dense Fraction matrix of a Laurent-coefficient TensorOp at q = q0."""
     idx = multi_indices(op.n, op.legs)

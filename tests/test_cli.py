@@ -81,6 +81,19 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "hecke", "--matrix", str(path))
         assert code == 1 and "witness" in out
 
+    @pytest.mark.parametrize("kind, witness", [
+        ("pybe", "[[1, 1, 2], [1, 2, 1], "
+                 "'2*q^2*z*w - 2*q^2*z - 4*z*w + 4*z + 2*q^-2*z*w - 2*q^-2*z']"),
+        ("ybe", "[[2, 1, 1], [2, 1, 1], '2*q^3 - 4*q + 2*q^-1']"),
+    ])
+    def test_broken_matrix_file_fails_with_pinned_witness(self, capsys, kind, witness):
+        import pathlib
+
+        path = pathlib.Path(__file__).parent / "data" / "lambda_doubled_n2.json"
+        code, out, _ = run(capsys, "check", kind, "--matrix", str(path))
+        assert code == 1
+        assert out == "%s n=2: FAIL\nwitness: %s\n" % (kind, witness)
+
     def test_standard_matrix_from_file(self, capsys, tmp_path):
         blob = standard_sln_R(2).R.to_json()
         path = tmp_path / "r.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braided_fock.coeff import LaurentPoly, PolyQZW, braided_int_scalar
+from helpers import reference_evaluate
 
 
 def lp(terms):
@@ -105,6 +106,15 @@ class TestLaurentRing:
         assert p.evaluate(Fraction(3, 2)) == Fraction(9, 4) - Fraction(4, 9)
         with pytest.raises(ZeroDivisionError):
             QINV.evaluate(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.dictionaries(st.integers(-8, 8), st.integers(-20, 20), max_size=6),
+           num=st.integers(-30, 30).filter(bool), den=st.integers(1, 30))
+    def test_evaluate_matches_term_by_term_sum(self, terms, num, den):
+        # negative exponents and negative q0 included; one Fraction comes back
+        p, q0 = lp(terms), Fraction(num, den)
+        value = p.evaluate(q0)
+        assert type(value) is Fraction and value == reference_evaluate(p, q0)
 
     def test_unit_inverse(self):
         assert LaurentPoly.q_power(3).unit_inverse() == LaurentPoly.q_power(-3)

@@ -449,6 +449,24 @@ def finite_deviations(draw):
     return FockState(n, tail, terms)
 
 
+class TestPruningAgainstWindow:
+    """Pruned b_i against unpruned b_i over a window of columns.
+
+    Deviations sit in the 3 columns below the tail start, so the window from
+    7 columns below it to |i| + 2 columns above it holds every slot that
+    pruning keeps; widening it by 2 on each side must change nothing either.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    def test_pruned_equals_unpruned_window(self, s, i):
+        rules = standard_rules(s.n)
+        lo, hi = s.tail_start - 7, s.tail_start + abs(i) + 3
+        pruned = apply_b(i, s, rules)
+        assert apply_b(i, s, rules, prune=False, columns=range(lo, hi)) == pruned
+        assert apply_b(i, s, rules, prune=False, columns=range(lo - 2, hi + 2)) == pruned
+
+
 class TestTransportReuse:
     @settings(max_examples=40, deadline=None)
     @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)), prune=st.booleans())

@@ -477,6 +477,17 @@ class TestIndexValidation:
                 normal_form(x, rules, strategy)
             assert str(err.value) == msg, strategy
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "insertion"])
+    @pytest.mark.parametrize("bad", [(True, 1), (1.0, 1)])
+    def test_twin_of_a_seen_generator_rejected(self, bad, strategy):
+        # (True, 1) and (1.0, 1) equal the (1, 1) of an earlier word as dict
+        # keys; each engine must still reject the word that holds one
+        one = LaurentPoly.one()
+        x = ModeElement(2, {((1, 1), (0, 2)): one, ((0, 2), bad): one})
+        with pytest.raises(ValueError) as err:
+            normal_form(x, standard_rules(2), strategy)
+        assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, ((0, 2), bad))
+
     def test_multiply_left_rejects_index(self):
         from braided_fock.fock import FockState, multiply_left, vacuum
 

@@ -1,7 +1,9 @@
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braided_fock.coeff import LaurentPoly, PolyQZW
 from braided_fock.rmatrix import (
@@ -17,6 +19,9 @@ from braided_fock.rmatrix import (
     hecke_PR_inverse,
     interval_product,
     interval_product_bar,
+    kronecker_base,
+    kronecker_decode,
+    kronecker_encode,
     standard_sln_R,
 )
 from braided_fock.tensor import TensorOp, embed, invert, permutation_P
@@ -133,6 +138,28 @@ class TestPYBE:
         assert res.degrees["z_max"] == 1 and res.degrees["w_max"] == 1
 
 
+_QZW = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(PolyQZW)
+
+
+class TestKronecker:
+    @settings(max_examples=200, deadline=None)
+    @given(factors=st.lists(_QZW, min_size=1, max_size=3))
+    def test_product_round_trip(self, factors):
+        # the encoded factors multiply to the encoding of the product
+        M = kronecker_base([[f] for f in factors])
+        prod, enc = PolyQZW.one(), LaurentPoly.one()
+        for f in factors:
+            prod, enc = prod * f, enc * kronecker_encode(f, M)
+        assert kronecker_decode(enc, M) == prod
+
+    def test_base_from_summed_degrees(self):
+        z, w = PolyQZW({(0, 1, 0): 1}), PolyQZW({(-2, 0, 1): 1, (0, 0, 0): 1})
+        assert kronecker_base([[z], [z, w], [w]]) == 3
+        # z^2 needs M = 3: with M = 2 it would read back as q
+        assert kronecker_decode(kronecker_encode(z, 3) * kronecker_encode(z, 3), 3) == z * z
+
+
 class TestUnitarity:
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples(self, n):
@@ -182,18 +209,36 @@ class TestUnitarity:
         assert check_unitarity(standard_sln_R(n), [(q0, z0)]).passed
 
 
-def _lambda_doubled(n):
-    """The standard R with every off-diagonal entry doubled: no longer Hecke."""
+def _broken(n, kind):
+    """The standard R broken so that it is no longer Hecke.
+
+    ``lambda_doubled`` doubles every off-diagonal entry (the q - 1/q ones);
+    ``diagonal_q3`` sets the (1, 1) diagonal entry to q^3.
+    """
     entries = dict(standard_sln_R(n).R.entries)
-    for (row, col), c in entries.items():
-        if row != col:
-            entries[(row, col)] = c * 2
+    if kind == "lambda_doubled":
+        for (row, col), c in entries.items():
+            if row != col:
+                entries[(row, col)] = c * 2
+    else:
+        entries[((1, 1), (1, 1))] = LaurentPoly.q_power(3)
     return HeckeData(n=n, R=TensorOp(n, 2, entries))
+
+
+def _broken_reports():
+    """The pybe and ybe reports of the broken controls, as the golden file holds them."""
+    reports = {}
+    for kind in ("lambda_doubled", "diagonal_q3"):
+        for n in (2, 3):
+            for check in (check_pybe, check_braid):
+                res = check(_broken(n, kind))
+                reports["%s n=%d %s" % (kind, n, res.check)] = res.to_json()
+    return json.dumps(reports, indent=1, sort_keys=True) + "\n"
 
 
 class TestBrokenR:
     def test_unitarity_rejects_with_first_failing_sample(self):
-        res = check_unitarity(_lambda_doubled(2), admissible_samples(5, seed=11))
+        res = check_unitarity(_broken(2, "lambda_doubled"), admissible_samples(5, seed=11))
         assert not res.passed
         samples = res.details["samples"]
         first_bad = next(s for s in samples if not s["pass"])
@@ -201,9 +246,21 @@ class TestBrokenR:
         assert len(samples) == 5
 
     def test_pybe_rejects_with_witness(self):
-        res = check_pybe(_lambda_doubled(2))
+        res = check_pybe(_broken(2, "lambda_doubled"))
         assert not res.passed
         assert res.witness is not None
+
+    def test_witnesses_match_golden(self):
+        # every control fails, and the reports (witnesses included) keep their bytes
+        golden = pathlib.Path(__file__).parent / "golden" / "check_broken_controls.json"
+        text = _broken_reports()
+        assert all(not r["pass"] and r["witness"] for r in json.loads(text).values())
+        assert text == golden.read_text()
+
+    def test_operator_file_is_lambda_doubled(self):
+        # the operator file the CI step checks from the command line
+        path = pathlib.Path(__file__).parent / "data" / "lambda_doubled_n2.json"
+        assert TensorOp.from_json(json.loads(path.read_text())) == _broken(2, "lambda_doubled").R
 
 
 class TestBraidedIntegers:
