@@ -358,30 +358,6 @@ class PolyQZW(_SparsePoly):
 
     __rmul__ = __mul__
 
-    def substitute(self, z=None, w=None) -> "PolyQZW":
-        """Substitute integer values for z and/or w (exactly)."""
-        out = {}
-        for (qe, zd, wd), c in self.terms.items():
-            if z is not None:
-                c *= z**zd
-                zd = 0
-            if w is not None:
-                c *= w**wd
-                wd = 0
-            add_term(out, (qe, zd, wd), c)
-        r = PolyQZW.__new__(PolyQZW)
-        r.terms = out
-        return r
-
-    def evaluate(self, q0, z0, w0=1) -> Fraction:
-        q0, z0, w0 = Fraction(q0), Fraction(z0), Fraction(w0)
-        if q0 == 0:
-            raise ZeroDivisionError("cannot evaluate at q = 0")
-        total = Fraction(0)
-        for (qe, zd, wd), c in self.terms.items():
-            total += c * q0**qe * z0**zd * w0**wd
-        return total
-
     def degrees(self):
         """(q_min, q_max, z_max, w_max) over all terms, or None when zero."""
         if not self.terms:

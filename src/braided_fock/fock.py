@@ -23,6 +23,7 @@ inside a finite slot window for oracle comparisons.
 columns up to one common end, the materialised tail plus i for a raising
 shift, so that every shifted slot lands below it, and normal-orders all of
 them in one insertion call (``modealg``), whose memo the slots share.
+``multiply_left`` does the same with the end above every mode it inserts.
 Truncation keeps this local: every rewrite keeps both output modes inside
 the mode range of the pair it rewrites, so inserting a generator never
 touches the columns above its mode, and the memo keys each insertion on the
@@ -48,12 +49,15 @@ class FockState:
     __slots__ = ("n", "tail_start", "terms")
 
     def __init__(self, n: int, tail_start: int, terms=None):
+        n = strict_int(n, "n")
+        tail_start = strict_int(tail_start, "tail_start")
         raw = {}
         if terms:
             for cfg, c in terms.items():
+                cols = {strict_int(m, "mode"): tuple([strict_int(a, "index") for a in ix])
+                        for m, ix in cfg if len(ix)}
                 if not c:
                     continue
-                cols = {m: tuple(ix) for m, ix in cfg if len(ix)}
                 for ix in cols.values():
                     if not all(1 <= a <= n for a in ix) or any(
                         x >= y for x, y in zip(ix, ix[1:])
@@ -111,8 +115,6 @@ class FockState:
     def from_json(cls, obj):
         if not isinstance(obj, dict) or not {"n", "tail_start", "terms"} <= set(obj):
             raise ValueError("a state must be an object with n, tail_start and terms")
-        n = strict_int(obj["n"], "n")
-        tail_start = strict_int(obj["tail_start"], "tail_start")
         if not isinstance(obj["terms"], list):
             raise ValueError("terms must be a list of {coeff, columns}")
         terms = {}
@@ -121,14 +123,14 @@ class FockState:
                 raise ValueError("malformed term %r: expected {coeff, columns}" % (t,))
             cols = []
             for m, ix in t["columns"].items():
-                if not isinstance(ix, list):
+                if not isinstance(ix, list) or any(isinstance(a, (list, dict)) for a in ix):
                     raise ValueError("column %r must be a list of indices" % (m,))
-                cols.append((_json_exponent(m), tuple([strict_int(a, "index") for a in ix])))
+                cols.append((_json_exponent(m), tuple(ix)))
             cfg = tuple(sorted(cols))
             if cfg in terms:
                 raise ValueError("duplicate term for columns %r" % (cfg,))
             terms[cfg] = LaurentPoly.from_json(t.get("coeff"))
-        return cls(n, tail_start, terms)
+        return cls(obj["n"], obj["tail_start"], terms)
 
     def __repr__(self):
         if not self.terms:
@@ -211,29 +213,36 @@ def _flatten(cols: dict, gens: dict):
     return word, offsets
 
 
+def _normal_order(n: int, words: dict, W: int, tail_start: int, rules: ExchangeRules,
+                  budget) -> FockState:
+    """Normal-order ``words`` in one insertion call and read them back as a state.
+
+    Every word spells its columns up to W - 1, with the tail implicit from W on.
+    """
+    x = ModeElement(n)
+    x.terms = words  # the words are not copied
+    nf = normal_form(x, rules, strategy="insertion", budget=budget)
+    raw = {}
+    for w, c in nf.terms.items():
+        add_term(raw, _strip(_word_to_cols(w), W, n), c)
+    return _assemble(n, raw, tail_start)
+
+
 def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
                   budget=None) -> FockState:
-    """Normal-order a mode element against a state from the left."""
+    """Normal-order a mode element against a state from the left, in one call."""
     for xword in x.terms:
         check_indices(xword, s.n)
     rules = rules or standard_rules(s.n)
     full = _full(s.n)
-    raw = {}
+    T = s.tail_start
+    W = max([T] + [m + 1 for xword in x.terms for m, _ in xword])
+    words = {}
     for cfg, sc in s.terms.items():
+        flat, _ = _flatten({**dict(cfg), **dict.fromkeys(range(T, W), full)}, {})
         for xword, xc in x.terms.items():
-            top = max((m for m, _ in xword), default=s.tail_start - 1)
-            W = max(s.tail_start, top + 1)
-            cols = dict(cfg)
-            for k in range(s.tail_start, W):
-                cols[k] = full
-            flat, _ = _flatten(cols, {})
-            word = tuple(xword) + tuple(flat)
-            coeff = sc * xc
-            nf = normal_form(ModeElement.from_word(s.n, word, coeff), rules, strategy="insertion",
-                             budget=budget)
-            for w2, c2 in nf.terms.items():
-                add_term(raw, _strip(_word_to_cols(w2), W, s.n), c2)
-    return _assemble(s.n, raw, s.tail_start)
+            add_term(words, tuple(xword) + tuple(flat), sc * xc)
+    return _normal_order(s.n, words, W, T, rules, budget)
 
 
 def _prunable(cols: dict, tail_from: int, n: int, j: int, k: int) -> bool:
@@ -298,13 +307,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                 word = flat[:]
                 word[offsets[j] + pos] = gens.setdefault((k, a), (k, a))
                 add_term(words, tuple(word), sc)
-    x = ModeElement(n)
-    x.terms = words  # the words are not copied
-    nf = normal_form(x, rules, strategy="insertion", budget=budget)
-    raw = {}
-    for w, c in nf.terms.items():
-        add_term(raw, _strip(_word_to_cols(w), W, n), c)
-    return _assemble(n, raw, T)
+    return _normal_order(n, words, W, T, rules, budget)
 
 
 def translate(s: FockState, d: int) -> FockState:

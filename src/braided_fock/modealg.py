@@ -601,7 +601,6 @@ def check_modeind(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
     ident = TensorOp.identity(n, 2)
     pr = rules.data.PR()
     m1_cols = _columns_of(ident + pr.scale(lam))
-    m2_cols = _columns_of(ident - pr.scale(rules.q_inv))
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             lhs = normal_form(r_anticommutator(rules, (i, a), (j, b)), rules)
@@ -609,7 +608,7 @@ def check_modeind(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
             for (c, d), coeff in m1_cols.get((a, b), ()):
                 rhs = rhs + r_anticommutator(rules, (i - 1, c), (j + 1, d)).scale(coeff)
             extra = {}
-            for (c, d), coeff in m2_cols.get((a, b), ()):
+            for (c, d), coeff in rules.plus_pbold_cols.get((a, b), ()):
                 add_term(extra, ((j + 1, c), (i - 1, d)), rules.qm2_minus_1 * coeff)
             rhs = normal_form(rhs + ModeElement(n, extra), rules)
             if lhs != rhs:

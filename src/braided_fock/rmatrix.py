@@ -8,15 +8,16 @@ Laurent operators evaluated there), and the braided-integer operators that
 drive braided differentiation.
 
 The parametrised Yang-Baxter check multiplies in Z[q, q^-1], not in
-Z[q, q^-1, z, w].  Kronecker substitution, the ring homomorphism
-q^a z^b w^c -> q^(a M^2 + b M + c), maps the three factors to Laurent
-operators.  M is one more than the larger of the summed z-degrees and the
-summed w-degrees of the factors, so every product of three entries, and every
-sum of such products, has z- and w-degrees in 0..M-1.  On polynomials with
-degrees in that range the map is injective: floor ``divmod`` by M recovers
-(a, b, c) from a M^2 + b M + c for any sign of a.  The two sides are
-therefore equal exactly when their images are.  It is an exact encoding, not
-an evaluation at sample points.
+Z[q, q^-1, z, w].  Its factors S(z, w), S(z, 1) and S(w, 1) are the images
+of the one numerator S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
+(z_e, w_e) = (M, 1), (M, 0) and (1, 0).  The (M, 1) map is Kronecker
+substitution, a ring homomorphism, so each side is the (M, 1) image of its
+value in Z[q, q^-1, z, w].  Each side has z-degree at most 2 z_max and
+w-degree at most w_max + z_max, for the degrees of S, so with
+M = 1 + 2 max(z_max, w_max) both lie in 0..M-1, where the map is injective:
+floor ``divmod`` by M recovers (a, b, c) from a M^2 + b M + c for any sign
+of a.  The sides are therefore equal exactly when their images are; it is
+an exact encoding, not an evaluation at sample points.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeff import LaurentPoly, PolyQZW
+from .coeff import LaurentPoly, PolyQZW, add_term
 from .tensor import TensorOp, embed, invert, permutation_P
 
 
@@ -158,10 +159,6 @@ class BaxterisedR:
         self.S = S
         self.denominator = denominator
 
-    def at(self, z: int, w: int) -> TensorOp:
-        """S with integer values substituted for z and w."""
-        return self.S.map_coefficients(lambda c: c.substitute(z=z, w=w))
-
 
 def baxterise(data: HeckeData) -> BaxterisedR:
     r21_inv = invert(data.R).swapped_legs()
@@ -181,28 +178,19 @@ def check_pybe(data: HeckeData) -> CheckResult:
     where S is the cleared numerator; the denominators on the two sides agree
     identically so this is equivalent to the identity for R(z/w), R(z), R(w).
 
-    Both sides are computed in Z[q, q^-1] after the Kronecker substitution
-    q^a z^b w^c -> q^(a M^2 + b M + c), with M = 1 + max(summed z-degrees,
-    summed w-degrees) of the three factors.  Each side has z- and w-degrees
-    below M, where the substitution is injective, so the sides are equal
-    exactly when their images are.  A failure's witness is decoded back to
-    a polynomial in q, z and w.
+    S is encoded once per factor, straight into Z[q, q^-1]: the factors are
+    the images of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
+    (z_e, w_e) = (M, 1), (M, 0) and (1, 0).  M = 1 + 2 max(z_max, w_max) of
+    S: on each side the z-degrees sum to at most 2 z_max (S(z, w) and
+    S(z, 1)) and the w-degrees to at most w_max + z_max (S(z, w) and
+    S(w, 1)), both below M, where the (M, 1) encoding is injective.  So the
+    sides are equal exactly when their images are.  A failure's witness is
+    decoded back to a polynomial in q, z and w.
     """
-    bax = baxterise(data)
-    S_zw = bax.S
-    S_z1 = S_zw.map_coefficients(lambda c: c.substitute(w=1))
-    # S(w, 1): rename the z parameter to w in S(z, 1)
-    S_w1 = S_z1.map_coefficients(_swap_z_to_w)
-    M = kronecker_base([op.entries.values() for op in (S_zw, S_z1, S_w1)])
-    a12, a13, a23 = [embed(op.map_coefficients(lambda c: kronecker_encode(c, M)), legs, 3)
-                     for op, legs in ((S_zw, [1, 2]), (S_z1, [1, 3]), (S_w1, [2, 3]))]
-    lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
-    ok = lhs == rhs
-    witness = None if ok else _first_entry_witness(
-        lhs - rhs, lambda c: str(kronecker_decode(c, M)))
+    S = baxterise(data).S
     degs = {}
     dd = None
-    for c in S_zw.entries.values():
+    for c in S.entries.values():
         g = c.degrees()
         if g:
             dd = g if dd is None else (
@@ -210,28 +198,29 @@ def check_pybe(data: HeckeData) -> CheckResult:
             )
     if dd:
         degs = {"q_min": dd[0], "q_max": dd[1], "z_max": dd[2], "w_max": dd[3]}
+    M = 1 + 2 * max(dd[2:]) if dd else 1
+    a12, a13, a23 = [embed(S.map_coefficients(lambda c: kronecker_encode(c, M, z_e, w_e)),
+                           legs, 3)
+                     for (z_e, w_e), legs in (((M, 1), [1, 2]), ((M, 0), [1, 3]),
+                                              ((1, 0), [2, 3]))]
+    lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
+    ok = lhs == rhs
+    witness = None if ok else _first_entry_witness(
+        lhs - rhs, lambda c: str(kronecker_decode(c, M)))
     return CheckResult("pybe", data.n, ok, witness, degs)
 
 
-def kronecker_base(factors) -> int:
-    """The least M that keeps sums of products of the factors decodable.
+def kronecker_encode(c: PolyQZW, M: int, z_e: int, w_e: int) -> LaurentPoly:
+    """The image of ``c`` under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e).
 
-    Each factor is a collection of nonzero ``PolyQZW`` (an operator's
-    entries), and its degree in z or w is the largest over them.  M is one
-    more than the larger of the summed z-degrees and the summed w-degrees.
+    With (z_e, w_e) = (M, 1) this is the encoding ``kronecker_decode``
+    inverts; other weights can merge terms, which are summed.
     """
-    z_sum = w_sum = 0
-    for factor in factors:
-        degs = [c.degrees() for c in factor]
-        z_sum += max((d[2] for d in degs), default=0)
-        w_sum += max((d[3] for d in degs), default=0)
-    return 1 + max(z_sum, w_sum)
-
-
-def kronecker_encode(c: PolyQZW, M: int) -> LaurentPoly:
-    """The image of ``c`` under q^a z^b w^c -> q^(a M^2 + b M + c)."""
+    out = {}
+    for (qe, zd, wd), v in c.terms.items():
+        add_term(out, qe * M * M + zd * z_e + wd * w_e, v)
     r = LaurentPoly.__new__(LaurentPoly)
-    r.terms = {(qe * M + zd) * M + wd: v for (qe, zd, wd), v in c.terms.items()}
+    r.terms = out
     return r
 
 
@@ -241,15 +230,6 @@ def kronecker_decode(p: LaurentPoly, M: int) -> PolyQZW:
     for e, v in p.terms.items():
         qz, wd = divmod(e, M)
         out[divmod(qz, M) + (wd,)] = v
-    return PolyQZW(out)
-
-
-def _swap_z_to_w(c: PolyQZW) -> PolyQZW:
-    out = {}
-    for (qe, zd, wd), v in c.terms.items():
-        if wd:
-            raise ValueError("expected a polynomial free of w")
-        out[(qe, 0, zd)] = v
     return PolyQZW(out)
 
 

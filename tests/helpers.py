@@ -14,6 +14,25 @@ def reference_evaluate(p, q0):
     return sum((c * q0**e for e, c in p.terms.items()), Fraction(0))
 
 
+def reference_substitute(p, z, w):
+    """``p`` in Z[q, q^-1, z, w] with z and w replaced, term by term.
+
+    ``z`` and ``w`` are ints or ``PolyQZW`` values; every monomial is
+    rebuilt by repeated multiplication.
+    """
+    from braided_fock.coeff import PolyQZW
+
+    out = PolyQZW.zero()
+    for (qe, zd, wd), c in p.terms.items():
+        term = PolyQZW({(qe, 0, 0): c})
+        for _ in range(zd):
+            term = term * z
+        for _ in range(wd):
+            term = term * w
+        out = out + term
+    return out
+
+
 def dense_from_op(op, q0):
     """Dense Fraction matrix of a Laurent-coefficient TensorOp at q = q0."""
     idx = multi_indices(op.n, op.legs)

@@ -341,6 +341,7 @@ class TestGoldenFiles:
         "nf_t2t1_n2.json": ["nf", "t2 t1", "--n", "2", "--output", "json"],
         "dims_n2.json": ["dims", "--n", "2", "--output", "json"],
         "check_hecke_n3.json": ["check", "hecke", "--n", "3", "--output", "json"],
+        "check_pybe_n3.json": ["check", "pybe", "--n", "3", "--output", "json"],
         "check_unitarity_n2_seed5.json": ["check", "unitarity", "--n", "2", "--seed", "5",
                                           "--output", "json"],
         "lemma33_n3.json": ["lemma33", "--n", "3", "--output", "json"],

@@ -171,15 +171,9 @@ class TestPolyQZW:
         with pytest.raises(ValueError):
             PolyQZW({(0, -1, 0): 1})
 
-    def test_from_laurent_and_substitute(self):
+    def test_from_laurent(self):
         p = PolyQZW.from_laurent(Q - QINV, w_deg=1)
         assert p == PolyQZW({(1, 0, 1): 1, (-1, 0, 1): -1})
-        assert p.substitute(w=1) == PolyQZW({(1, 0, 0): 1, (-1, 0, 0): -1})
-        assert p.substitute(w=0) == PolyQZW.zero()
-
-    def test_evaluate(self):
-        p = PolyQZW({(1, 1, 0): 2, (0, 0, 1): -1})
-        assert p.evaluate(Fraction(1, 2), 3, 5) == 2 * Fraction(1, 2) * 3 - 5
 
     def test_degrees(self):
         p = PolyQZW({(-2, 1, 0): 1, (3, 0, 2): -4})

@@ -73,16 +73,34 @@ class TestStateBasics:
         ("columns", {" 0": [1]}, "malformed exponent key"),
         ("columns", {"0": [1.0]}, "index must be an integer"),
         ("columns", {"0": "1"}, "must be a list of indices"),
+        ("columns", {"0": [[1]]}, "must be a list of indices"),
+        ("coeff", {}, "index must be an integer"),
     ])
     def test_json_rejects_coercible_fields(self, field, value, match):
         # each case spoils one field of a valid one-term state on n = 2
         blob = {"n": 2, "tail_start": 1, "terms": [{"coeff": {"0": 1}, "columns": {"0": [1]}}]}
         if field == "columns":
             blob["terms"][0]["columns"] = value
+        elif field == "coeff":
+            # a zero term is still checked: its index is a float
+            blob["terms"][0] = {"coeff": value, "columns": {"0": [1.0]}}
         else:
             blob[field] = value
         with pytest.raises(ValueError, match=match):
             FockState.from_json(blob)
+
+    @pytest.mark.parametrize("n, tail_start, cfg, match", [
+        (2, 1, ((0, (1.0,)),), "index must be an integer"),
+        (2, 1, ((0, (True,)),), "index must be an integer"),
+        (2, 1, ((0.5, (1,)),), "mode must be an integer"),
+        (2, 1.5, (), "tail_start must be an integer"),
+        (2.0, 1, (), "n must be an integer"),
+    ])
+    def test_constructor_rejects_non_integers(self, n, tail_start, cfg, match):
+        # the constructor checks what from_json checks, so to_json cannot
+        # write a state that from_json rejects
+        with pytest.raises(ValueError, match=match):
+            FockState(n, tail_start, {cfg: ONE})
 
     def test_json_rejects_duplicate_terms(self):
         term = {"coeff": {"0": 1}, "columns": {"0": [1]}}

@@ -19,17 +19,17 @@ from braided_fock.rmatrix import (
     hecke_PR_inverse,
     interval_product,
     interval_product_bar,
-    kronecker_base,
     kronecker_decode,
     kronecker_encode,
     standard_sln_R,
 )
 from braided_fock.tensor import TensorOp, embed, invert, permutation_P
 
-from helpers import dense_inverse, dense_mul, dense_standard_R, dense_P
+from helpers import dense_inverse, dense_mul, dense_standard_R, dense_P, reference_substitute
 
 Q = LaurentPoly.q()
 ONE = LaurentPoly.one()
+Z, W = PolyQZW({(0, 1, 0): 1}), PolyQZW({(0, 0, 1): 1})
 
 
 class TestStandardR:
@@ -105,7 +105,7 @@ class TestBaxterise:
     def test_z_zero_gives_wR(self):
         d = standard_sln_R(2)
         bax = baxterise(d)
-        at_z0 = bax.S.map_coefficients(lambda c: c.substitute(z=0))
+        at_z0 = bax.S.map_coefficients(lambda c: reference_substitute(c, 0, W))
         wR = d.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1))
         assert at_z0 == wR
 
@@ -114,7 +114,7 @@ class TestBaxterise:
         bax = baxterise(d)
         r21inv = invert(d.R).swapped_legs()
         want = (d.R - r21inv).map_coefficients(PolyQZW.from_laurent)
-        assert bax.at(1, 1) == want
+        assert bax.S.map_coefficients(lambda c: reference_substitute(c, 1, 1)) == want
 
     def test_denominator(self):
         d = standard_sln_R(3)
@@ -137,27 +137,57 @@ class TestPYBE:
         res = check_pybe(standard_sln_R(2))
         assert res.degrees["z_max"] == 1 and res.degrees["w_max"] == 1
 
+    def test_witness_matches_polyqzw_sides(self):
+        # with the last diagonal entry 1 instead of q the first failing entry
+        # has w-degree 2, which only an M above 2 reads back
+        entries = dict(standard_sln_R(2).R.entries)
+        entries[((2, 2), (2, 2))] = ONE
+        data = HeckeData(n=2, R=TensorOp(2, 2, entries))
+        S = baxterise(data).S
+        a12 = embed(S, [1, 2], 3)
+        a13 = embed(S.map_coefficients(lambda c: reference_substitute(c, Z, 1)), [1, 3], 3)
+        a23 = embed(S.map_coefficients(lambda c: reference_substitute(c, W, 1)), [2, 3], 3)
+        diff = a12 @ a13 @ a23 - a23 @ a13 @ a12
+        row, col = min(diff.entries)
+        res = check_pybe(data)
+        assert not res.passed and "w^2" in res.witness[2]
+        assert res.witness == [list(row), list(col), str(diff.entries[row, col])]
 
-_QZW = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(0, 3), st.integers(0, 3)),
+
+# polynomials shaped like the entries of S(z, w): z- and w-degrees at most 1
+_QZW = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(0, 1), st.integers(0, 1)),
                        st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(PolyQZW)
+
+
+def _pybe_base(*polys):
+    """M as check_pybe takes it from the degrees of S."""
+    return 1 + 2 * max(max(p.degrees()[2:]) for p in polys)
 
 
 class TestKronecker:
     @settings(max_examples=200, deadline=None)
-    @given(factors=st.lists(_QZW, min_size=1, max_size=3))
-    def test_product_round_trip(self, factors):
-        # the encoded factors multiply to the encoding of the product
-        M = kronecker_base([[f] for f in factors])
-        prod, enc = PolyQZW.one(), LaurentPoly.one()
-        for f in factors:
-            prod, enc = prod * f, enc * kronecker_encode(f, M)
+    @given(f=_QZW, g=_QZW, h=_QZW)
+    def test_product_round_trip(self, f, g, h):
+        # the factors encoded as S(z,w), S(z,1), S(w,1) multiply to the
+        # encoding of f(z,w) g(z,1) h(w,1)
+        M = _pybe_base(f, g, h)
+        enc = (kronecker_encode(f, M, M, 1) * kronecker_encode(g, M, M, 0)
+               * kronecker_encode(h, M, 1, 0))
+        prod = f * reference_substitute(g, Z, 1) * reference_substitute(h, W, 1)
         assert kronecker_decode(enc, M) == prod
 
-    def test_base_from_summed_degrees(self):
-        z, w = PolyQZW({(0, 1, 0): 1}), PolyQZW({(-2, 0, 1): 1, (0, 0, 0): 1})
-        assert kronecker_base([[z], [z, w], [w]]) == 3
-        # z^2 needs M = 3: with M = 2 it would read back as q
-        assert kronecker_decode(kronecker_encode(z, 3) * kronecker_encode(z, 3), 3) == z * z
+    @settings(max_examples=100, deadline=None)
+    @given(f=_QZW)
+    def test_weights_are_substitutions(self, f):
+        M = _pybe_base(f)
+        assert kronecker_encode(f, M, M, 0) == kronecker_encode(
+            reference_substitute(f, Z, 1), M, M, 1)
+        assert kronecker_encode(f, M, 1, 0) == kronecker_encode(
+            reference_substitute(f, W, 1), M, M, 1)
+
+    def test_merged_terms_cancel(self):
+        # z w - z is 0 at w = 1 and must leave no zero term behind
+        assert kronecker_encode(Z * W - Z, 3, 3, 0).terms == {}
 
 
 class TestUnitarity:
