@@ -17,11 +17,9 @@ from .tensor import (
     permutation_P,
 )
 from .rmatrix import (
-    BaxterisedR,
     CheckResult,
     HeckeData,
     admissible_samples,
-    baxterise,
     braided_integer,
     braided_integer_bar,
     check_braid,

@@ -210,18 +210,6 @@ class LaurentPoly(_SparsePoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        r = LaurentPoly.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
     # ---- structure -------------------------------------------------------
 
     def min_exp(self):
@@ -299,7 +287,8 @@ class PolyQZW(_SparsePoly):
     """Sparse polynomial with integer q-exponents and nonnegative z, w degrees.
 
     ``terms`` maps (q_exp, z_deg, w_deg) to a nonzero integer coefficient,
-    with the same normalization rule as :class:`LaurentPoly`.
+    with the same normalization rule as :class:`LaurentPoly`.  The pYBE check
+    decodes its witness into this form to print it.
     """
 
     __slots__ = ("terms",)
@@ -316,11 +305,6 @@ class PolyQZW(_SparsePoly):
                     raise ValueError("z and w degrees must be nonnegative")
                 out[(qe, zd, wd)] = c
         self.terms = out
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly, z_deg: int = 0, w_deg: int = 0) -> "PolyQZW":
-        """Embed a Laurent polynomial, optionally times z**z_deg * w**w_deg."""
-        return cls({(e, z_deg, w_deg): c for e, c in p.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -357,13 +341,6 @@ class PolyQZW(_SparsePoly):
         return r
 
     __rmul__ = __mul__
-
-    def degrees(self):
-        """(q_min, q_max, z_max, w_max) over all terms, or None when zero."""
-        if not self.terms:
-            return None
-        qs = [k[0] for k in self.terms]
-        return (min(qs), max(qs), max(k[1] for k in self.terms), max(k[2] for k in self.terms))
 
     @staticmethod
     def _json_key(key):

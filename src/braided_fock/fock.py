@@ -350,11 +350,11 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     return scalar_part(result), result
 
 
-def heisenberg_matches(scalar: LaurentPoly, i: int, j: int, n: int) -> bool:
-    """Denominator-cleared Heisenberg relation test.
+def heisenberg_sides(scalar: LaurentPoly, i: int, j: int, n: int):
+    """The two sides of the denominator-cleared Heisenberg relation.
 
-    Checks scalar * (1 - q^(-2i)) = [i == j] * i * (1 - q^(-2 n i)) exactly,
-    which is the cleared form of the expected commutator value.
+    scalar * (1 - q^(-2i)) and [i == j] * i * (1 - q^(-2 n i)), the cleared
+    form of the expected commutator value.
     """
     one = LaurentPoly.one()
     lhs = scalar * (one - LaurentPoly.q_power(-2 * i))
@@ -362,6 +362,12 @@ def heisenberg_matches(scalar: LaurentPoly, i: int, j: int, n: int) -> bool:
         rhs = LaurentPoly.zero()
     else:
         rhs = (one - LaurentPoly.q_power(-2 * n * i)) * i
+    return lhs, rhs
+
+
+def heisenberg_matches(scalar: LaurentPoly, i: int, j: int, n: int) -> bool:
+    """Denominator-cleared Heisenberg relation test: the two sides agree exactly."""
+    lhs, rhs = heisenberg_sides(scalar, i, j, n)
     return lhs == rhs
 
 

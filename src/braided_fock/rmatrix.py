@@ -1,23 +1,24 @@
 """Hecke R-matrices and their identity checks.
 
 Provides the standard sl_n family, the quadratic Hecke check, the braid
-relation, Baxterisation into a two-parameter spectral numerator, the
-parametrised Yang-Baxter identity in denominator-cleared form, unitarity at
-exact rational sample points (on operators with ``Fraction`` entries, the
-Laurent operators evaluated there), and the braided-integer operators that
-drive braided differentiation.
+relation, the parametrised Yang-Baxter identity for the Baxterised numerator
+S(z, w) = w R - z R_21^-1 in denominator-cleared form, unitarity at exact
+rational sample points (on operators with ``Fraction`` entries, the Laurent
+operators evaluated there), and the braided-integer operators that drive
+braided differentiation.
 
 The parametrised Yang-Baxter check multiplies in Z[q, q^-1], not in
 Z[q, q^-1, z, w].  Its factors S(z, w), S(z, 1) and S(w, 1) are the images
-of the one numerator S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
-(z_e, w_e) = (M, 1), (M, 0) and (1, 0).  The (M, 1) map is Kronecker
-substitution, a ring homomorphism, so each side is the (M, 1) image of its
-value in Z[q, q^-1, z, w].  Each side has z-degree at most 2 z_max and
-w-degree at most w_max + z_max, for the degrees of S, so with
-M = 1 + 2 max(z_max, w_max) both lie in 0..M-1, where the map is injective:
-floor ``divmod`` by M recovers (a, b, c) from a M^2 + b M + c for any sign
-of a.  The sides are therefore equal exactly when their images are; it is
-an exact encoding, not an evaluation at sample points.
+of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with (z_e, w_e) = (M, 1),
+(M, 0) and (1, 0), built straight from R (the w-part) and R_21^-1 (the
+z-part), which never merge.  The (M, 1) map is Kronecker substitution, a ring
+homomorphism, so each side is the (M, 1) image of its value in
+Z[q, q^-1, z, w].  Each side has z-degree at most 2 z_max and w-degree at
+most w_max + z_max, for the degrees of S, so with M = 1 + 2 max(z_max, w_max)
+both lie in 0..M-1, where the map is injective: floor ``divmod`` by M
+recovers (a, b, c) from a M^2 + b M + c for any sign of a.  The sides are
+therefore equal exactly when their images are; it is an exact encoding, not
+an evaluation at sample points.
 """
 
 from __future__ import annotations
@@ -135,74 +136,45 @@ def check_braid(data: HeckeData) -> CheckResult:
     return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(lhs - rhs))
 
 
-def _laurent_degrees(op: TensorOp) -> dict:
+def _laurent_degrees(*ops: TensorOp) -> dict:
     lo = hi = None
-    for c in op.entries.values():
-        cl, ch = c.min_exp(), c.max_exp()
-        lo = cl if lo is None else min(lo, cl)
-        hi = ch if hi is None else max(hi, ch)
+    for op in ops:
+        for c in op.entries.values():
+            cl, ch = c.min_exp(), c.max_exp()
+            lo = cl if lo is None else min(lo, cl)
+            hi = ch if hi is None else max(hi, ch)
     return {"q_min": lo, "q_max": hi}
-
-
-class BaxterisedR:
-    """Denominator-cleared spectral numerator S(z, w) = w R - z R_21^{-1}.
-
-    The actual spectral matrix is R(z/w) = S(z, w) / denominator with
-    denominator = w q - z / q; both sides of the parametrised Yang-Baxter
-    identity carry the same scalar factors, so checks work with S alone.
-    """
-
-    __slots__ = ("n", "S", "denominator")
-
-    def __init__(self, n: int, S: TensorOp, denominator: PolyQZW):
-        self.n = n
-        self.S = S
-        self.denominator = denominator
-
-
-def baxterise(data: HeckeData) -> BaxterisedR:
-    r21_inv = invert(data.R).swapped_legs()
-    w_R = data.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1))
-    z_R21inv = r21_inv.map_coefficients(lambda c: PolyQZW.from_laurent(c, z_deg=1))
-    S = w_R - z_R21inv
-    denom = PolyQZW.from_laurent(data.q, w_deg=1) - PolyQZW.from_laurent(
-        data.q.unit_inverse(), z_deg=1
-    )
-    return BaxterisedR(n=data.n, S=S, denominator=denom)
 
 
 def check_pybe(data: HeckeData) -> CheckResult:
     """Parametrised Yang-Baxter identity, exact in q, z, w.
 
     Verifies S(z,w)_12 S(z,1)_13 S(w,1)_23 = S(w,1)_23 S(z,1)_13 S(z,w)_12
-    where S is the cleared numerator; the denominators on the two sides agree
-    identically so this is equivalent to the identity for R(z/w), R(z), R(w).
+    for the cleared numerator S(z, w) = w R - z R_21^-1 of
+    R(z/w) = S(z, w) / (w q - z/q); the denominators on the two sides agree
+    identically, so this is equivalent to the identity for R(z/w), R(z), R(w).
 
-    S is encoded once per factor, straight into Z[q, q^-1]: the factors are
-    the images of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
-    (z_e, w_e) = (M, 1), (M, 0) and (1, 0).  M = 1 + 2 max(z_max, w_max) of
-    S: on each side the z-degrees sum to at most 2 z_max (S(z, w) and
-    S(z, 1)) and the w-degrees to at most w_max + z_max (S(z, w) and
-    S(w, 1)), both below M, where the (M, 1) encoding is injective.  So the
-    sides are equal exactly when their images are.  A failure's witness is
-    decoded back to a polynomial in q, z and w.
+    Each factor is encoded straight into Z[q, q^-1] from R and R_21^-1: the
+    images of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
+    (z_e, w_e) = (M, 1), (M, 0) and (1, 0) (``kronecker_encode``).  S has
+    z-degree z_max = 1 when R_21^-1 is nonzero and w-degree w_max = 1 when R
+    is, and M = 1 + 2 max(z_max, w_max): on each side the z-degrees sum to at
+    most 2 z_max (S(z, w) and S(z, 1)) and the w-degrees to at most
+    w_max + z_max (S(z, w) and S(w, 1)), both below M, where the (M, 1)
+    encoding is injective.  So the sides are equal exactly when their images
+    are.  A failure's witness is decoded back to a polynomial in q, z and w.
     """
-    S = baxterise(data).S
-    degs = {}
-    dd = None
-    for c in S.entries.values():
-        g = c.degrees()
-        if g:
-            dd = g if dd is None else (
-                min(dd[0], g[0]), max(dd[1], g[1]), max(dd[2], g[2]), max(dd[3], g[3])
-            )
-    if dd:
-        degs = {"q_min": dd[0], "q_max": dd[1], "z_max": dd[2], "w_max": dd[3]}
-    M = 1 + 2 * max(dd[2:]) if dd else 1
-    a12, a13, a23 = [embed(S.map_coefficients(lambda c: kronecker_encode(c, M, z_e, w_e)),
-                           legs, 3)
-                     for (z_e, w_e), legs in (((M, 1), [1, 2]), ((M, 0), [1, 3]),
-                                              ((1, 0), [2, 3]))]
+    R, r21_inv = data.R, invert(data.R).swapped_legs()
+    degs = _laurent_degrees(R, r21_inv)
+    degs["z_max"], degs["w_max"] = int(bool(r21_inv.entries)), int(bool(R.entries))
+    M = 1 + 2 * max(degs["z_max"], degs["w_max"])
+    zero = LaurentPoly.zero()
+    pairs = {k: (R.entries.get(k, zero), r21_inv.entries.get(k, zero))
+             for k in R.entries.keys() | r21_inv.entries.keys()}
+    a12, a13, a23 = [
+        embed(TensorOp(data.n, 2, {k: kronecker_encode(r, s, M, z_e, w_e)
+                                   for k, (r, s) in pairs.items()}), legs, 3)
+        for (z_e, w_e), legs in (((M, 1), [1, 2]), ((M, 0), [1, 3]), ((1, 0), [2, 3]))]
     lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
     ok = lhs == rhs
     witness = None if ok else _first_entry_witness(
@@ -210,18 +182,18 @@ def check_pybe(data: HeckeData) -> CheckResult:
     return CheckResult("pybe", data.n, ok, witness, degs)
 
 
-def kronecker_encode(c: PolyQZW, M: int, z_e: int, w_e: int) -> LaurentPoly:
-    """The image of ``c`` under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e).
+def kronecker_encode(r: LaurentPoly, s: LaurentPoly, M: int, z_e: int, w_e: int) -> LaurentPoly:
+    """The image of w r - z s under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e).
 
-    With (z_e, w_e) = (M, 1) this is the encoding ``kronecker_decode``
-    inverts; other weights can merge terms, which are summed.
+    ``r`` and ``s`` are the entries of R and R_21^-1 at one position.  With
+    (z_e, w_e) = (M, 1) this is the encoding ``kronecker_decode`` inverts;
+    other weights can merge terms, which are summed.
     """
     out = {}
-    for (qe, zd, wd), v in c.terms.items():
-        add_term(out, qe * M * M + zd * z_e + wd * w_e, v)
-    r = LaurentPoly.__new__(LaurentPoly)
-    r.terms = out
-    return r
+    for p, sign, e in ((r, 1, w_e), (s, -1, z_e)):
+        for a, v in p.terms.items():
+            add_term(out, a * M * M + e, sign * v)
+    return LaurentPoly(out)
 
 
 def kronecker_decode(p: LaurentPoly, M: int) -> PolyQZW:

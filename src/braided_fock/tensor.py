@@ -6,10 +6,9 @@ are tuples over 1..n and tuple position p corresponds to leg p+1.  Elements of
 the underlying module are thought of as column vectors indexed by the same
 multi-indices, so ``compose(A, B)`` applied to v is A(B(v)).
 
-Coefficients are Laurent polynomials, or anything with the same arithmetic:
-:class:`~braided_fock.coeff.PolyQZW` for the Baxterised family and
-``Fraction`` for an operator evaluated at a rational point.  Identities and
-flips are built over :class:`~braided_fock.coeff.LaurentPoly`.
+Coefficients are Laurent polynomials, or anything with the same arithmetic,
+such as ``Fraction`` for an operator evaluated at a rational point.
+Identities and flips are built over :class:`~braided_fock.coeff.LaurentPoly`.
 
 ``invert`` works on one connected block of the support graph at a time.  This
 is exact: a block's rows and columns share one index set, so the split permutes

@@ -33,6 +33,29 @@ def reference_substitute(p, z, w):
     return out
 
 
+def reference_S_entry(r, s):
+    """w r - z s in Z[q, q^-1, z, w], one ``PolyQZW`` product per term."""
+    from braided_fock.coeff import PolyQZW
+
+    z, w = PolyQZW({(0, 1, 0): 1}), PolyQZW({(0, 0, 1): 1})
+    out = PolyQZW.zero()
+    for p, var in ((r, w), (s, -z)):
+        for e, c in p.terms.items():
+            out = out + PolyQZW({(e, 0, 0): c}) * var
+    return out
+
+
+def reference_baxterised_S(data):
+    """S(z, w) = w R - z R_21^-1 as an operator with ``PolyQZW`` entries."""
+    from braided_fock.coeff import LaurentPoly
+    from braided_fock.tensor import TensorOp, invert
+
+    R, r21_inv = data.R.entries, invert(data.R).swapped_legs().entries
+    zero = LaurentPoly.zero()
+    return TensorOp(data.n, 2, {k: reference_S_entry(R.get(k, zero), r21_inv.get(k, zero))
+                                for k in R.keys() | r21_inv.keys()})
+
+
 def dense_from_op(op, q0):
     """Dense Fraction matrix of a Laurent-coefficient TensorOp at q = q0."""
     idx = multi_indices(op.n, op.legs)

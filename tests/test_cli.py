@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -87,8 +88,6 @@ class TestCheckCommand:
         ("ybe", "[[2, 1, 1], [2, 1, 1], '2*q^3 - 4*q + 2*q^-1']"),
     ])
     def test_broken_matrix_file_fails_with_pinned_witness(self, capsys, kind, witness):
-        import pathlib
-
         path = pathlib.Path(__file__).parent / "data" / "lambda_doubled_n2.json"
         code, out, _ = run(capsys, "check", kind, "--matrix", str(path))
         assert code == 1
@@ -264,6 +263,13 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "dims", "--matrix", str(path), "--output", "json")
         assert code == 0 and json.loads(out)["n"] == 3
 
+    def test_dims_with_relation_vanishing_at_a_sample_point(self, capsys):
+        # the (1, 1) relation coefficient 5q - 7 vanishes at q = 7/5
+        path = pathlib.Path(__file__).parent / "data" / "diagonal_5q_n2.json"
+        code, out, err = run(capsys, "dims", "--matrix", str(path), "--output", "json")
+        assert (code, err) == (0, "")
+        assert [r["rank"] for r in json.loads(out)["rows"]] == [1, 2, 1]
+
     def test_dims_rejects_non_pbw_matrix(self, capsys, tmp_path):
         blob = TensorOp.identity(2, 2).to_json()
         path = tmp_path / "identity.json"
@@ -353,8 +359,6 @@ class TestGoldenFiles:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_byte_identical(self, capsys, name):
-        import pathlib
-
         golden = pathlib.Path(__file__).parent / "golden" / name
         code, out, _ = run(capsys, *self.CASES[name])
         assert code == 0

@@ -95,12 +95,6 @@ class TestLaurentRing:
         assert Q - 1 == lp({1: 1, 0: -1})
         assert braided_int_scalar(2, -2) * 3 == lp({0: 3, -2: 3})
 
-    def test_pow(self):
-        assert QINV**3 == LaurentPoly.q_power(-3)
-        assert (Q + ONE) ** 2 == lp({2: 1, 1: 2, 0: 1})
-        with pytest.raises(ValueError):
-            (Q + ONE) ** -1
-
     def test_evaluate(self):
         p = lp({2: 1, -2: -1})
         assert p.evaluate(Fraction(3, 2)) == Fraction(9, 4) - Fraction(4, 9)
@@ -170,15 +164,6 @@ class TestPolyQZW:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             PolyQZW({(0, -1, 0): 1})
-
-    def test_from_laurent(self):
-        p = PolyQZW.from_laurent(Q - QINV, w_deg=1)
-        assert p == PolyQZW({(1, 0, 1): 1, (-1, 0, 1): -1})
-
-    def test_degrees(self):
-        p = PolyQZW({(-2, 1, 0): 1, (3, 0, 2): -4})
-        assert p.degrees() == (-2, 3, 1, 2)
-        assert PolyQZW.zero().degrees() is None
 
 
 class TestSerialization:

@@ -9,7 +9,6 @@ from braided_fock.coeff import LaurentPoly, PolyQZW
 from braided_fock.rmatrix import (
     HeckeData,
     admissible_samples,
-    baxterise,
     braided_integer,
     braided_integer_bar,
     check_braid,
@@ -25,7 +24,15 @@ from braided_fock.rmatrix import (
 )
 from braided_fock.tensor import TensorOp, embed, invert, permutation_P
 
-from helpers import dense_inverse, dense_mul, dense_standard_R, dense_P, reference_substitute
+from helpers import (
+    dense_inverse,
+    dense_mul,
+    dense_standard_R,
+    dense_P,
+    reference_baxterised_S,
+    reference_S_entry,
+    reference_substitute,
+)
 
 Q = LaurentPoly.q()
 ONE = LaurentPoly.one()
@@ -104,22 +111,18 @@ class TestHeckeShortcuts:
 class TestBaxterise:
     def test_z_zero_gives_wR(self):
         d = standard_sln_R(2)
-        bax = baxterise(d)
-        at_z0 = bax.S.map_coefficients(lambda c: reference_substitute(c, 0, W))
-        wR = d.R.map_coefficients(lambda c: PolyQZW.from_laurent(c, w_deg=1))
+        S = reference_baxterised_S(d)
+        at_z0 = S.map_coefficients(lambda c: reference_substitute(c, 0, W))
+        wR = d.R.map_coefficients(lambda c: PolyQZW({(e, 0, 1): v for e, v in c.terms.items()}))
         assert at_z0 == wR
 
     def test_z1_w1_is_R_minus_R21inv(self):
         d = standard_sln_R(2)
-        bax = baxterise(d)
+        S = reference_baxterised_S(d)
         r21inv = invert(d.R).swapped_legs()
-        want = (d.R - r21inv).map_coefficients(PolyQZW.from_laurent)
-        assert bax.S.map_coefficients(lambda c: reference_substitute(c, 1, 1)) == want
-
-    def test_denominator(self):
-        d = standard_sln_R(3)
-        bax = baxterise(d)
-        assert bax.denominator == PolyQZW({(1, 0, 1): 1, (-1, 1, 0): -1})
+        want = (d.R - r21inv).map_coefficients(
+            lambda c: PolyQZW({(e, 0, 0): v for e, v in c.terms.items()}))
+        assert S.map_coefficients(lambda c: reference_substitute(c, 1, 1)) == want
 
 
 class TestPYBE:
@@ -143,7 +146,7 @@ class TestPYBE:
         entries = dict(standard_sln_R(2).R.entries)
         entries[((2, 2), (2, 2))] = ONE
         data = HeckeData(n=2, R=TensorOp(2, 2, entries))
-        S = baxterise(data).S
+        S = reference_baxterised_S(data)
         a12 = embed(S, [1, 2], 3)
         a13 = embed(S.map_coefficients(lambda c: reference_substitute(c, Z, 1)), [1, 3], 3)
         a23 = embed(S.map_coefficients(lambda c: reference_substitute(c, W, 1)), [2, 3], 3)
@@ -154,40 +157,44 @@ class TestPYBE:
         assert res.witness == [list(row), list(col), str(diff.entries[row, col])]
 
 
-# polynomials shaped like the entries of S(z, w): z- and w-degrees at most 1
-_QZW = st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(0, 1), st.integers(0, 1)),
-                       st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(PolyQZW)
+# an entry of S(z, w) = w R - z R_21^-1: the entries of R and R_21^-1 at one
+# position, either of which may be zero
+_LAURENT = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
+                           max_size=4).map(LaurentPoly)
+_PAIR = st.tuples(_LAURENT, _LAURENT)
 
 
-def _pybe_base(*polys):
-    """M as check_pybe takes it from the degrees of S."""
-    return 1 + 2 * max(max(p.degrees()[2:]) for p in polys)
+def _pybe_base(*pairs):
+    """M as check_pybe takes it: 1 + 2 max(z_max, w_max) over the pairs."""
+    return 1 + 2 * any(p for pair in pairs for p in pair)
 
 
 class TestKronecker:
     @settings(max_examples=200, deadline=None)
-    @given(f=_QZW, g=_QZW, h=_QZW)
+    @given(f=_PAIR, g=_PAIR, h=_PAIR)
     def test_product_round_trip(self, f, g, h):
         # the factors encoded as S(z,w), S(z,1), S(w,1) multiply to the
         # encoding of f(z,w) g(z,1) h(w,1)
         M = _pybe_base(f, g, h)
-        enc = (kronecker_encode(f, M, M, 1) * kronecker_encode(g, M, M, 0)
-               * kronecker_encode(h, M, 1, 0))
-        prod = f * reference_substitute(g, Z, 1) * reference_substitute(h, W, 1)
+        enc = (kronecker_encode(*f, M, M, 1) * kronecker_encode(*g, M, M, 0)
+               * kronecker_encode(*h, M, 1, 0))
+        prod = (reference_S_entry(*f) * reference_substitute(reference_S_entry(*g), Z, 1)
+                * reference_substitute(reference_S_entry(*h), W, 1))
         assert kronecker_decode(enc, M) == prod
 
     @settings(max_examples=100, deadline=None)
-    @given(f=_QZW)
+    @given(f=_PAIR)
     def test_weights_are_substitutions(self, f):
         M = _pybe_base(f)
-        assert kronecker_encode(f, M, M, 0) == kronecker_encode(
-            reference_substitute(f, Z, 1), M, M, 1)
-        assert kronecker_encode(f, M, 1, 0) == kronecker_encode(
-            reference_substitute(f, W, 1), M, M, 1)
+        S = reference_S_entry(*f)
+        assert kronecker_decode(kronecker_encode(*f, M, M, 1), M) == S
+        assert kronecker_decode(kronecker_encode(*f, M, M, 0), M) == reference_substitute(S, Z, 1)
+        assert kronecker_decode(kronecker_encode(*f, M, 1, 0), M) == reference_substitute(S, W, 1)
 
     def test_merged_terms_cancel(self):
-        # z w - z is 0 at w = 1 and must leave no zero term behind
-        assert kronecker_encode(Z * W - Z, 3, 3, 0).terms == {}
+        # w r - z r is 0 at z = w = 1 and must leave no zero term behind
+        r = Q - LaurentPoly.q_power(-1)
+        assert kronecker_encode(r, r, 3, 0, 0).terms == {}
 
 
 class TestUnitarity:

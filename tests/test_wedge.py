@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -24,8 +26,21 @@ from braided_fock.wedge import (
     wedge_normal_form,
 )
 
+from helpers import dense_from_op, dense_rank
+
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def diagonal_5q(n):
+    """standard_sln_R(n) with R[(1,1),(1,1)] = 5q - 7 - 1/q.
+
+    Its relation column at (1, 1) is 5q - 7, which vanishes at q = 7/5.
+    """
+    entries = dict(standard_sln_R(n).R.entries)
+    entries[((1, 1), (1, 1))] = LaurentPoly({1: 5, 0: -7, -1: -1})
+    return HeckeData(n=n, R=TensorOp(n, 2, entries))
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +71,28 @@ class TestDeriveRules:
             derive_wedge_rules(data)
 
     def test_relation_span_certified(self, tables):
-        # the rank certificate ran inside derive_wedge_rules; recheck the count
-        for n in (2, 3, 4):
-            assert len(tables[n].coeff) == n * (n - 1) // 2
+        # the relations PR + 1/q have rank n(n+1)/2 over Q(q), the number of
+        # rules: the rank at one rational point bounds it from below and is
+        # reached at all but finitely many points
+        file_data = HeckeData(n=2, R=TensorOp.from_json(
+            json.loads((DATA / "diagonal_5q_n2.json").read_text())))
+        assert file_data.R == diagonal_5q(2).R
+        cases = [(standard_sln_R(n), tables[n]) for n in (1, 2, 3, 4)]
+        cases.append((file_data, derive_wedge_rules(file_data)))
+        for data, table in cases:
+            n = data.n
+            rel = data.PR() + TensorOp.identity(n, 2).scale(QINV)
+            rank = max(dense_rank(dense_from_op(rel, q0))
+                       for q0 in (Fraction(7, 5), Fraction(-3, 2), Fraction(2, 7)))
+            assert rank == len(table.coeff) + n == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_relation_vanishing_at_a_sample_point(self, n):
+        # a relation coefficient with a rational zero does not lose its rule
+        table = derive_wedge_rules(diagonal_5q(n))
+        assert table.coeff == derive_wedge_rules(standard_sln_R(n)).coeff
+        assert [degree_rank(n, m, table) for m in range(n + 1)] == [
+            math.comb(n, m) for m in range(n + 1)]
 
 
 class TestNormalForm:
@@ -101,8 +135,7 @@ class TestDimensions:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_binomial(self, tables, n):
         for m in range(0, n + 2):
-            for q0 in (Fraction(7, 5), Fraction(-3, 2)):
-                assert degree_rank(n, m, tables[n], q0) == math.comb(n, m)
+            assert degree_rank(n, m, tables[n]) == math.comb(n, m)
 
 
 class TestTopForm:
