@@ -19,11 +19,19 @@ both lie in 0..M-1, where the map is injective: floor ``divmod`` by M
 recovers (a, b, c) from a M^2 + b M + c for any sign of a.  The sides are
 therefore equal exactly when their images are; it is an exact encoding, not
 an evaluation at sample points.
+
+The Hecke, braid and pYBE checks then compose plain integers:
+``integer_images`` maps each Laurent factor to Z by q -> 2^b, with b large
+enough (2^b > 4 k^(u-1) L^u, see there) that the map is injective on the
+sides of the identity and on their difference.  Only a failing entry is
+decoded.  When a wide exponent span would make the integers costlier than
+Laurent products, the factors stay Laurent.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .coeff import LaurentPoly, PolyQZW, add_term
@@ -114,26 +122,32 @@ def _first_entry_witness(op: TensorOp, show=str):
 
 
 def check_hecke(data: HeckeData) -> CheckResult:
-    """Verify (PR - q)(PR + 1/q) = 0 exactly."""
+    """Verify (PR - q)(PR + 1/q) = 0 exactly, on integer images (``integer_images``)."""
     if data.R.legs != 2:
         raise ValueError("the Hecke check needs a two-leg operator")
     pr = data.PR()
     qv = data.q
     qinv = qv.unit_inverse()
     ident = TensorOp.identity(data.n, 2)
-    prod = (pr - ident.scale(qv)) @ (pr + ident.scale(qinv))
+    (f, g), decode = integer_images([pr - ident.scale(qv), pr + ident.scale(qinv)], 2)
+    prod = f @ g
     degs = _laurent_degrees(data.R)
-    return CheckResult("hecke", data.n, prod.is_zero(), _first_entry_witness(prod), degs)
+    return CheckResult("hecke", data.n, prod.is_zero(),
+                       _first_entry_witness(prod, lambda c: str(decode(c))), degs)
 
 
 def check_braid(data: HeckeData) -> CheckResult:
-    """Verify (PR)_12 (PR)_23 (PR)_12 = (PR)_23 (PR)_12 (PR)_23 on three legs."""
-    pr = data.PR()
+    """Verify (PR)_12 (PR)_23 (PR)_12 = (PR)_23 (PR)_12 (PR)_23 on three legs.
+
+    The sides are compared on integer images (``integer_images``).
+    """
+    (pr,), decode = integer_images([data.PR()], 3)
     a = embed(pr, [1, 2], 3)
     b = embed(pr, [2, 3], 3)
     lhs, rhs = a @ b @ a, b @ a @ b
     ok = lhs == rhs
-    return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(lhs - rhs))
+    return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(
+        lhs - rhs, lambda c: str(decode(c))))
 
 
 def _laurent_degrees(*ops: TensorOp) -> dict:
@@ -162,7 +176,11 @@ def check_pybe(data: HeckeData) -> CheckResult:
     most 2 z_max (S(z, w) and S(z, 1)) and the w-degrees to at most
     w_max + z_max (S(z, w) and S(w, 1)), both below M, where the (M, 1)
     encoding is injective.  So the sides are equal exactly when their images
-    are.  A failure's witness is decoded back to a polynomial in q, z and w.
+    are.  ``invert`` rejects a singular R, and an invertible R and its inverse
+    are both nonzero, so z_max = w_max = 1 and M = 3 for every R that gets
+    this far; the report still carries both degrees.  The three factors are
+    then mapped to integers (``integer_images``) and composed there.  A
+    failure's witness is decoded back to q and then to q, z and w.
     """
     R, r21_inv = data.R, invert(data.R).swapped_legs()
     degs = _laurent_degrees(R, r21_inv)
@@ -171,15 +189,75 @@ def check_pybe(data: HeckeData) -> CheckResult:
     zero = LaurentPoly.zero()
     pairs = {k: (R.entries.get(k, zero), r21_inv.entries.get(k, zero))
              for k in R.entries.keys() | r21_inv.entries.keys()}
-    a12, a13, a23 = [
-        embed(TensorOp(data.n, 2, {k: kronecker_encode(r, s, M, z_e, w_e)
-                                   for k, (r, s) in pairs.items()}), legs, 3)
-        for (z_e, w_e), legs in (((M, 1), [1, 2]), ((M, 0), [1, 3]), ((1, 0), [2, 3]))]
+    weights = ((M, 1), (M, 0), (1, 0))
+    factors, decode = integer_images(
+        [TensorOp(data.n, 2, {k: kronecker_encode(r, s, M, z_e, w_e)
+                              for k, (r, s) in pairs.items()}) for z_e, w_e in weights], 3)
+    a12, a13, a23 = [embed(f, legs, 3) for f, legs in zip(factors, ([1, 2], [1, 3], [2, 3]))]
     lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
     ok = lhs == rhs
     witness = None if ok else _first_entry_witness(
-        lhs - rhs, lambda c: str(kronecker_decode(c, M)))
+        lhs - rhs, lambda c: str(kronecker_decode(decode(c), M)))
     return CheckResult("pybe", data.n, ok, witness, degs)
+
+
+# Integer images wider than this many bits cost more to multiply than the
+# Laurent entries they encode (the measured crossover, see ``integer_images``).
+_IMAGE_BITS = 1500
+
+
+def integer_images(factors, u: int):
+    """Operators with ``int`` entries that encode Laurent ``factors`` exactly.
+
+    Returns ``(images, decode)``.  Each entry sum c q^e becomes
+    sum c 2^(b (e - lo)), with lo the lowest exponent of any factor: the value
+    at q = 2^b of the entry times q^-lo.  This is a ring map on entries, so a
+    product of ``u`` images is the image of the product, shifted by q^(-u lo)
+    on every side alike, and ``decode`` reads an entry of such a product (or
+    of a difference of two) back to its Laurent polynomial.
+
+    The map is injective on those entries.  An entry of a product of u factors
+    is a sum over at most k^(u-1) paths, k the largest number of nonzeros in a
+    row of a factor (embedding does not change it), of products of u entries,
+    each of L1-norm at most L, the largest of any entry; so each coefficient is
+    at most k^(u-1) L^u, and one of a difference of two products at most
+    2 k^(u-1) L^u, in absolute value.  With 2^b > 4 k^(u-1) L^u every
+    coefficient lies strictly between -2^(b-1) and 2^(b-1): it is a balanced
+    base-2^b digit, and the digits of the image recover the polynomial.  So
+    two sides are equal exactly when their images are; it is an exact
+    encoding, not an evaluation at a sample point.
+
+    An image costs more as the exponent span grows, while a Laurent product
+    costs per term; when the span times b passes ``_IMAGE_BITS`` the factors
+    are returned unchanged and ``decode`` is the identity.
+    """
+    coeffs = [c for op in factors for c in op.entries.values()]
+    if not coeffs:
+        return factors, lambda c: c
+    lo = min(c.min_exp() for c in coeffs)
+    span = max(c.max_exp() for c in coeffs) - lo
+    norm = max(sum(map(abs, c.terms.values())) for c in coeffs)
+    rows = max(max(Counter(row for row, _ in op.entries).values(), default=0)
+               for op in factors)
+    b = (4 * rows ** (u - 1) * norm ** u).bit_length()
+    if b * span > _IMAGE_BITS:
+        return factors, lambda c: c
+    images = [op.map_coefficients(
+        lambda c: sum(v << b * (e - lo) for e, v in c.terms.items())) for op in factors]
+    base, half = 1 << b, 1 << (b - 1)
+
+    def decode(x: int) -> LaurentPoly:
+        terms, e = {}, u * lo
+        while x:
+            d = x & (base - 1)
+            if d >= half:
+                d -= base
+            terms[e] = d
+            x = (x - d) >> b
+            e += 1
+        return LaurentPoly(terms)
+
+    return images, decode
 
 
 def kronecker_encode(r: LaurentPoly, s: LaurentPoly, M: int, z_e: int, w_e: int) -> LaurentPoly:

@@ -211,6 +211,12 @@ def degree_rank(n: int, m: int, table: SwapRuleTable) -> int:
     is the number of monomials some word reaches with a nonzero scalar.
     Words repeating an index reduce to 0, so only the arrangements of m
     distinct indices are reduced.
+
+    The rank is C(n, m) for every table ``derive_wedge_rules`` returns: each
+    word reaches the increasing monomial of its own indices, and the
+    increasing word reaches it with scalar 1 (no swap), so every m-subset of
+    1..n is hit.  A rank therefore checks the shape of the swap rules (every
+    word reduces to one monomial), not a dimension computed independently.
     """
     hit = set()
     for word in itertools.permutations(range(1, n + 1), m):

@@ -364,6 +364,18 @@ class TestGoldenFiles:
         assert code == 0
         assert out == golden.read_text()
 
+    def test_wide_span_twist_byte_identical(self, capsys):
+        # a twisted R with exponents up to 24000: its checks multiply Laurent
+        # entries, and their reports keep their bytes
+        here = pathlib.Path(__file__).parent
+        path = str(here / "data" / "twist_3000_n3.json")
+        out = ""
+        for kind in ("hecke", "ybe", "pybe"):
+            code, text, _ = run(capsys, "check", kind, "--matrix", path, "--output", "json")
+            assert code == 0
+            out += text
+        assert out == (here / "golden" / "check_twist_3000_n3.json").read_text()
+
 
 def test_console_script_runs():
     proc = subprocess.run(

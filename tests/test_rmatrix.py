@@ -1,10 +1,12 @@
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braided_fock import rmatrix
 from braided_fock.coeff import LaurentPoly, PolyQZW
 from braided_fock.rmatrix import (
     HeckeData,
@@ -16,6 +18,7 @@ from braided_fock.rmatrix import (
     check_pybe,
     check_unitarity,
     hecke_PR_inverse,
+    integer_images,
     interval_product,
     interval_product_bar,
     kronecker_decode,
@@ -37,6 +40,33 @@ from helpers import (
 Q = LaurentPoly.q()
 ONE = LaurentPoly.one()
 Z, W = PolyQZW({(0, 1, 0): 1}), PolyQZW({(0, 0, 1): 1})
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _from_file(name):
+    op = TensorOp.from_json(json.loads((DATA / name).read_text()))
+    return HeckeData(n=op.n, R=op)
+
+
+def _reference_pybe_difference(data):
+    """S(z,w)_12 S(z,1)_13 S(w,1)_23 - S(w,1)_23 S(z,1)_13 S(z,w)_12 over PolyQZW."""
+    S = reference_baxterised_S(data)
+    a12 = embed(S, [1, 2], 3)
+    a13 = embed(S.map_coefficients(lambda c: reference_substitute(c, Z, 1)), [1, 3], 3)
+    a23 = embed(S.map_coefficients(lambda c: reference_substitute(c, W, 1)), [2, 3], 3)
+    return a12 @ a13 @ a23 - a23 @ a13 @ a12
+
+
+def _laurent_braid_difference(data):
+    """(PR)_12 (PR)_23 (PR)_12 - (PR)_23 (PR)_12 (PR)_23, composed over Z[q, q^-1]."""
+    pr = data.PR()
+    a, b = embed(pr, [1, 2], 3), embed(pr, [2, 3], 3)
+    return a @ b @ a - b @ a @ b
+
+
+def _first_entry(op):
+    row, col = min(op.entries)
+    return [list(row), list(col), str(op.entries[row, col])]
 
 
 class TestStandardR:
@@ -146,15 +176,9 @@ class TestPYBE:
         entries = dict(standard_sln_R(2).R.entries)
         entries[((2, 2), (2, 2))] = ONE
         data = HeckeData(n=2, R=TensorOp(2, 2, entries))
-        S = reference_baxterised_S(data)
-        a12 = embed(S, [1, 2], 3)
-        a13 = embed(S.map_coefficients(lambda c: reference_substitute(c, Z, 1)), [1, 3], 3)
-        a23 = embed(S.map_coefficients(lambda c: reference_substitute(c, W, 1)), [2, 3], 3)
-        diff = a12 @ a13 @ a23 - a23 @ a13 @ a12
-        row, col = min(diff.entries)
         res = check_pybe(data)
         assert not res.passed and "w^2" in res.witness[2]
-        assert res.witness == [list(row), list(col), str(diff.entries[row, col])]
+        assert res.witness == _first_entry(_reference_pybe_difference(data))
 
 
 # an entry of S(z, w) = w R - z R_21^-1: the entries of R and R_21^-1 at one
@@ -195,6 +219,87 @@ class TestKronecker:
         # w r - z r is 0 at z = w = 1 and must leave no zero term behind
         r = Q - LaurentPoly.q_power(-1)
         assert kronecker_encode(r, r, 3, 0, 0).terms == {}
+
+
+_INDEX = st.tuples(st.integers(1, 2), st.integers(1, 2))
+_OPERATOR = st.dictionaries(st.tuples(_INDEX, _INDEX), _LAURENT, max_size=8).map(
+    lambda entries: TensorOp(2, 2, entries))
+
+
+def _bound_bits(factors, u):
+    """The least b with 2^b > 4 k^(u-1) L^u, the bound ``integer_images`` documents."""
+    k = max(max(Counter(row for row, _ in op.entries).values(), default=0) for op in factors)
+    L = max(sum(map(abs, c.terms.values())) for op in factors for c in op.entries.values())
+    return (4 * k ** (u - 1) * L ** u).bit_length()
+
+
+def _pybe_sides(factors):
+    a12, a13, a23 = [embed(f, legs, 3) for f, legs in zip(factors, ([1, 2], [1, 3], [2, 3]))]
+    return a12 @ a13 @ a23, a23 @ a13 @ a12
+
+
+def _image_types(monkeypatch, check, data):
+    """The entry types of the images a check composes; the check must pass."""
+    seen, images_of = set(), rmatrix.integer_images
+
+    def spy(factors, u):
+        images, decode = images_of(factors, u)
+        seen.update(type(c) for op in images for c in op.entries.values())
+        return images, decode
+
+    monkeypatch.setattr(rmatrix, "integer_images", spy)
+    assert check(data).passed
+    return seen
+
+
+class TestIntegerImages:
+    @settings(max_examples=150, deadline=None)
+    @given(factors=st.lists(_OPERATOR, min_size=3, max_size=3))
+    def test_three_factor_composition_decodes(self, factors):
+        # each side and their difference, composed on the images and decoded,
+        # are the Laurent compositions
+        images, decode = integer_images(factors, 3)
+        assert all(type(c) is int for op in images for c in op.entries.values())
+        lhs, rhs = _pybe_sides(factors)
+        ilhs, irhs = _pybe_sides(images)
+        for want, got in ((lhs, ilhs), (rhs, irhs), (lhs - rhs, ilhs - irhs)):
+            assert got.map_coefficients(decode) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(op=_OPERATOR.filter(lambda op: op.entries), data=st.data())
+    def test_edge_digits_round_trip(self, op, data):
+        # digits up to +-(2^(b-1) - 1), the leading one negative, read back
+        _, decode = integer_images([op], 3)
+        b = _bound_bits([op], 3)
+        edge = 2 ** (b - 1) - 1
+        digits = data.draw(st.lists(st.sampled_from([edge, -edge, 0]) | st.integers(-edge, edge),
+                                    max_size=5))
+        digits.append(data.draw(st.sampled_from([-edge, -1])))
+        shift = 3 * min(c.min_exp() for c in op.entries.values())
+        x = sum(d << b * i for i, d in enumerate(digits))
+        assert decode(x) == LaurentPoly({shift + i: d for i, d in enumerate(digits)})
+
+    def test_difference_reaching_the_bound_decodes(self):
+        # every path of A A A and of D A A carries 1000 q, so the sides reach
+        # k^2 L^3 and -k^2 L^3 and their difference twice that, the most the
+        # digits must hold
+        A = TensorOp(2, 1, {((r,), (c,)): LaurentPoly.q_power(1, 1000)
+                            for r in (1, 2) for c in (1, 2)})
+        D = A.scale(-1)
+        (ia, id_), decode = integer_images([A, D], 3)
+        diff = ia @ ia @ ia - id_ @ ia @ ia
+        assert diff.map_coefficients(decode) == A @ A @ A - D @ A @ A
+        assert all(decode(c) == LaurentPoly.q_power(3, 8 * 10**9) for c in diff.entries.values())
+        assert len(diff.entries) == 4
+
+    @pytest.mark.parametrize("check", [check_hecke, check_braid, check_pybe])
+    def test_wide_exponent_span_stays_laurent(self, monkeypatch, check):
+        # exponents up to 24000 would make integers of about 10^5 bits
+        assert _image_types(monkeypatch, check, _from_file("twist_3000_n3.json")) == {LaurentPoly}
+
+    @pytest.mark.parametrize("check", [check_hecke, check_braid, check_pybe])
+    def test_standard_n10_takes_integer_images(self, monkeypatch, check):
+        assert _image_types(monkeypatch, check, standard_sln_R(10)) == {int}
 
 
 class TestUnitarity:
@@ -249,16 +354,18 @@ class TestUnitarity:
 def _broken(n, kind):
     """The standard R broken so that it is no longer Hecke.
 
-    ``lambda_doubled`` doubles every off-diagonal entry (the q - 1/q ones);
-    ``diagonal_q3`` sets the (1, 1) diagonal entry to q^3.
+    ``lambda_doubled`` doubles every off-diagonal entry (the q - 1/q ones),
+    ``lambda_x1000`` multiplies them by 1000, ``diagonal_q3`` sets the (1, 1)
+    diagonal entry to q^3 and ``diagonal_q3_last`` the (n, n) one.
     """
     entries = dict(standard_sln_R(n).R.entries)
-    if kind == "lambda_doubled":
+    if kind.startswith("lambda"):
         for (row, col), c in entries.items():
             if row != col:
-                entries[(row, col)] = c * 2
+                entries[(row, col)] = c * (2 if kind == "lambda_doubled" else 1000)
     else:
-        entries[((1, 1), (1, 1))] = LaurentPoly.q_power(3)
+        a = n if kind == "diagonal_q3_last" else 1
+        entries[((a, a), (a, a))] = LaurentPoly.q_power(3)
     return HeckeData(n=n, R=TensorOp(n, 2, entries))
 
 
@@ -293,6 +400,38 @@ class TestBrokenR:
         text = _broken_reports()
         assert all(not r["pass"] and r["witness"] for r in json.loads(text).values())
         assert text == golden.read_text()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["lambda_doubled", "lambda_x1000", "diagonal_q3",
+                                      "diagonal_q3_last"])
+    def test_pybe_witness_matches_reference(self, kind, n):
+        # decoded from 2^b digits, then from the M = 3 Kronecker encoding;
+        # the diagonal_q3_last witness has w-degree 2, which M = 2 misreads
+        data = _broken(n, kind)
+        res = check_pybe(data)
+        assert not res.passed
+        assert res.degrees["z_max"] == res.degrees["w_max"] == 1
+        assert res.witness == _first_entry(_reference_pybe_difference(data))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["lambda_doubled", "lambda_x1000", "diagonal_q3",
+                                      "diagonal_q3_last"])
+    def test_braid_witness_matches_laurent_sides(self, kind, n):
+        data = _broken(n, kind)
+        res = check_braid(data)
+        assert not res.passed
+        assert res.witness == _first_entry(_laurent_braid_difference(data))
+
+    def test_diagonal_5q_file_witnesses(self):
+        # the braid witness has a coefficient of 70; the Hecke one is the first
+        # entry of (PR - q)(PR + 1/q) over Z[q, q^-1]
+        data = _from_file("diagonal_5q_n2.json")
+        diff = _laurent_braid_difference(data)
+        res = check_braid(data)
+        assert res.witness == _first_entry(diff) and "70" in res.witness[2]
+        ident = TensorOp.identity(2, 2)
+        prod = (data.PR() - ident.scale(Q)) @ (data.PR() + ident.scale(Q.unit_inverse()))
+        assert check_hecke(data).witness == _first_entry(prod)
 
     def test_operator_file_is_lambda_doubled(self):
         # the operator file the CI step checks from the command line
