@@ -6,9 +6,9 @@ are tuples over 1..n and tuple position p corresponds to leg p+1.  Elements of
 the underlying module are thought of as column vectors indexed by the same
 multi-indices, so ``compose(A, B)`` applied to v is A(B(v)).
 
-Coefficients are Laurent polynomials, or anything with the same arithmetic,
-such as ``Fraction`` for an operator evaluated at a rational point.
-Identities and flips are built over :class:`~braided_fock.coeff.LaurentPoly`.
+Coefficients are :class:`~braided_fock.coeff.LaurentPoly` values, or the
+``int`` images ``rmatrix.integer_images`` makes of them; the arithmetic below
+is the same for both.  Identities and flips are built over ``LaurentPoly``.
 
 ``invert`` works on one connected block of the support graph at a time.  This
 is exact: a block's rows and columns share one index set, so the split permutes
@@ -63,9 +63,9 @@ class TensorOp:
     # ---- constructors ----------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int, legs: int, one=None) -> "TensorOp":
-        """The identity, with ``one`` (default the Laurent unit) on the diagonal."""
-        one = LaurentPoly.one() if one is None else one
+    def identity(cls, n: int, legs: int) -> "TensorOp":
+        """The identity, with the Laurent unit on the diagonal."""
+        one = LaurentPoly.one()
         op = cls(n, legs)
         op.entries = {(ix, ix): one for ix in itertools.product(range(1, n + 1), repeat=legs)}
         return op
@@ -133,7 +133,7 @@ class TensorOp:
         return out
 
     def map_coefficients(self, fn) -> "TensorOp":
-        """Apply ``fn`` to every entry, e.g. to evaluate at a rational point."""
+        """Apply ``fn`` to every entry, e.g. to map it to an integer image."""
         out = {}
         for k, c in self.entries.items():
             v = fn(c)

@@ -28,6 +28,8 @@ from braided_fock.rmatrix import (
 from braided_fock.tensor import TensorOp, embed, invert, permutation_P
 
 from helpers import (
+    dense_from_op,
+    dense_identity,
     dense_inverse,
     dense_mul,
     dense_standard_R,
@@ -330,25 +332,74 @@ class TestUnitarity:
             check_unitarity(d, [(Fraction(1), Fraction(2))])
 
     def test_against_dense_oracle(self):
-        # independent dense rational construction of R(z) R(1/z)_21
-        n, q0, z0 = 2, Fraction(3, 2), Fraction(2)
-        R = dense_standard_R(n, q0)
-        P = dense_P(n)
-        Rinv = dense_inverse(R)
-        R21inv = dense_mul(P, dense_mul(Rinv, P))
+        # independent dense rational construction of R(z) R(1/z)_21, first
+        # from the standard R's entry formula
+        q0, z0 = Fraction(3, 2), Fraction(2)
+        assert _dense_unitarity(dense_standard_R(2, q0), 2, q0, z0)
+        assert check_unitarity(standard_sln_R(2), [(q0, z0)]).passed
+        # failing samples too: each sample's pass is the dense product's, and
+        # at a fixed q0 it does not depend on z0
+        controls = {"standard": standard_sln_R(2), "flip": HeckeData(2, TensorOp.identity(2, 2)),
+                    "lambda_doubled": _broken(2, "lambda_doubled"),
+                    "diagonal_q3": _broken(2, "diagonal_q3")}
+        z0s = (Fraction(1), Fraction(2), Fraction(-5, 7), Fraction(1, 3))
+        for name, data in controls.items():
+            for q0 in (Fraction(3, 2), Fraction(-2, 5), Fraction(7, 3)):
+                got = [check_unitarity(data, [(q0, z0)]).passed for z0 in z0s]
+                dense = dense_from_op(data.R, q0)
+                assert got == [_dense_unitarity(dense, 2, q0, z0) for z0 in z0s]
+                assert got == [name == "standard"] * len(z0s)
 
-        def spectral(z):
-            den = q0 - z / q0
-            return [[(a - z * b) / den for a, b in zip(r1, r2)] for r1, r2 in zip(R, R21inv)]
+    def test_sampled_pass_is_not_a_proof(self):
+        # D = R R_21 + R_21^-1 R^-1 - (q^2 + q^-2) is nonzero, but its entries
+        # -6q + 9 + 6q^-1 vanish at q0 = 2 and q0 = -1/2
+        data = _sampled_pass_R()
+        for z0 in (Fraction(1), Fraction(-3, 4), Fraction(5)):
+            for q0, ok in ((Fraction(2), True), (Fraction(-1, 2), True),
+                           (Fraction(3, 2), False)):
+                assert check_unitarity(data, [(q0, z0)]).passed is ok
+                assert _dense_unitarity(dense_from_op(data.R, q0), 2, q0, z0) is ok
 
-        lhs = spectral(z0)
-        rhs = dense_mul(P, dense_mul(spectral(1 / z0), P))
-        prod = dense_mul(lhs, rhs)
-        d = len(prod)
-        assert prod == [
-            [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-        ]
-        assert check_unitarity(standard_sln_R(n), [(q0, z0)]).passed
+    def test_controls_match_golden(self):
+        golden = pathlib.Path(__file__).parent / "golden" / "check_unitarity_controls.json"
+        assert _unitarity_control_reports() == golden.read_text()
+
+
+def _dense_unitarity(R, n, q0, z0):
+    """Whether R(z0) R(1/z0)_21 = 1 for the dense matrix R of an R-matrix at q = q0.
+
+    R(z) = (R - z R_21^-1) / (q0 - z/q0), the Baxterisation with Hecke
+    parameter q, built with dense rational arithmetic.
+    """
+    P = dense_P(n)
+    R21inv = dense_mul(P, dense_mul(dense_inverse(R), P))
+
+    def spectral(z):
+        den = q0 - z / q0
+        return [[(a - z * b) / den for a, b in zip(r1, r2)] for r1, r2 in zip(R, R21inv)]
+
+    prod = dense_mul(spectral(z0), dense_mul(P, dense_mul(spectral(1 / z0), P)))
+    return prod == dense_identity(len(prod))
+
+
+def _sampled_pass_R():
+    """The standard R at n = 2 with -3 added to its (1,2);(2,1) entry, q - 3 - 1/q."""
+    entries = dict(standard_sln_R(2).R.entries)
+    entries[((1, 2), (2, 1))] = entries[((1, 2), (2, 1))] - 3
+    return HeckeData(n=2, R=TensorOp(2, 2, entries))
+
+
+def _unitarity_control_reports():
+    """The unitarity reports at ``admissible_samples(5, 0)``, as the golden file holds them."""
+    controls = {"sampled_pass n=2": _sampled_pass_R(),
+                "twist_3000_n3": _from_file("twist_3000_n3.json")}
+    for n in (2, 3):
+        controls["identity n=%d" % n] = HeckeData(n=n, R=TensorOp.identity(n, 2))
+        for kind in ("lambda_doubled", "diagonal_q3"):
+            controls["%s n=%d" % (kind, n)] = _broken(n, kind)
+    samples = admissible_samples(5, 0)
+    reports = {name: check_unitarity(data, samples).to_json() for name, data in controls.items()}
+    return json.dumps(reports, indent=1, sort_keys=True) + "\n"
 
 
 def _broken(n, kind):
