@@ -7,6 +7,8 @@ Exit codes: 0 pass, 1 mathematical failure, 2 usage or parse error,
 ``nf`` and ``heisenberg`` take the rewrite budget from ``--budget``; without
 it, and for every other command, the environment variable
 BRAIDED_FOCK_BUDGET overrides the default.
+The handlers import ``modealg`` and ``fock`` themselves, so ``check hecke``,
+``ybe``, ``pybe``, ``unitarity`` and ``dims`` never load them.
 """
 
 from __future__ import annotations
@@ -26,19 +28,7 @@ from .rmatrix import (
     check_unitarity,
     standard_sln_R,
 )
-from .wedge import degree_rank, derive_wedge_rules
-from .modealg import (
-    VARIANTS,
-    BudgetExceededError,
-    ExchangeRules,
-    ModeElement,
-    check_modeind,
-    check_moderel,
-    normal_form,
-    resolve_budget,
-    standard_rules,
-)
-from . import fock
+from .wedge import VARIANTS, degree_rank, derive_wedge_rules
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -102,6 +92,8 @@ def cmd_check(args) -> int:
     if kind in ("moderel", "modeind"):
         if args.i is None or args.j is None:
             raise ValueError("check %s needs --i and --j" % kind)
+        from .modealg import ExchangeRules, check_modeind, check_moderel
+
         check = check_moderel if kind == "moderel" else check_modeind
         ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules or "theorem21"))
         report = {"check": kind, "n": data.n, "i": args.i, "j": args.j, "pass": ok,
@@ -122,6 +114,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_nf(args) -> int:
+    from .modealg import ModeElement, normal_form, resolve_budget, standard_rules
+
     word = parse_word(args.expr)
     variant = args.rules or "theorem21"
     elem = ModeElement.from_word(args.n, word)
@@ -133,6 +127,9 @@ def cmd_nf(args) -> int:
 
 
 def cmd_heisenberg(args) -> int:
+    from . import fock
+    from .modealg import resolve_budget
+
     i, j, n = args.i, args.j, args.n
     log = [] if args.log_pruned else None
     scalar, state = fock.commutator_on_vacuum(i, j, n, budget=resolve_budget(args.budget),
@@ -167,6 +164,8 @@ def cmd_heisenberg(args) -> int:
 
 
 def cmd_lemma33(args) -> int:
+    from . import fock
+
     n = args.n
     engine = fock.lemma33_coefficient(n)
     second = fock.lemma33_second_term(n)
@@ -256,15 +255,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
     except ParseError as exc:
         print("parse error at position %d: %s" % (exc.position, exc), file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        from .modealg import BudgetExceededError  # loaded already if it raised one
+
+        if not isinstance(exc, BudgetExceededError):
+            raise
+        print(str(exc), file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

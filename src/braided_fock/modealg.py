@@ -82,12 +82,10 @@ from operator import ge
 from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
-from .wedge import derive_wedge_rules
+from .wedge import VARIANTS, derive_wedge_rules
 
 DEFAULT_BUDGET = 10**7
 _DECIMAL = re.compile(r"[0-9]+")
-
-VARIANTS = ("theorem21", "gerv")
 
 
 class BudgetExceededError(RuntimeError):

@@ -145,12 +145,14 @@ def check_hecke(data: HeckeData) -> CheckResult:
 def check_braid(data: HeckeData) -> CheckResult:
     """Verify (PR)_12 (PR)_23 (PR)_12 = (PR)_23 (PR)_12 (PR)_23 on three legs.
 
-    The sides are compared on integer images (``integer_images``).
+    The sides are compared on integer images (``integer_images``), as
+    (ab) a and b (ab): three compositions, exact by associativity.
     """
     (pr,), decode = integer_images([data.PR()], 3)
     a = embed(pr, [1, 2], 3)
     b = embed(pr, [2, 3], 3)
-    lhs, rhs = a @ b @ a, b @ a @ b
+    ab = a @ b
+    lhs, rhs = ab @ a, b @ ab
     ok = lhs == rhs
     return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(
         lhs - rhs, lambda c: str(decode(c))))

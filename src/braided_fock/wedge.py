@@ -20,6 +20,10 @@ from .coeff import LaurentPoly, LinearCombination
 from .rmatrix import HeckeData, braided_integer, braided_integer_bar
 from .tensor import TensorOp
 
+# rule variants of the multi-mode exchange algebra built on these swap rules
+# (``modealg.ExchangeRules``); kept here so the CLI offers them without modealg
+VARIANTS = ("theorem21", "gerv")
+
 
 class NonPBWInputError(ValueError):
     """The degree-2 relations of the input do not reduce to monomial swap rules."""

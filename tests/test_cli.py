@@ -385,17 +385,106 @@ def test_console_script_runs():
     assert proc.returncode == 0 and "pass" in proc.stdout
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # both cost import time and memory in every fresh process
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's package; returns (stdout, stderr)."""
     import os
 
     import braided_fock
 
     src = os.path.dirname(os.path.dirname(braided_fock.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, braided_fock; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout, proc.stderr
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost import time and memory in every fresh process
+    out, _ = _fresh_python("-c", "import sys, braided_fock; "
+                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
+# ---- layers load on first use ---------------------------------------------------
+
+# every name the package exported when it imported all layers eagerly
+EXPORTS = {
+    "coeff": ["LaurentPoly", "PolyQZW", "braided_int_scalar"],
+    "tensor": ["LaurentInversionError", "SingularOperatorError", "TensorOp", "embed", "invert",
+               "permutation_P"],
+    "rmatrix": ["CheckResult", "HeckeData", "admissible_samples", "braided_integer",
+                "braided_integer_bar", "check_braid", "check_hecke", "check_pybe",
+                "check_unitarity", "hecke_PR_inverse", "interval_product",
+                "interval_product_bar", "standard_sln_R"],
+    "wedge": ["NonPBWInputError", "SwapRuleTable", "WedgeElement", "braided_partial",
+              "degree_rank", "derive_wedge_rules", "top_form", "wedge_normal_form"],
+    "modealg": ["BudgetExceededError", "ExchangeRules", "ModeElement", "check_modeanticom",
+                "check_modeind", "check_moderel", "gerv_normal_form", "normal_form",
+                "normal_form_stats", "r_anticommutator", "standard_rules"],
+    "fock": ["FockState", "apply_b", "commutator_on_vacuum", "heisenberg_matches",
+             "lemma33_closed_form", "lemma33_coefficient", "lemma33_second_term",
+             "lemma33_second_term_expected", "multiply_left", "scalar_part", "translate",
+             "vacuum"],
+}
+
+
+def _layers_loaded(module_names):
+    return sorted(m.split(".")[1] for m in module_names if m.startswith("braided_fock."))
+
+
+def test_rmatrix_check_loads_neither_modealg_nor_fock():
+    out, _ = _fresh_python("-c", "import sys, braided_fock as bf; "
+                           "assert bf.check_pybe(bf.standard_sln_R(3)).passed; "
+                           "print(' '.join(sys.modules))")
+    loaded = _layers_loaded(out.split())
+    assert "rmatrix" in loaded
+    assert "modealg" not in loaded and "fock" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["check", "hecke", "--n", "2"], ["dims", "--n", "2"]])
+def test_cli_without_modes_loads_neither_modealg_nor_fock(argv):
+    # runs the module as ``python -m braided_fock.cli`` does, then lists the
+    # loaded modules at exit on stderr
+    out, err = _fresh_python(
+        "-c", "import atexit, runpy, sys; "
+        "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr)); "
+        "sys.argv[1:] = %r; runpy.run_module('braided_fock.cli', run_name='__main__')" % argv)
+    assert out.rstrip().endswith("n=2: pass")
+    assert _layers_loaded(err.split()) == ["coeff", "rmatrix", "tensor", "wedge"]
+
+
+def test_exports_resolve_to_their_layers_and_star_import_binds_them():
+    import importlib
+
+    import braided_fock
+
+    assert sum(len(names) for names in EXPORTS.values()) == 53
+    star = {}
+    exec("from braided_fock import *", star)
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module("braided_fock." + layer)
+        for name in names:
+            assert getattr(braided_fock, name) is getattr(module, name), name
+            assert star[name] is getattr(module, name), name
+            assert name in dir(braided_fock)
+
+
+def test_first_use_binds_all_names_of_its_layer_only():
+    out, _ = _fresh_python("-c", "import braided_fock as bf; "
+                           "before = set(vars(bf)); bf.embed; "
+                           "print(' '.join(sorted(set(vars(bf)) - before)))")
+    assert out.split() == sorted(EXPORTS["tensor"] + ["coeff", "tensor"])
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    import types
+
+    import braided_fock
+
+    with pytest.raises(AttributeError) as plain:
+        types.ModuleType("braided_fock").no_such_name
+    with pytest.raises(AttributeError) as err:
+        braided_fock.no_such_name
+    assert str(err.value) == str(plain.value)
+    assert str(err.value) == "module 'braided_fock' has no attribute 'no_such_name'"
+    assert not hasattr(braided_fock, "_no_such_private_name")
