@@ -11,7 +11,7 @@ then binds all of that layer's names here; so ``check_pybe`` never loads the
 Fock engine.
 """
 
-import importlib
+from importlib import import_module as _import_module
 
 # layer -> the names it exports here
 _LAYERS = {
@@ -44,10 +44,12 @@ def __getattr__(name):
     layer = _LAYER_OF.get(name)
     if layer is None:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    module = importlib.import_module("." + layer, __name__)
+    module = _import_module("." + layer, __name__)
     globals().update((n, getattr(module, n)) for n in _LAYERS[layer])
     return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    # what the eager package listed: its module dunders, __version__, the layers and their names
+    own = {"__all__", "__getattr__", "__dir__"}
+    return sorted({n for n in globals() if n[:2] == "__" and n not in own} | set(__all__))

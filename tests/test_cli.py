@@ -398,13 +398,6 @@ def _fresh_python(*args):
     return proc.stdout, proc.stderr
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # both cost import time and memory in every fresh process
-    out, _ = _fresh_python("-c", "import sys, braided_fock; "
-                           "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    assert out.strip() == "[]"
-
-
 # ---- layers load on first use ---------------------------------------------------
 
 # every name the package exported when it imported all layers eagerly
@@ -430,6 +423,16 @@ EXPORTS = {
 
 def _layers_loaded(module_names):
     return sorted(m.split(".")[1] for m in module_names if m.startswith("braided_fock."))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost import time and memory in every fresh process; ``import *``
+    # loads every layer, which plain ``import braided_fock`` no longer does
+    out, _ = _fresh_python("-c", "import sys; from braided_fock import *; "
+                           "print(' '.join(sorted(sys.modules)))")
+    loaded = out.split()
+    assert _layers_loaded(loaded) == sorted(EXPORTS)
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_rmatrix_check_loads_neither_modealg_nor_fock():
@@ -466,7 +469,19 @@ def test_exports_resolve_to_their_layers_and_star_import_binds_them():
         for name in names:
             assert getattr(braided_fock, name) is getattr(module, name), name
             assert star[name] is getattr(module, name), name
-            assert name in dir(braided_fock)
+
+
+def test_dir_lists_what_the_eager_package_listed():
+    out, _ = _fresh_python("-c", "import braided_fock as bf; before = dir(bf); "
+                           "from braided_fock import *; print(before == dir(bf)); "
+                           "print(' '.join(before))")
+    same, listed = out.splitlines()
+    assert same == "True"
+    listed = listed.split()
+    exported = sorted(name for layer, names in EXPORTS.items() for name in (layer, *names))
+    assert [name for name in listed if not name.startswith("__")] == exported
+    assert "__version__" in listed
+    assert not {"__all__", "__getattr__", "__dir__"} & set(listed)
 
 
 def test_first_use_binds_all_names_of_its_layer_only():
