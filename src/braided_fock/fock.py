@@ -56,6 +56,8 @@ class FockState:
             for cfg, c in terms.items():
                 cols = {strict_int(m, "mode"): tuple([strict_int(a, "index") for a in ix])
                         for m, ix in cfg if len(ix)}
+                if len({m for m, _ in cfg}) < len(cfg):
+                    raise ValueError("configuration %r lists a mode twice" % (cfg,))
                 if not c:
                     continue
                 for ix in cols.values():

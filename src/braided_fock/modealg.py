@@ -24,11 +24,18 @@ bounds chain lengths and sizes budgets.  The rewrite budget guards the
 length of sequential rewrite chains; exceeding it raises with the offending
 word and how far the reduction got.
 
-Inside a reduction a generator (m, a) is coded as the int -(m(n+1) + a),
-which reverses the generator order, so the smallest coded word on the heap
-is the lexicographically largest word.  Popping largest first, every word
-is expanded once, after all of its parents, with its final coefficient and
-depth.
+A generator (m, a) is coded as the int x = m(n+1) + a.  The rules depend on
+the mode gap and the two indices only, so ``ExchangeRules`` keeps one table
+of pair rewrites for both engines, keyed on (x1 - x2, x2 mod (n+1)) for a
+pair x1 x2, with each child y1 y2 stored as the offsets (y1 - x2, y2 - x2).
+Translated pairs share an entry, and each entry is built once per rules
+object.
+
+The heap engine codes a generator as -x instead, which reverses the
+generator order, so the smallest coded word on the heap is the
+lexicographically largest word, and it subtracts the offsets.  Popping
+largest first, every word is expanded once, after all of its parents, with
+its final coefficient and depth.
 
 A word holding a zero factor is never queued: an input word whose maximal
 same-mode run repeats a generator (that run is 0 in one mode's quantum
@@ -38,19 +45,10 @@ word early is exact because the system is confluent (Bergman's diamond
 lemma; the acceptance suite checks every 3-letter overlap), so the normal
 form of a word does not depend on which rewrite reaches its zero factor.
 
-The coded rewrites of each pair live on the ``ExchangeRules`` object, next
-to the ``cross_expansion`` cache, so each is built once per rules object.
-The rules depend on the mode gap and the two indices only, so the keys are
-translation invariant: the heap engine keys a pair c1 c2 on (c1 - c2,
-c2 mod (n+1)) and stores its children as offsets from c2; the insertion
-engine keys on its translated pair.  Building an entry multiplies no
-coefficient.
-
-Each pending word carries its bad pair.  A child differs from its parent at
-p, p+1 only.  Under the leftmost strategy every pair before p is good, so
-the child's bad pair is at p-1, p or p+1, or else it is the parent's first
-bad pair at p+2 or later, found once per parent and only when needed
-(mirrored for rightmost).
+A child differs from its parent at p, p+1 only, so of its pairs only those
+at p-1, p and p+1 can differ from the parent's.  Under the leftmost strategy
+every pair before p is good, so the child's bad pair is the first from p-1
+on (mirrored for rightmost): each new child is scanned from there.
 
 ``strategy="insertion"`` multiplies a generator into a normal word instead,
 the multiplication-table technique of Plural for G-algebras.  For a normal
@@ -193,11 +191,9 @@ class ExchangeRules:
         self.q = data.q
         self.q_inv = qinv
         self.qm2_minus_1 = qinv * qinv - LaurentPoly.one()
-        self._expansions = {}
-        # coded pair rewrites of the heap and insertion engines, keyed so that
-        # translated pairs share an entry; filled on first use
-        self.heap_pairs = {}
-        self.insertion_pairs = {}
+        # the coded pair rewrites of both normal-form engines, keyed so that
+        # translated pairs share an entry; filled on first use by pair_rule
+        self.pairs = {}
 
     def cross_expansion(self, gap: int, a: int, b: int):
         """Rewrite data for theta^(i)_a theta^(j)_b with i - j = gap > 0.
@@ -205,10 +201,6 @@ class ExchangeRules:
         Returns tuples (dm1, dm2, c, d, coeff): the rewritten pair is
         theta^(j+dm1)_c theta^(j+dm2)_d with the given coefficient.
         """
-        key = (gap, a, b)
-        cached = self._expansions.get(key)
-        if cached is not None:
-            return cached
         out = []
         for (c, d), coeff in self.pbold_cols.get((a, b), ()):
             out.append((0, gap, c, d, coeff))
@@ -227,9 +219,25 @@ class ExchangeRules:
                 else:
                     for (c, d), coeff in self.plus_pbold_cols.get((a, b), ()):
                         out.append((s, gap - s, c, d, coeff * f))
-        out = tuple(out)
-        self._expansions[key] = out
         return out
+
+    def pair_rule(self, key):
+        """Build the rewrites of a bad coded pair x1 x2 and store them under ``key``.
+
+        ``key`` is (x1 - x2, x2 mod (n+1)) for the codes x = m(n+1) + a of
+        the pair; the rule is a list of (y1 - x2, y2 - x2, coeff) with
+        x1 x2 = sum coeff y1 y2.  The engines call it when ``pairs`` misses.
+        """
+        base = self.n + 1
+        b = key[1]
+        gap, a = divmod(key[0] + b, base)
+        if gap:
+            moves = self.cross_expansion(gap, a, b)
+        else:
+            moves = [(0, 0, b, a, self.swap.coeff[(a, b)])] if a != b else []
+        rule = self.pairs[key] = [(dm1 * base + c - b, dm2 * base + d - b, coeff)
+                                  for dm1, dm2, c, d, coeff in moves]
+        return rule
 
 
 @lru_cache(maxsize=None)
@@ -258,64 +266,36 @@ def word_measure(word):
     return mu, nu
 
 
-def _pair_rewrites(g1, g2, rules: ExchangeRules):
-    """Rewrites of the bad pair g1 g2: (h1, h2, coeff) with g1 g2 = sum coeff h1 h2."""
-    (m1, a1), (m2, a2) = g1, g2
-    if m1 == m2:
-        if a1 == a2:
-            return []
-        return [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
-    return [((m2 + dm1, c), (m2 + dm2, d), coeff)
-            for dm1, dm2, c, d, coeff in rules.cross_expansion(m1 - m2, a1, a2)]
-
-
-def _encode(g, base):
-    """The int code of generator g = (m, a) for base n + 1; codes reverse the order."""
-    return -(g[0] * base + g[1])
-
-
 def _decode(code, base):
     return tuple([divmod(-c, base) for c in code])
 
 
 def _bad_pair(code, strategy, lo=0, hi=None):
-    """First bad pair of a coded word in strategy order among (t, t+1), lo <= t < hi."""
-    rng = range(lo, len(code) - 1 if hi is None else hi)
+    """First bad pair (t, t+1) of a coded word in strategy order, or None.
+
+    The pairs on the strategy's near side of lo <= t < hi are known to be
+    good and are skipped: leftmost scans up from lo, rightmost down from hi - 1.
+    """
+    last = len(code) - 1
     if strategy == "rightmost":
-        rng = reversed(rng)
-    for p in rng:
-        if code[p] <= code[p + 1]:
-            return p
+        t = last if hi is None or hi > last else hi
+        while t > 0:
+            t -= 1
+            if code[t] <= code[t + 1]:
+                return t
+        return None
+    t = lo if lo > 0 else 0
+    while t < last:
+        if code[t] <= code[t + 1]:
+            return t
+        t += 1
     return None
 
 
-def _local_bad_pair(code, p, d1, d2, strategy):
-    """Bad pair among the three pairs of a child that touch positions p, p+1.
-
-    ``code`` is the parent, whose pair at p is replaced by d1, d2 in the child.
-    """
-    before = p > 0 and code[p - 1] <= d1
-    after = p + 2 < len(code) and d2 <= code[p + 2]
-    if strategy == "rightmost":
-        return p + 1 if after else p if d1 <= d2 else p - 1 if before else None
-    return p - 1 if before else p if d1 <= d2 else p + 1 if after else None
-
-
-def _shared_bad_pair(code, p, strategy):
-    """The bad pair a child of ``code`` rewritten at p shares with its parent.
-
-    p is the parent's bad pair in strategy order, so every pair on its near
-    side is good; of the far side, only pairs clear of p, p+1 are shared.
-    """
-    if strategy == "rightmost":
-        return _bad_pair(code, strategy, 0, p - 1)
-    return _bad_pair(code, strategy, p + 2)
-
-
 def check_indices(word, n):
-    """Reject a word with a mode or index that is not an int, or an index outside 1..n."""
+    """Reject a word with a generator that is not a pair of ints, or an index outside 1..n."""
     for g in word:
-        if type(g[0]) is not int or type(g[1]) is not int:
+        if type(g) is not tuple or len(g) != 2 or type(g[0]) is not int or type(g[1]) is not int:
             raise ValueError("generator %r is not a pair of ints in %r" % (g, word))
         if not 1 <= g[1] <= n:
             raise ValueError("generator index %d outside 1..%d in %r" % (g[1], n, word))
@@ -374,14 +354,14 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
         return _insertion_normal_form(x, rules, budget)
     base = rules.n + 1
     heappush, heappop = heapq.heappush, heapq.heappop
-    table = rules.heap_pairs
+    table = rules.pairs
     done = {}
     pending = {}
     heap = []
 
     for word, coeff in x.terms.items():
         check_indices(word, rules.n)
-        code = tuple([_encode(g, base) for g in word])
+        code = tuple([-(m * base + a) for m, a in word])
         p = _bad_pair(code, strategy)
         if p is None:
             done[code] = coeff
@@ -403,22 +383,18 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
         if depth > stats.depth:
             stats.depth = depth
         c1, c2 = code[p], code[p + 1]
-        # the rules depend on the mode gap and the two indices only
-        key = (c1 - c2, c2 % base)
+        # the codes here are -x, so the key is (x1 - x2, x2 mod base)
+        key = (c2 - c1, -c2 % base)
         rule = table.get(key)
         if rule is None:
-            # children as offsets from c2, leaving out those of the form g g
-            g1, g2 = _decode((c1, c2), base)
-            rule = table[key] = [(_encode(h1, base) - c2, _encode(h2, base) - c2, c)
-                                 for h1, h2, c in _pair_rewrites(g1, g2, rules) if h1 != h2]
+            rule = rules.pair_rule(key)
         head, tail = code[:p], code[p + 2:]
-        # a child repeating its neighbour's generator holds theta_a theta_a = 0
+        # a child g g, or one repeating a neighbour's generator, holds theta_a theta_a = 0
         left = code[p - 1] if p else None
         right = tail[0] if tail else None
-        shared = None
         for o1, o2, c in rule:
-            d1, d2 = c2 + o1, c2 + o2
-            if d1 == left or d2 == right:
+            d1, d2 = c2 - o1, c2 - o2
+            if d1 == d2 or d1 == left or d2 == right:
                 continue
             cc = coeff * c
             if not cc:
@@ -430,11 +406,8 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
                 if depth > cur[1]:
                     cur[1] = depth
                 continue
-            cp = _local_bad_pair(code, p, d1, d2, strategy)
-            if cp is None:
-                if shared is None:
-                    shared = (_shared_bad_pair(code, p, strategy),)
-                cp = shared[0]
+            # of the child's pairs only those at p-1..p+1 differ from the parent's
+            cp = _bad_pair(child, strategy, p - 1, p + 2)
             if cp is None:
                 add_term(done, child, cc)
                 continue
@@ -455,7 +428,7 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
     base = rules.n + 1
     low = 256 // base - 1
     one = LaurentPoly.one()
-    rewrites = rules.insertion_pairs
+    table = rules.pairs
     memo = {}
     frames = []  # the translation of each open miss, outermost first
     stats = ReductionStats()
@@ -481,13 +454,14 @@ def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
             frames.append(s)
             stats.expansions += 1
             stats.depth = max(stats.depth, len(frames))
-            rule = rewrites.get(key[:2])
+            h = key[1]
+            pair = (key[0] - h, h % base)
+            rule = table.get(pair)
             if rule is None:
-                g1, g2 = divmod(key[0], base), divmod(key[1], base)
-                rule = rewrites[key[:2]] = [(h1[0] * base + h1[1], h2[0] * base + h2[1], c)
-                                            for h1, h2, c in _pair_rewrites(g1, g2, rules)]
+                rule = rules.pair_rule(pair)
             acc = {}
-            for d1, d2, c in rule:
+            for o1, o2, c in rule:
+                d1, d2 = h + o1, h + o2
                 for u, cu in insert(d2, key[2:]):
                     cu = c if cu is one else c * cu
                     for v, cv in insert(d1, u):

@@ -177,35 +177,35 @@ def check_pybe(data: HeckeData) -> CheckResult:
     identically, so this is equivalent to the identity for R(z/w), R(z), R(w).
 
     Each factor is encoded straight into Z[q, q^-1] from R and R_21^-1: the
-    images of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with
-    (z_e, w_e) = (M, 1), (M, 0) and (1, 0) (``kronecker_encode``).  S has
-    z-degree z_max = 1 when R_21^-1 is nonzero and w-degree w_max = 1 when R
-    is, and M = 1 + 2 max(z_max, w_max): on each side the z-degrees sum to at
-    most 2 z_max (S(z, w) and S(z, 1)) and the w-degrees to at most
-    w_max + z_max (S(z, w) and S(w, 1)), both below M, where the (M, 1)
-    encoding is injective.  So the sides are equal exactly when their images
-    are.  ``invert`` rejects a singular R, and an invertible R and its inverse
-    are both nonzero, so z_max = w_max = 1 and M = 3 for every R that gets
-    this far; the report still carries both degrees.  The three factors are
-    then mapped to integers (``integer_images``) and composed there.  A
-    failure's witness is decoded back to q and then to q, z and w.
+    images of S under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e) with M =
+    ``KRONECKER_M`` and (z_e, w_e) = (M, 1), (M, 0) and (1, 0)
+    (``kronecker_encode``).  S has z-degree z_max = 1 when R_21^-1 is
+    nonzero and w-degree w_max = 1 when R is; ``invert`` rejects a singular
+    R, and an invertible R and its inverse are both nonzero, so z_max =
+    w_max = 1 for every R that gets this far, and the report carries both.
+    On each side the z-degrees sum to at most 2 (S(z, w) and S(z, 1)) and
+    the w-degrees to at most 2 (S(z, w) and S(w, 1)), both below M = 3,
+    where the (M, 1) encoding is injective.  So the sides are equal exactly
+    when their images are.  The three factors are then mapped to integers
+    (``integer_images``) and composed there.  A failure's witness is decoded
+    back to q and then to q, z and w.
     """
     R, r21_inv = data.R, invert(data.R).swapped_legs()
     degs = _laurent_degrees(R, r21_inv)
-    degs["z_max"], degs["w_max"] = int(bool(r21_inv.entries)), int(bool(R.entries))
-    M = 1 + 2 * max(degs["z_max"], degs["w_max"])
+    degs["z_max"] = degs["w_max"] = 1
+    M = KRONECKER_M
     zero = LaurentPoly.zero()
     pairs = {k: (R.entries.get(k, zero), r21_inv.entries.get(k, zero))
              for k in R.entries.keys() | r21_inv.entries.keys()}
     weights = ((M, 1), (M, 0), (1, 0))
     factors, decode = integer_images(
-        [TensorOp(data.n, 2, {k: kronecker_encode(r, s, M, z_e, w_e)
+        [TensorOp(data.n, 2, {k: kronecker_encode(r, s, z_e, w_e)
                               for k, (r, s) in pairs.items()}) for z_e, w_e in weights], 3)
     a12, a13, a23 = [embed(f, legs, 3) for f, legs in zip(factors, ([1, 2], [1, 3], [2, 3]))]
     lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
     ok = lhs == rhs
     witness = None if ok else _first_entry_witness(
-        lhs - rhs, lambda c: str(kronecker_decode(decode(c), M)))
+        lhs - rhs, lambda c: str(kronecker_decode(decode(c))))
     return CheckResult("pybe", data.n, ok, witness, degs)
 
 
@@ -272,26 +272,31 @@ def integer_images(factors, u: int):
     return images, decode
 
 
-def kronecker_encode(r: LaurentPoly, s: LaurentPoly, M: int, z_e: int, w_e: int) -> LaurentPoly:
+# the base M of the Kronecker encoding, for z- and w-degrees up to 2 (``check_pybe``)
+KRONECKER_M = 3
+
+
+def kronecker_encode(r: LaurentPoly, s: LaurentPoly, z_e: int, w_e: int) -> LaurentPoly:
     """The image of w r - z s under q^a z^b w^c -> q^(a M^2 + b z_e + c w_e).
 
-    ``r`` and ``s`` are the entries of R and R_21^-1 at one position.  With
-    (z_e, w_e) = (M, 1) this is the encoding ``kronecker_decode`` inverts;
+    ``r`` and ``s`` are the entries of R and R_21^-1 at one position, and M
+    is ``KRONECKER_M``.  With (z_e, w_e) = (M, 1) this is the encoding
+    ``kronecker_decode`` inverts;
     other weights can merge terms, which are summed.
     """
-    out = {}
+    out, step = {}, KRONECKER_M * KRONECKER_M
     for p, sign, e in ((r, 1, w_e), (s, -1, z_e)):
         for a, v in p.terms.items():
-            add_term(out, a * M * M + e, sign * v)
+            add_term(out, a * step + e, sign * v)
     return LaurentPoly(out)
 
 
-def kronecker_decode(p: LaurentPoly, M: int) -> PolyQZW:
-    """The preimage of ``p`` with z- and w-degrees in 0..M-1."""
+def kronecker_decode(p: LaurentPoly) -> PolyQZW:
+    """The preimage of ``p`` with z- and w-degrees in 0..M-1, M = ``KRONECKER_M``."""
     out = {}
     for e, v in p.terms.items():
-        qz, wd = divmod(e, M)
-        out[divmod(qz, M) + (wd,)] = v
+        qz, wd = divmod(e, KRONECKER_M)
+        out[divmod(qz, KRONECKER_M) + (wd,)] = v
     return PolyQZW(out)
 
 

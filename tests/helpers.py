@@ -214,12 +214,24 @@ def reference_apply_b(i, s, rules, prune=True):
     return out
 
 
+def reference_pair_rewrites(rules, g1, g2):
+    """(h1, h2, coeff) with g1 g2 = sum coeff h1 h2, for a bad pair g1 >= g2.
+
+    Reads only the rule data, ``rules.swap`` and ``rules.cross_expansion``.
+    """
+    (m1, a1), (m2, a2) = g1, g2
+    if m1 == m2:
+        return [] if a1 == a2 else [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
+    return [((m2 + dm1, c), (m2 + dm2, d), k)
+            for dm1, dm2, c, d, k in rules.cross_expansion(m1 - m2, a1, a2)]
+
+
 def reference_normal_form(x, rules):
     """Normal form by plain recursive leftmost rewriting, memoised per word.
 
     Works on (mode, index) words directly: no heap, no coding of words and
-    no state carried between words.  Reads only the rule data,
-    ``rules.swap`` and ``rules.cross_expansion``.
+    no state carried between words.  Reads only the rule data, through
+    ``reference_pair_rewrites``.
     """
     from braided_fock.modealg import ModeElement
 
@@ -239,14 +251,8 @@ def reference_normal_form(x, rules):
         if p is None:
             memo[word] = {word: 1}
             return memo[word]
-        (m1, a1), (m2, a2) = word[p], word[p + 1]
-        if m1 == m2:
-            pairs = [] if a1 == a2 else [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
-        else:
-            pairs = [((m2 + dm1, c), (m2 + dm2, d), k)
-                     for dm1, dm2, c, d, k in rules.cross_expansion(m1 - m2, a1, a2)]
         out = {}
-        for h1, h2, k in pairs:
+        for h1, h2, k in reference_pair_rewrites(rules, word[p], word[p + 1]):
             for w, c in reduce(word[:p] + (h1, h2) + word[p + 2:]).items():
                 accumulate(out, w, k * c)
         memo[word] = out

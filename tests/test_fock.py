@@ -102,6 +102,13 @@ class TestStateBasics:
         with pytest.raises(ValueError, match=match):
             FockState(n, tail_start, {cfg: ONE})
 
+    @pytest.mark.parametrize("cfg", [((0, (1,)), (0, (2,))), ((0, (1,)), (0, ())),
+                                     ((-1, (1,)), (0, (2,)), (-1, (1,)))])
+    def test_constructor_rejects_repeated_mode(self, cfg):
+        # the last column listed for a mode used to replace the others
+        with pytest.raises(ValueError, match="lists a mode twice"):
+            FockState(2, 1, {cfg: ONE})
+
     def test_json_rejects_duplicate_terms(self):
         term = {"coeff": {"0": 1}, "columns": {"0": [1]}}
         with pytest.raises(ValueError, match="duplicate term"):

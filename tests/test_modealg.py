@@ -26,7 +26,7 @@ from braided_fock.modealg import (
 )
 from braided_fock.rmatrix import standard_sln_R
 from braided_fock.wedge import wedge_normal_form
-from helpers import reference_normal_form
+from helpers import reference_normal_form, reference_pair_rewrites
 
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
@@ -204,6 +204,27 @@ class TestGervVariant:
                     x = normal_form(r_anticommutator(rules, (gap, a), (0, b)), rules)
                     assert not x
 
+    # Negative controls for the mode checks.  These are results of this
+    # code, measured on the grid below, not statements of the paper: under
+    # gerv rules the exchange relation holds exactly at gap i - j = 1, where
+    # the correction terms are empty, and the one-step recursion fails at
+    # every gap of 2 or more.
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_moderel_holds_exactly_at_gap_one(self, n):
+        rules = standard_rules(n, "gerv")
+        for i in range(-1, 4):
+            for j in range(-1, 3):
+                if i > j:
+                    assert check_moderel(i, j, n, rules) == (i - j == 1), (i, j)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_modeind_fails_at_every_gap(self, n):
+        rules = standard_rules(n, "gerv")
+        for i in range(-1, 4):
+            for j in range(-1, 3):
+                if i - j >= 2:
+                    assert not check_modeind(i, j, n, rules), (i, j)
+
     def test_same_mode_agrees_with_full_rules(self):
         full = standard_rules(2)
         gerv = standard_rules(2, "gerv")
@@ -274,11 +295,19 @@ def _first_bad_pair(word, strategy):
     return next((t for t in rng if word[t] >= word[t + 1]), None)
 
 
-def test_measure_decreases_along_rewrites():
-    # spot check: rewrites of a bad pair strictly lower (mu, nu), and each
-    # child is lexicographically smaller than its parent
-    from braided_fock.modealg import _pair_rewrites
+def _table_rewrites(rules, g1, g2):
+    """The entry of the coded pair table for g1 g2, decoded to (h1, h2, coeff)."""
+    base = rules.n + 1
+    x1, x2 = g1[0] * base + g1[1], g2[0] * base + g2[1]
+    key = (x1 - x2, x2 % base)
+    rule = rules.pairs[key] if key in rules.pairs else rules.pair_rule(key)
+    return [(divmod(x2 + o1, base), divmod(x2 + o2, base), c) for o1, o2, c in rule]
 
+
+def test_measure_decreases_along_rewrites():
+    # spot check: the coded table holds the rule data's rewrites of a bad
+    # pair, each strictly lowers (mu, nu), and each child is
+    # lexicographically smaller than its parent
     rng = random.Random(53)
     for variant in VARIANTS:
         rules = standard_rules(3, variant)
@@ -288,7 +317,9 @@ def test_measure_decreases_along_rewrites():
             if p is None:
                 continue
             m = word_measure(w)
-            for h1, h2, _ in _pair_rewrites(w[p], w[p + 1], rules):
+            rewrites = _table_rewrites(rules, w[p], w[p + 1])
+            assert rewrites == reference_pair_rewrites(rules, w[p], w[p + 1])
+            for h1, h2, _ in rewrites:
                 child = w[:p] + (h1, h2) + w[p + 2:]
                 assert word_measure(child) < m
                 assert child < w
@@ -464,6 +495,22 @@ class TestIndexValidation:
             normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
         assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, word)
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
+    @pytest.mark.parametrize("bad", [(0, 1, 9), (0,), (), 5])
+    def test_generator_not_a_pair_rejected(self, bad, strategy):
+        # (0, 1, 9) used to be read as (0, 1), and (0,) to raise IndexError
+        word = ((1, 2), bad)
+        with pytest.raises(ValueError) as err:
+            normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
+        assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, word)
+
+    @pytest.mark.parametrize("bad", [(0, 1, 9), (0,)])
+    def test_multiply_left_rejects_generator_not_a_pair(self, bad):
+        from braided_fock.fock import multiply_left, vacuum
+
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            multiply_left(ModeElement.from_word(2, ((1, 2), bad)), vacuum(2, 0))
+
     def test_insertion_names_the_first_bad_word(self):
         # generators are checked once per call, but the message is the heap
         # engine's: the first word holding a bad index, and that index
@@ -589,24 +636,40 @@ def test_zero_run_word_takes_no_expansion(strategy):
     assert not out and stats.expansions == 0 and stats.depth == 0
 
 
+class _ReadLog(dict):
+    """A pair table that logs each lookup and the entry it found, or None."""
+
+    def get(self, key, default=None):
+        out = dict.get(self, key, default)
+        self.reads.append((key, out))
+        return out
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pair_table_filled_once_per_rules_object(variant):
     rules = ExchangeRules(standard_sln_R(3), variant)
-    assert not rules.heap_pairs and not rules.insertion_pairs
+    assert not rules.pairs
+    rules.pairs = table = _ReadLog()
     rng = random.Random(83)
     words = [rand_word(rng, 3, max_len=6, mode_span=3) for _ in range(40)]
     x = ModeElement(3, {w: ONE for w in words})
-    for strategy in ("leftmost", "rightmost", "insertion"):
+    table.reads = []
+    for strategy in ("leftmost", "rightmost"):
         normal_form(x, rules, strategy)
-    tables = {"heap": dict(rules.heap_pairs), "insertion": dict(rules.insertion_pairs)}
-    assert tables["heap"] and tables["insertion"]
+    heap = {k: table[k] for k, _ in table.reads}
+    table.reads = []
+    normal_form(x, rules, "insertion")
+    # the insertion engine finds the heap engine's entries, the same objects
+    shared = [(k, v) for k, v in table.reads if k in heap]
+    assert heap and shared
+    assert all(v is heap[k] for k, v in shared)
     # the gaps seen bound the table; translated words and later calls reuse
     # the same entries and add none
+    seen = dict(table)
     for d in (1, -5, 9):
         for strategy in ("leftmost", "rightmost", "insertion"):
             normal_form(translate_element(d, x), rules, strategy)
-    for name, table in (("heap", rules.heap_pairs), ("insertion", rules.insertion_pairs)):
-        assert table.keys() == tables[name].keys(), name
-        assert all(table[k] is v for k, v in tables[name].items()), name
-    # another rules object starts with its own tables
-    assert not ExchangeRules(standard_sln_R(3), variant).heap_pairs
+    assert table.keys() == seen.keys()
+    assert all(table[k] is v for k, v in seen.items())
+    # another rules object starts with its own, empty table
+    assert not ExchangeRules(standard_sln_R(3), variant).pairs

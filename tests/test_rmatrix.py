@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from braided_fock import rmatrix
 from braided_fock.coeff import LaurentPoly, PolyQZW
 from braided_fock.rmatrix import (
+    KRONECKER_M,
     HeckeData,
     admissible_samples,
     braided_integer,
@@ -190,37 +191,32 @@ _LAURENT = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3).filter(bool),
 _PAIR = st.tuples(_LAURENT, _LAURENT)
 
 
-def _pybe_base(*pairs):
-    """M as check_pybe takes it: 1 + 2 max(z_max, w_max) over the pairs."""
-    return 1 + 2 * any(p for pair in pairs for p in pair)
-
-
 class TestKronecker:
     @settings(max_examples=200, deadline=None)
     @given(f=_PAIR, g=_PAIR, h=_PAIR)
     def test_product_round_trip(self, f, g, h):
         # the factors encoded as S(z,w), S(z,1), S(w,1) multiply to the
         # encoding of f(z,w) g(z,1) h(w,1)
-        M = _pybe_base(f, g, h)
-        enc = (kronecker_encode(*f, M, M, 1) * kronecker_encode(*g, M, M, 0)
-               * kronecker_encode(*h, M, 1, 0))
+        M = KRONECKER_M
+        enc = (kronecker_encode(*f, M, 1) * kronecker_encode(*g, M, 0)
+               * kronecker_encode(*h, 1, 0))
         prod = (reference_S_entry(*f) * reference_substitute(reference_S_entry(*g), Z, 1)
                 * reference_substitute(reference_S_entry(*h), W, 1))
-        assert kronecker_decode(enc, M) == prod
+        assert kronecker_decode(enc) == prod
 
     @settings(max_examples=100, deadline=None)
     @given(f=_PAIR)
     def test_weights_are_substitutions(self, f):
-        M = _pybe_base(f)
+        M = KRONECKER_M
         S = reference_S_entry(*f)
-        assert kronecker_decode(kronecker_encode(*f, M, M, 1), M) == S
-        assert kronecker_decode(kronecker_encode(*f, M, M, 0), M) == reference_substitute(S, Z, 1)
-        assert kronecker_decode(kronecker_encode(*f, M, 1, 0), M) == reference_substitute(S, W, 1)
+        assert kronecker_decode(kronecker_encode(*f, M, 1)) == S
+        assert kronecker_decode(kronecker_encode(*f, M, 0)) == reference_substitute(S, Z, 1)
+        assert kronecker_decode(kronecker_encode(*f, 1, 0)) == reference_substitute(S, W, 1)
 
     def test_merged_terms_cancel(self):
         # w r - z r is 0 at z = w = 1 and must leave no zero term behind
         r = Q - LaurentPoly.q_power(-1)
-        assert kronecker_encode(r, r, 3, 0, 0).terms == {}
+        assert kronecker_encode(r, r, 0, 0).terms == {}
 
 
 _INDEX = st.tuples(st.integers(1, 2), st.integers(1, 2))
