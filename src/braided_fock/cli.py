@@ -7,8 +7,9 @@ Exit codes: 0 pass, 1 mathematical failure, 2 usage or parse error,
 ``nf`` and ``heisenberg`` take the rewrite budget from ``--budget``; without
 it, and for every other command, the environment variable
 BRAIDED_FOCK_BUDGET overrides the default.
-The handlers import ``modealg`` and ``fock`` themselves, so ``check hecke``,
-``ybe``, ``pybe``, ``unitarity`` and ``dims`` never load them.
+Each handler imports the layers it uses, so ``--help`` and usage errors load
+none, and ``check hecke``, ``ybe``, ``pybe``, ``unitarity`` and ``dims`` never
+load ``modealg`` or ``fock``.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ import argparse
 import json
 import re
 import sys
-
-from .tensor import TensorOp
-from .rmatrix import (
-    HeckeData,
-    admissible_samples,
-    check_braid,
-    check_hecke,
-    check_pybe,
-    check_unitarity,
-    standard_sln_R,
-)
-from .wedge import VARIANTS, degree_rank, derive_wedge_rules
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -61,7 +50,11 @@ def parse_word(text: str):
     return tuple(word)
 
 
-def _load_hecke(args) -> HeckeData:
+def _load_hecke(args):
+    """The ``HeckeData`` of ``--matrix``, else of the standard R at ``--n``."""
+    from .rmatrix import HeckeData, standard_sln_R
+    from .tensor import TensorOp
+
     if args.matrix:
         with open(args.matrix) as fh:
             obj = json.load(fh)
@@ -101,6 +94,8 @@ def cmd_check(args) -> int:
         _emit(args, report, ["%s i=%d j=%d n=%d: %s" % (kind, args.i, args.j, data.n,
                                                         "pass" if ok else "FAIL")])
         return EXIT_PASS if ok else EXIT_FAIL
+    from .rmatrix import admissible_samples, check_braid, check_hecke, check_pybe, check_unitarity
+
     if kind == "unitarity":
         res = check_unitarity(data, admissible_samples(5, args.seed or 0))
     else:
@@ -187,9 +182,12 @@ def cmd_lemma33(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from math import comb
+
+    from .wedge import degree_rank, derive_wedge_rules
+
     data = _load_hecke(args)
     table = derive_wedge_rules(data)
-    from math import comb
 
     rows = []
     ok = True
@@ -206,6 +204,10 @@ def cmd_dims(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+# ``wedge.VARIANTS``, spelled here so that building the parser loads no layer
+# (tests/test_cli.py checks that the two agree)
+_VARIANTS = ("theorem21", "gerv")
+
 # every option, in the order a subcommand's usage line lists them
 _OPTIONS = {
     "--matrix": dict(help="JSON operator file with a user-supplied R"),
@@ -216,7 +218,7 @@ _OPTIONS = {
     "--output": dict(choices=("text", "json"), default="text"),
     "--seed": dict(type=int, default=None),
     "--budget": dict(type=int, default=None),
-    "--rules": dict(choices=VARIANTS, default=None),
+    "--rules": dict(choices=_VARIANTS, default=None),
 }
 
 # (name, help, handler, positionals, the options it reads besides --output)

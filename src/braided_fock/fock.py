@@ -19,22 +19,25 @@ the way live strictly between k and j and die against the same full columns.
 Every pruned slot can be logged, and pruning can be switched off entirely
 inside a finite slot window for oracle comparisons.
 
-``apply_b`` pads the word of every unpruned slot of every term with full
-columns up to one common end, the materialised tail plus i for a raising
-shift, so that every shifted slot lands below it, and normal-orders all of
-them in one insertion call (``modealg``), whose memo the slots share.
-``multiply_left`` does the same with the end above every mode it inserts.
-Truncation keeps this local: every rewrite keeps both output modes inside
-the mode range of the pair it rewrites, so inserting a generator never
-touches the columns above its mode, and the memo keys each insertion on the
-columns at or below it.  The full columns above a slot stay in the normal
-suffix the fold starts from.
+``apply_b`` spells each term as one normal word A, its columns padded with
+full ones up to one common end W, the materialised tail plus i for a
+raising shift, so that every shifted slot lands below it.  It hands
+``modealg.insertion_fold`` A and the shifted generator x_p of each unpruned
+slot p, and the fold sums NF(A[:p] x_p A[p+1:]) over the slots by one right
+fold per term, never building a slot's word; all terms share the call's
+memo.  ``multiply_left`` folds each word of the element into the state's
+word, padded up to above every mode it inserts.  Truncation keeps this
+local: every rewrite keeps both output modes inside the mode range of the
+pair it rewrites, so inserting a generator never touches the columns above
+its mode, and the memo keys each insertion on the columns at or below it.
+The fold returns each normal word as a bit mask, which ``_read_masks``
+reads back into columns, n+1 bits per mode.
 """
 
 from __future__ import annotations
 
 from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
-from .modealg import ExchangeRules, ModeElement, check_indices, normal_form, standard_rules
+from .modealg import ExchangeRules, ModeElement, check_indices, insertion_fold, standard_rules
 
 
 class FockState:
@@ -195,38 +198,29 @@ def _assemble(n: int, raw: dict, fallback_tail: int) -> FockState:
     return _make_state(n, T, terms)
 
 
-def _word_to_cols(word) -> dict:
-    cols = {}
-    for m, a in word:
-        cols.setdefault(m, []).append(a)
-    return {m: tuple(v) for m, v in cols.items()}
+def _read_masks(n: int, masks: dict, lo: int, W: int, tail_start: int) -> FockState:
+    """Read {mask: coeff} of ``insertion_fold`` back as a state.
 
-
-def _flatten(cols: dict, gens: dict):
-    """Word of all generators in order; also the start offset of each column.
-
-    Generators are taken from ``gens``, so words flattened with one map share them.
+    A mask spells its columns from mode ``lo`` up to W - 1, n+1 bits per mode
+    (bit a of a mode's block for theta_a), with the tail implicit from W on.
     """
-    word = []
-    offsets = {}
-    for m in sorted(cols):
-        offsets[m] = len(word)
-        word.extend([gens.setdefault((m, a), (m, a)) for a in cols[m]])
-    return word, offsets
-
-
-def _normal_order(n: int, words: dict, W: int, tail_start: int, rules: ExchangeRules,
-                  budget) -> FockState:
-    """Normal-order ``words`` in one insertion call and read them back as a state.
-
-    Every word spells its columns up to W - 1, with the tail implicit from W on.
-    """
-    x = ModeElement(n)
-    x.terms = words  # the words are not copied
-    nf = normal_form(x, rules, strategy="insertion", budget=budget)
+    base = n + 1
+    block = (1 << base) - 1
+    index_tuples = {}
     raw = {}
-    for w, c in nf.terms.items():
-        add_term(raw, _strip(_word_to_cols(w), W, n), c)
+    for v, c in masks.items():
+        cols = {}
+        m = lo
+        while v:
+            b = v & block
+            if b:
+                ix = index_tuples.get(b)
+                if ix is None:
+                    ix = index_tuples[b] = tuple([a for a in range(1, base) if b >> a & 1])
+                cols[m] = ix
+            v >>= base
+            m += 1
+        add_term(raw, _strip(cols, W, n), c)
     return _assemble(n, raw, tail_start)
 
 
@@ -236,15 +230,20 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
     for xword in x.terms:
         check_indices(xword, s.n)
     rules = rules or standard_rules(s.n)
-    full = _full(s.n)
+    base = s.n + 1
     T = s.tail_start
     W = max([T] + [m + 1 for xword in x.terms for m, _ in xword])
-    words = {}
+    lo = min([T] + [m for part in (s.terms, x.terms) for word in part for m, _ in word])
+    folds = []
+    full = _full(s.n)
     for cfg, sc in s.terms.items():
-        flat, _ = _flatten({**dict(cfg), **dict.fromkeys(range(T, W), full)}, {})
+        # the state's word, its columns spelled up to W - 1, is the normal start
+        cols = cfg + tuple([(m, full) for m in range(T, W)])
+        start = sum([1 << (m - lo) * base + a for m, ix in cols for a in ix])
         for xword, xc in x.terms.items():
-            add_term(words, tuple(xword) + tuple(flat), sc * xc)
-    return _normal_order(s.n, words, W, T, rules, budget)
+            folds.append(([(m - lo) * base + a for m, a in xword], start, {}, sc * xc))
+    done, _ = insertion_fold(rules, folds, lo, budget)
+    return _read_masks(s.n, done, lo, W, T)
 
 
 def _prunable(cols: dict, tail_from: int, n: int, j: int, k: int) -> bool:
@@ -287,29 +286,36 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
         T_impl = T
     # every shifted slot lands below W, so one strip maps each output back
     W = T_impl + max(i, 0)
-    words = {}
-    gens = {}
+    base = n + 1
+    lo = min([T] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
+    folds = []
     # in key order, so the pruned-slot log does not depend on how s was built
     for cfg, sc in sorted(s.terms.items()):
         cols = dict(cfg)
         for c in range(T, T_impl):
             cols[c] = full
-        flat, offsets = _flatten({**cols, **dict.fromkeys(range(T_impl, W), full)}, gens)
+        # the codes of the term's normal word, and the shifted code of each live slot
+        gens = []
+        slots = {}
         for j in sorted(cols):
-            if columns is not None and j not in columns:
-                continue
-            for pos, a in enumerate(cols[j]):
-                k = j + i
-                if prune and _prunable(cols, T_impl, n, j, k):
-                    if log_pruned is not None:
-                        log_pruned.append(
-                            {"column": j, "index": a, "target_mode": k, "term": list(map(list, cfg))}
-                        )
-                    continue
-                word = flat[:]
-                word[offsets[j] + pos] = gens.setdefault((k, a), (k, a))
-                add_term(words, tuple(word), sc)
-    return _normal_order(n, words, W, T, rules, budget)
+            k = j + i
+            live = columns is None or j in columns
+            if live and prune and _prunable(cols, T_impl, n, j, k):
+                live = False
+                if log_pruned is not None:
+                    log_pruned.extend(
+                        {"column": j, "index": a, "target_mode": k, "term": list(map(list, cfg))}
+                        for a in cols[j])
+            for a in cols[j]:
+                if live:
+                    slots[len(gens)] = (k - lo) * base + a
+                gens.append((j - lo) * base + a)
+        for c in range(T_impl, W):
+            gens.extend(range((c - lo) * base + 1, (c - lo + 1) * base))
+        if slots:
+            folds.append((gens, None, slots, sc))
+    done, _ = insertion_fold(rules, folds, lo, budget)
+    return _read_masks(n, done, lo, W, T)
 
 
 def translate(s: FockState, d: int) -> FockState:

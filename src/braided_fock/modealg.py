@@ -61,11 +61,18 @@ The recursion ends: the inner call has a shorter word, the outer one a
 smaller generator h1 < g and a word of the same length, and every mode
 stays inside [mode(w[0]), mode(g)], so only finitely many generators occur.
 Confluence makes the result the normal form.  A word is a right fold of
-insertions from its longest normal suffix.  NF(g.w) is memoised for one
-call under two normalisations: the suffix of w with modes above g's is cut
-off and appended back unchanged, since no rewrite reaches above mode(g),
-and the key is translated to put g at a fixed mode, since the rules depend
-only on mode gaps.  Here the budget guards the nesting depth of memo misses.
+insertions from its longest normal suffix.  A normal word has strictly
+increasing codes x = (m - lo)(n+1) + a, lo the lowest mode of the call, so
+the engine holds it as an int with bit x set for each of its codes: g.w is
+the prepend w | 1 << g, and w[0] is the lowest set bit.  NF(g.w) is
+memoised for one call under two normalisations: the bits of w from the
+first code of the mode above g's on are cut off and put back unchanged,
+since no rewrite reaches above mode(g), and the rest is shifted down by
+s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.
+The key is (g - s, rest >> s), and a hit is read back as (v << s) | high.
+Here the budget guards the nesting depth of memo misses.  The same fold
+(``insertion_fold``) also sums a derivation over the slots of a normal word
+without building the words it makes; ``fock.apply_b`` runs b_i this way.
 """
 
 from __future__ import annotations
@@ -73,7 +80,6 @@ from __future__ import annotations
 import heapq
 import os
 import re
-from bisect import bisect_left
 from functools import lru_cache
 from operator import ge
 
@@ -417,90 +423,125 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
 
 
-def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
-    """Normal form as a right fold of memoised insertions (``strategy="insertion"``).
+def _codes(mask):
+    """The set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Here (m, a) is coded as m(n+1) + a, in generator order, so a normal word
-    has increasing codes.  Memo keys put g at mode ``low``, the highest whose
-    codes are below 256: the codes of modes 0..low are Python's cached small
-    ints, so neither keys nor the words of low modes allocate an int each.
+
+def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
+    """Sum of right folds of memoised insertions; returns ({mask: coeff}, stats).
+
+    A generator (m, a) is coded as x = (m - lo)(n+1) + a, so ``lo`` must be at
+    most every mode of the call, and a normal word, whose codes increase, is
+    the int ``mask`` with bit x set for each code x.  Each fold is
+    ``(gens, start, slots, coeff)``: ``gens`` is a list of codes, ``start`` the
+    mask of a normal word (or None for 0) and ``slots`` maps positions p of
+    ``gens`` to codes x_p.  Folding from R = {start} and p = len(gens) - 1
+    down to 0, the fold carries
+
+        R_p = NF(gens[p] . R_(p+1)) + NF(x_p . gens[p+1:]),
+
+    the second term only where p is a slot, and adds ``coeff`` R_0.  With no
+    slots this is NF(gens . start); with a normal ``gens`` and ``start`` None
+    it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
+    rule of a derivation that replaces one generator.  One memo serves every
+    fold of the call, and ``stats`` counts its misses and their nesting.
     """
+    budget = resolve_budget(budget)
     base = rules.n + 1
-    low = 256 // base - 1
     one = LaurentPoly.one()
     table = rules.pairs
     memo = {}
-    frames = []  # the translation of each open miss, outermost first
+    frames = []  # the shift s of each open miss, outermost first
     stats = ReductionStats()
 
     def insert(g, w):
-        # NF(g . w) for a normal coded word w, as ((coded word, coefficient), ...)
-        if not w or g < w[0]:
-            return (((g,) + w, one),)
-        if g == w[0]:
+        # NF(g . w) for a normal mask w, as ((mask, coefficient), ...)
+        w0 = (w & -w).bit_length() - 1
+        if g < w0 or not w:
+            return ((w | 1 << g, one),)
+        if g == w0:
             return ()
-        # cut off the suffix above g's mode, and translate g to mode low
-        top = (g // base + 1) * base
-        s = top - (low + 1) * base
-        t = bisect_left(w, top, 1)
-        key = (g - s,) + tuple([c - s for c in w[:t]])
+        # no rewrite reaches above g's mode, so the bits from top on are cut
+        # off; the rest is shifted down to w0's mode, since the rules depend
+        # only on mode gaps
+        s = w0 - w0 % base
+        top = g - g % base + base
+        high = w >> top << top
+        key = (g - s, (w ^ high) >> s)
         out = memo.get(key)
         if out is None:
             if len(frames) >= budget:
-                off = sum(frames)
-                raise BudgetExceededError(tuple([divmod(c + off, base) for c in (g,) + w]),
-                                          budget, stats.depth, stats.expansions, len(frames) + 1,
-                                          "insertion")
+                off = lo * base + sum(frames)
+                raise BudgetExceededError(
+                    tuple([divmod(c + off, base) for c in [g] + _codes(w)]), budget,
+                    stats.depth, stats.expansions, len(frames) + 1, "insertion")
             frames.append(s)
             stats.expansions += 1
             stats.depth = max(stats.depth, len(frames))
-            h = key[1]
-            pair = (key[0] - h, h % base)
+            g, w = key
+            h = w0 - s
+            rest = w ^ 1 << h
+            pair = (g - h, h)
             rule = table.get(pair)
             if rule is None:
                 rule = rules.pair_rule(pair)
             acc = {}
             for o1, o2, c in rule:
-                d1, d2 = h + o1, h + o2
-                for u, cu in insert(d2, key[2:]):
+                for u, cu in insert(h + o2, rest):
                     cu = c if cu is one else c * cu
-                    for v, cv in insert(d1, u):
+                    for v, cv in insert(h + o1, u):
                         add_term(acc, v, cu if cv is one else cu * cv)
             out = memo[key] = tuple(acc.items())
             frames.pop()
-        high = w[t:]
-        return tuple([(tuple([c + s for c in v]) + high, cv) for v, cv in out])
+        return [(v << s | high, c) for v, c in out]
 
     done = {}
-    # the code of each generator met so far, validated once and keyed by
-    # identity, since (True, 1) and (1.0, 1) equal (1, 1) as dict keys; the
-    # words of x hold every generator, so no id is reused meanwhile
-    codes = {}
-    for word, coeff in x.terms.items():
-        try:
-            code = tuple([codes[id(g)] for g in word])
-        except KeyError:
-            check_indices(word, rules.n)
-            codes.update((id(g), g[0] * base + g[1]) for g in word)
-            code = tuple([codes[id(g)] for g in word])
-        # fold from the longest normal suffix, code[t:]
-        t = bytes(map(ge, code, code[1:])).rfind(1) + 1
-        cur = {code[t:]: coeff}
-        for g in reversed(code[:t]):
-            if not cur:
-                break
+    for gens, start, slots, coeff in folds:
+        cur = {} if start is None else {start: one}
+        suffix = 0  # the mask of gens[p+1:]
+        for p in range(len(gens) - 1, -1, -1):
+            g = gens[p]
             nxt = {}
             for u, cu in cur.items():
                 for v, cv in insert(g, u):
-                    add_term(nxt, v, cu if cv is one else cu * cv)
+                    add_term(nxt, v, cv if cu is one else cu if cv is one else cu * cv)
+            x = slots.get(p)
+            if x is not None:
+                for v, cv in insert(x, suffix):
+                    add_term(nxt, v, cv)
+            suffix |= 1 << g
             cur = nxt
+        if coeff == one:  # then skip the products below
+            coeff = one
         for v, c in cur.items():
-            add_term(done, v, c)
+            add_term(done, v, c if coeff is one else c * coeff)
     # insert refers to itself, so free the memo now, not in a garbage collection
     del insert
+    return done, stats
+
+
+def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
+    """Normal form by :func:`insertion_fold`, each word folded from its longest normal suffix."""
+    base = rules.n + 1
+    for word in x.terms:
+        check_indices(word, rules.n)
+    lo = min([m for word in x.terms for m, _ in word], default=0)
+    folds = []
+    for word, coeff in x.terms.items():
+        code = [(m - lo) * base + a for m, a in word]
+        t = bytes(map(ge, code, code[1:])).rfind(1) + 1
+        folds.append((code[:t], sum([1 << c for c in code[t:]]), {}, coeff))
+    done, stats = insertion_fold(rules, folds, lo, budget)
+    done = {tuple(_codes(v)): c for v, c in done.items()}
     # output words share one (mode, index) tuple per generator
-    gens = {c: divmod(c, base) for w in done for c in w}
-    return ModeElement(x.n, {tuple([gens[c] for c in w]): c for w, c in done.items()}), stats
+    gens = {k: (k // base + lo, k % base) for w in done for k in w}
+    return ModeElement(x.n, {tuple([gens[k] for k in w]): c for w, c in done.items()}), stats
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

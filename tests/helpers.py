@@ -173,21 +173,17 @@ def dense_rank(rows):
     return rank
 
 
-def reference_apply_b(i, s, rules, prune=True):
-    """b_i by normal-ordering every slot's whole word, with no reuse between slots.
+def slot_words(i, s, prune=True):
+    """(word, coeff, end) for every slot of b_i on the state s, one whole word each.
 
     Each slot flattens the explicit columns and the tail through the target
-    mode into one word, shifts the slot's generator and normal-orders the
-    word from scratch.  A slot is skipped, when ``prune`` is set, if every
-    column from the target mode up to (not including) the slot's column, or
-    past the slot's column up to the target mode, is full or in the tail.
+    mode into one word, up to mode ``end`` - 1, and shifts the slot's
+    generator.  A slot is skipped, when ``prune`` is set, if every column
+    from the target mode up to (not including) the slot's column, or past the
+    slot's column up to the target mode, is full or in the tail.
     """
-    from braided_fock.fock import FockState
-    from braided_fock.modealg import ModeElement, normal_form
-
     n = s.n
     full = tuple(range(1, n + 1))
-    out = FockState(n, s.tail_start)
     tail = s.tail_start - i if i < 0 else s.tail_start
     for cfg, sc in s.terms.items():
         cols = dict(cfg)
@@ -204,13 +200,48 @@ def reference_apply_b(i, s, rules, prune=True):
                 for c in range(min(min(cols), k), end):
                     for t, a in enumerate(cols.get(c, full if c >= tail else ())):
                         word.append((k, a) if (c, t) == (j, pos) else (c, a))
-                nf = normal_form(ModeElement.from_word(n, word, sc), rules)
-                for w, coeff in nf.terms.items():
-                    by_mode = {}
-                    for m, a in w:
-                        by_mode.setdefault(m, []).append(a)
-                    cfg2 = tuple((m, tuple(ix)) for m, ix in sorted(by_mode.items()))
-                    out = out + FockState(n, end, {cfg2: coeff})
+                yield tuple(word), sc, end
+
+
+def slot_element(i, s, prune=True):
+    """Every slot word of b_i on s, gathered into one ``ModeElement``.
+
+    Each word is padded with full columns up to the largest end, so all
+    words have one length: the heap engine's audit checks that words leave
+    the heap in decreasing order, which holds among words of one length.
+    """
+    from braided_fock.coeff import add_term
+    from braided_fock.modealg import ModeElement
+
+    words = list(slot_words(i, s, prune))
+    top = max([end for _, _, end in words], default=0)
+    terms = {}
+    for word, sc, end in words:
+        pad = tuple((c, a) for c in range(end, top) for a in range(1, s.n + 1))
+        add_term(terms, word + pad, sc)
+    return ModeElement(s.n, terms)
+
+
+def reference_apply_b(i, s, rules, prune=True):
+    """b_i by normal-ordering every slot's whole word, with no reuse between slots.
+
+    The words are those of ``slot_words``; each is normal-ordered from
+    scratch by the heap engine and read back as a state with its tail from
+    the word's end on.
+    """
+    from braided_fock.fock import FockState
+    from braided_fock.modealg import ModeElement, normal_form
+
+    n = s.n
+    out = FockState(n, s.tail_start)
+    for word, sc, end in slot_words(i, s, prune):
+        nf = normal_form(ModeElement.from_word(n, word, sc), rules)
+        for w, coeff in nf.terms.items():
+            by_mode = {}
+            for m, a in w:
+                by_mode.setdefault(m, []).append(a)
+            cfg2 = tuple((m, tuple(ix)) for m, ix in sorted(by_mode.items()))
+            out = out + FockState(n, end, {cfg2: coeff})
     return out
 
 

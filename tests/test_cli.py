@@ -339,6 +339,9 @@ class TestOptionsPerCommand:
             assert code == 0
         code, _, err = run(capsys, "nf", "t2 t1", "--rules", "nonsense")
         assert code == 2 and "invalid choice" in err
+        # the parser spells the variants itself; it must offer exactly these
+        offered = err.split("choose from", 1)[1].split(",")
+        assert len(offered) == len(VARIANTS) and all(v in err for v in VARIANTS)
 
 
 class TestGoldenFiles:
@@ -453,7 +456,22 @@ def test_cli_without_modes_loads_neither_modealg_nor_fock(argv):
         "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr)); "
         "sys.argv[1:] = %r; runpy.run_module('braided_fock.cli', run_name='__main__')" % argv)
     assert out.rstrip().endswith("n=2: pass")
-    assert _layers_loaded(err.split()) == ["coeff", "rmatrix", "tensor", "wedge"]
+    wedge = ["wedge"] if argv[0] == "dims" else []
+    assert _layers_loaded(err.split()) == ["coeff", "rmatrix", "tensor"] + wedge
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check", "--help"], 0), (["nf"], 2)])
+def test_help_and_usage_errors_load_no_layer(argv, code):
+    # printing usage needs only the parser, whose option table loads no layer
+    out, err = _fresh_python(
+        "-c", "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(' '.join(sys.modules), file=sys.stderr))\n"
+        "sys.argv[1:] = %r\n"
+        "try:\n    runpy.run_module('braided_fock.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n    print('exit', exc.code)" % argv)
+    assert "usage: braided-fock" in out + err
+    assert out.rstrip().endswith("exit %d" % code)
+    assert _layers_loaded(err.split()) == []
 
 
 def test_exports_resolve_to_their_layers_and_star_import_binds_them():

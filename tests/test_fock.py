@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braided_fock import modealg
+from braided_fock import fock
 from braided_fock.coeff import LaurentPoly, braided_int_scalar
 from braided_fock.fock import (
     FockState,
@@ -22,6 +22,8 @@ from braided_fock.fock import (
     vacuum,
 )
 from braided_fock.modealg import (
+    VARIANTS,
+    BudgetExceededError,
     ModeElement,
     normal_form,
     shift_leibniz,
@@ -492,6 +494,56 @@ class TestPruningAgainstWindow:
         assert apply_b(i, s, rules, prune=False, columns=range(lo - 2, hi + 2)) == pruned
 
 
+class TestFarFromModeZero:
+    """The shift fold codes each generator from the lowest mode of its call.
+
+    States 40 modes either side of 0 go through the fold, pruned and over an
+    unpruned window, in both rule variants, and must give the whole-word
+    reference and the untranslated result translated.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)),
+           d=st.sampled_from((-40, 40)), variant=st.sampled_from(VARIANTS))
+    def test_translated_state(self, s, i, d, variant):
+        rules = standard_rules(s.n, variant)
+        t = translate(s, d)
+        out = apply_b(i, t, rules)
+        assert out == reference_apply_b(i, t, rules)
+        assert out == translate(apply_b(i, s, rules), d)
+        lo, hi = t.tail_start - 7, t.tail_start + abs(i) + 3
+        assert apply_b(i, t, rules, prune=False, columns=range(lo, hi)) == out
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_window_of_70_full_columns(self, variant):
+        # the window reaches 70 columns into the tail, so each word of the
+        # fold holds about 70 full columns and its mask about 280 bits
+        rules = standard_rules(3, variant)
+        s = FockState(3, -40, {((-42, (1, 3)), (-41, (2,))): ONE, ((-41, (1, 2, 3)),): ONE})
+        for i in (-3, 1):
+            narrow = apply_b(i, s, rules, prune=False, columns=range(-47, -34))
+            assert narrow and narrow == apply_b(i, s, rules)
+            assert apply_b(i, s, rules, prune=False, columns=range(-47, 30)) == narrow
+
+    @pytest.mark.parametrize("d", [-40, 40])
+    def test_budget_error_names_true_generators(self, d):
+        # a budget met inside the fold names the insertion it was making, in
+        # the (mode, index) pairs of the state's own modes
+        s = FockState(3, 0, {((-2, (1, 3)), (-1, (2,))): ONE})
+        errors = []
+        for state in (s, translate(s, d)):
+            with pytest.raises(BudgetExceededError) as err:
+                apply_b(3, state, standard_rules(3), budget=4)
+            errors.append(err.value)
+        at0, far = errors
+        assert far.word == tuple((m + d, a) for m, a in at0.word)
+        assert (far.depth, far.expansions, far.pending) == (at0.depth, at0.expansions, 5)
+        # a generator inserted into a normal word, all inside the call's modes
+        g, w = at0.word[0], at0.word[1:]
+        assert all(1 <= a <= 3 and -2 <= m < 3 for m, a in at0.word)
+        assert list(w) == sorted(set(w)) and g > w[0]
+
+
 class TestTransportReuse:
     @settings(max_examples=40, deadline=None)
     @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)), prune=st.booleans())
@@ -501,20 +553,20 @@ class TestTransportReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The ReductionStats of each normal_form_stats call made during the test."""
+        """The ReductionStats of each insertion_fold call made during the test."""
         calls = []
-        orig = modealg.normal_form_stats
+        orig = fock.insertion_fold
 
         def counting(*args, **kwargs):
             out, stats = orig(*args, **kwargs)
             calls.append(stats)
             return out, stats
 
-        monkeypatch.setattr(modealg, "normal_form_stats", counting)
+        monkeypatch.setattr(fock, "insertion_fold", counting)
         return calls
 
     def test_no_reuse_across_calls(self, calls):
-        # the insertion memo lives for one normal_form call, so a repeated
+        # the insertion memo lives for one insertion_fold call, so a repeated
         # computation repeats its calls and its memo misses exactly
         rules = standard_rules(3)
         first = commutator_on_vacuum(3, 3, 3, rules=rules)
@@ -525,8 +577,8 @@ class TestTransportReuse:
         assert first == second
 
     def test_alike_slots_share_one_reduction(self, calls):
-        # every unpruned slot word of every term goes into one normal_form
-        # call per apply_b, so alike slots share its memo
+        # every unpruned slot of every term goes into one insertion_fold call
+        # per apply_b, so alike slots share its memo
         for n in (2, 3):
             calls.clear()
             out = apply_b(2, vacuum(n, 0), prune=False, slot_window=(0, 5))

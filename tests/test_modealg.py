@@ -26,7 +26,7 @@ from braided_fock.modealg import (
 )
 from braided_fock.rmatrix import standard_sln_R
 from braided_fock.wedge import wedge_normal_form
-from helpers import reference_normal_form, reference_pair_rewrites
+from helpers import reference_normal_form, reference_pair_rewrites, slot_element
 
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
@@ -399,25 +399,23 @@ def test_incremental_measure_matches_direct():
             assert min(audit.pairs, audit.children, audit.pops) > 1000, (strategy, variant)
 
 
-def _slot_words(monkeypatch, *commutators):
-    """The (element, rules) pairs apply_b normal-orders for [b_i, b_-i], n.
+def _slot_elements(*commutators):
+    """(element, rules) for each apply_b call of [b_i, b_-i] on the vacuum, per (i, n).
 
-    Each apply_b call gathers the slot words of all its terms into one element.
+    Each element gathers every unpruned slot word of every term of the state
+    the call acts on, spelled whole as ``reference_apply_b`` spells them.
     """
-    from braided_fock import fock
+    from braided_fock.fock import apply_b, vacuum
 
-    calls = []
-    orig = fock.normal_form
-
-    def recording(x, rules, *args, **kwargs):
-        calls.append((x, rules))
-        return orig(x, rules, *args, **kwargs)
-
-    monkeypatch.setattr(fock, "normal_form", recording)
+    out = []
     for i, n in commutators:
-        fock.commutator_on_vacuum(i, i, n)
-    monkeypatch.undo()
-    return calls
+        rules = standard_rules(n)
+        v = vacuum(n, 0)
+        # b_i b_-i omega, then b_-i b_i omega, as commutator_on_vacuum runs them
+        for first, second in ((-i, i), (i, -i)):
+            out.append((slot_element(first, v), rules))
+            out.append((slot_element(second, apply_b(first, v, rules)), rules))
+    return out
 
 
 # [b_3, b_-3] at n = 2 and [b_4, b_-4] at n = 3: four apply_b calls each
@@ -425,9 +423,9 @@ SLOT_COMMUTATORS = ((3, 2), (4, 3))
 
 
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
-def test_carried_state_on_slot_words(monkeypatch, strategy):
-    # the same audit on the elements apply_b reduces (long words, deep chains)
-    calls = _slot_words(monkeypatch, *SLOT_COMMUTATORS)
+def test_carried_state_on_slot_words(strategy):
+    # the same audit on the slot words of the commutators (long words, deep chains)
+    calls = _slot_elements(*SLOT_COMMUTATORS)
     assert len(calls) == 8
     with _Audit(strategy) as audit:
         for x, rules in calls:
@@ -468,14 +466,30 @@ def test_three_engines_agree_hypothesis(data):
         assert normal_form(x, rules, strategy) == want, strategy
 
 
-def test_slot_words_match_reference_normal_form(monkeypatch):
+def test_slot_words_match_reference_normal_form():
     # every gathered slot element of the two commutators, in all three engines
-    calls = _slot_words(monkeypatch, *SLOT_COMMUTATORS)
+    calls = _slot_elements(*SLOT_COMMUTATORS)
     assert len(calls) == 8 and sum(len(x.terms) for x, _ in calls) > 100
     for x, rules in calls:
         want = reference_normal_form(x, rules)
         for strategy in ("insertion", "leftmost", "rightmost"):
             assert normal_form(x, rules, strategy) == want, strategy
+
+
+def test_insertion_matches_heap_on_wide_words():
+    # a mode span of 64 or more: the insertion engine's masks reach
+    # (span + 1)(n + 1) bits, past 256 for n >= 3, and its codes are offset
+    # from a lowest mode up to 100 either side of 0
+    rng = random.Random(60)
+    for k in range(60):
+        n = rng.randint(1, 4)
+        lo, span = rng.randint(-100, 100), rng.randint(64, 70)
+        modes = [lo, lo + span] + [rng.randint(lo, lo + span) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(modes)
+        x = ModeElement.from_word(n, tuple((m, rng.randint(1, n)) for m in modes),
+                                  LaurentPoly.q_power(rng.randint(-2, 2)))
+        rules = standard_rules(n, VARIANTS[k % 2])
+        assert normal_form(x, rules, "insertion") == normal_form(x, rules), x
 
 
 class TestIndexValidation:
