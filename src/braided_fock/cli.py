@@ -51,7 +51,10 @@ def parse_word(text: str):
 
 
 def _load_hecke(args):
-    """The ``HeckeData`` of ``--matrix``, else of the standard R at ``--n``."""
+    """The ``HeckeData`` of ``--matrix``, else of the standard R at ``--n``.
+
+    An explicit ``--n`` must agree with the n of the ``--matrix`` file.
+    """
     from .rmatrix import HeckeData, standard_sln_R
     from .tensor import TensorOp
 
@@ -59,6 +62,8 @@ def _load_hecke(args):
         with open(args.matrix) as fh:
             obj = json.load(fh)
         op = TensorOp.from_json(obj)
+        if args.n is not None and args.n != op.n:
+            raise ValueError("--n %d differs from n=%d in %s" % (args.n, op.n, args.matrix))
         return HeckeData(n=op.n, R=op)
     return standard_sln_R(args.n)
 
@@ -214,7 +219,7 @@ _OPTIONS = {
     "--i": dict(type=int, default=None),
     "--j": dict(type=int, default=None),
     "--log-pruned": dict(action="store_true"),
-    "--n": dict(type=int, default=2),
+    "--n": dict(type=int, default=None),
     "--output": dict(choices=("text", "json"), default="text"),
     "--seed": dict(type=int, default=None),
     "--budget": dict(type=int, default=None),
@@ -255,6 +260,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # --n is 2 unless given; with --matrix the file's n stands in for it
+    if args.n is None and not getattr(args, "matrix", None):
+        args.n = 2
     try:
         return args.fn(args)
     except ParseError as exc:

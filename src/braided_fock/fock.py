@@ -8,6 +8,11 @@ index tuple) and implicit full columns from ``tail_start`` on.  Canonically,
 ``tail_start`` is as small as the content allows and empty columns are not
 stored, so equal states compare equal as dictionaries.
 
+Inside the module a term is one bit mask, theta^(m)_a at bit (m - lo)(n+1) + a
+for a floor ``lo``, with the tail spelled out as full columns up to a window
+end W.  ``_mask`` and ``_full_mask`` encode; ``_read_masks`` alone decides
+the canonical form, for the constructor, for sums and for engine outputs.
+
 The shift operator b_i replaces one generator theta^(j)_a by theta^(j+i)_a,
 summed over every generator slot as a derivation, with the whole word then
 normal-ordered.  The infinite sum over tail columns is cut down by a
@@ -16,28 +21,28 @@ dropped when every column between k and j (including k, excluding j) is
 full, because the shifted generator then reorders onto a full column and a
 product of n+1 generators of one mode vanishes; correction terms produced on
 the way live strictly between k and j and die against the same full columns.
-Every pruned slot can be logged, and pruning can be switched off entirely
-inside a finite slot window for oracle comparisons.
+The test is one mask comparison per column.  Every pruned slot can be
+logged, and pruning can be switched off entirely inside a finite slot window
+for oracle comparisons.
 
-``apply_b`` spells each term as one normal word A, its columns padded with
-full ones up to one common end W, the materialised tail plus i for a
+``apply_b`` spells each term up to W, the materialised tail plus i for a
 raising shift, so that every shifted slot lands below it.  It hands
-``modealg.insertion_fold`` A and the shifted generator x_p of each unpruned
-slot p, and the fold sums NF(A[:p] x_p A[p+1:]) over the slots by one right
-fold per term, never building a slot's word; all terms share the call's
-memo.  ``multiply_left`` folds each word of the element into the state's
-word, padded up to above every mode it inserts.  Truncation keeps this
-local: every rewrite keeps both output modes inside the mode range of the
-pair it rewrites, so inserting a generator never touches the columns above
-its mode, and the memo keys each insertion on the columns at or below it.
-The fold returns each normal word as a bit mask, which ``_read_masks``
-reads back into columns, n+1 bits per mode.
+``modealg.insertion_fold`` the term's codes A (read off its mask by
+``modealg._codes``) and the shifted code x_p = A[p] + i(n+1) of each unpruned
+slot p; the fold sums NF(A[:p] x_p A[p+1:]) over the slots by one right fold
+per term, never building a slot's word, and all terms share the call's memo.
+``multiply_left`` folds each word of the element into the state's mask,
+spelled up to above every mode it inserts.  Truncation keeps this local:
+every rewrite keeps both output modes inside the mode range of the pair it
+rewrites, so inserting a generator never touches the columns above its mode,
+and the memo keys each insertion on the columns at or below it.
 """
 
 from __future__ import annotations
 
 from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
-from .modealg import ExchangeRules, ModeElement, check_indices, insertion_fold, standard_rules
+from .modealg import (ExchangeRules, ModeElement, _codes, check_indices, insertion_fold,
+                      standard_rules)
 
 
 class FockState:
@@ -53,8 +58,10 @@ class FockState:
 
     def __init__(self, n: int, tail_start: int, terms=None):
         n = strict_int(n, "n")
+        if n < 1:
+            raise ValueError("n must be positive, got %d" % n)
         tail_start = strict_int(tail_start, "tail_start")
-        raw = {}
+        checked = []
         if terms:
             for cfg, c in terms.items():
                 cols = {strict_int(m, "mode"): tuple([strict_int(a, "index") for a in ix])
@@ -72,8 +79,12 @@ class FockState:
                         )
                 if any(m >= tail_start for m in cols):
                     raise ValueError("explicit column inside the implicit tail")
-                add_term(raw, _strip(cols, tail_start, n), c)
-        other = _assemble(n, raw, tail_start)
+                checked.append((cols.items(), c))
+        lo = min([tail_start] + [m for cols, _ in checked for m, _ in cols])
+        masks = {}
+        for cols, c in checked:
+            add_term(masks, _mask(cols, lo, n + 1), c)
+        other = _read_masks(n, masks, lo, tail_start, tail_start)
         self.n = n
         self.tail_start = other.tail_start
         self.terms = other.terms
@@ -96,11 +107,16 @@ class FockState:
     def __add__(self, other):
         if not isinstance(other, FockState) or self.n != other.n:
             raise ValueError("can only add states on the same space")
-        raw = {}
+        n = self.n
+        W = max(self.tail_start, other.tail_start)
+        lo = min([self.tail_start, other.tail_start]
+                 + [m for s in (self, other) for cfg in s.terms for m, _ in cfg])
+        masks = {}
         for s in (self, other):
-            for key, c in _to_raw(s).items():
-                add_term(raw, key, c)
-        return _assemble(self.n, raw, min(self.tail_start, other.tail_start))
+            tail = _full_mask(n, lo, s.tail_start, W)
+            for cfg, c in s.terms.items():
+                add_term(masks, _mask(cfg, lo, n + 1) | tail, c)
+        return _read_masks(n, masks, lo, W, min(self.tail_start, other.tail_start))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -154,164 +170,146 @@ def vacuum(n: int, base: int = 0) -> FockState:
     return FockState(n, base, {(): LaurentPoly.one()})
 
 
-def _full(n: int):
-    return tuple(range(1, n + 1))
+def _mask(cfg, lo: int, base: int) -> int:
+    """The mask of the columns ``cfg``, pairs (mode, indices), with modes from ``lo`` on."""
+    return sum([1 << (m - lo) * base + a for m, ix in cfg for a in ix])
 
 
-def _strip(cols: dict, window_end: int, n: int):
-    """Canonical (tail_start, config) for explicit columns below window_end."""
-    full = _full(n)
-    t = window_end
-    while cols.get(t - 1) == full:
-        t -= 1
-    cfg = tuple(sorted((m, ix) for m, ix in cols.items() if m < t and ix))
-    return t, cfg
-
-
-def _to_raw(s: FockState) -> dict:
-    raw = {}
-    for cfg, c in s.terms.items():
-        add_term(raw, _strip(dict(cfg), s.tail_start, s.n), c)
-    return raw
-
-
-def _make_state(n: int, tail_start: int, terms: dict) -> FockState:
-    s = FockState.__new__(FockState)
-    s.n = n
-    s.tail_start = tail_start
-    s.terms = terms
-    return s
-
-
-def _assemble(n: int, raw: dict, fallback_tail: int) -> FockState:
-    """Build a canonical state from {(per-term tail, config): coeff}."""
-    if not raw:
-        return _make_state(n, fallback_tail, {})
-    full = _full(n)
-    T = max(t for t, _ in raw)
-    terms = {}
-    for (t, cfg), c in raw.items():
-        # config tuples from lists, as in apply_b
-        add_term(terms, tuple(sorted(list(cfg) + [(m, full) for m in range(t, T)])), c)
-    if not terms:
-        return _make_state(n, fallback_tail, {})
-    return _make_state(n, T, terms)
-
-
-def _read_masks(n: int, masks: dict, lo: int, W: int, tail_start: int) -> FockState:
-    """Read {mask: coeff} of ``insertion_fold`` back as a state.
-
-    A mask spells its columns from mode ``lo`` up to W - 1, n+1 bits per mode
-    (bit a of a mode's block for theta_a), with the tail implicit from W on.
-    """
+def _full_mask(n: int, lo: int, start: int, end: int) -> int:
+    """The mask of full columns from ``start`` up to ``end`` - 1, with modes from ``lo`` on."""
     base = n + 1
     block = (1 << base) - 1
+    # the repunit (2^((end-start)base) - 1) / block has bit 0 of each mode set
+    return ((1 << (end - start) * base) - 1) // block * (block ^ 1) << (start - lo) * base
+
+
+def _read_masks(n: int, masks: dict, lo: int, W: int, fallback_tail: int) -> FockState:
+    """The canonical state of {mask: coeff}, each mask spelling modes ``lo`` to W - 1.
+
+    The tail starts at the least t such that the columns t..W-1 are full in
+    every mask, the largest of the terms' own minimal tails; the nonempty
+    columns below t are read back in order, so distinct masks stay distinct
+    configurations.  No mask gives the state 0 with tail ``fallback_tail``.
+    """
+    s = FockState.__new__(FockState)
+    s.n, s.tail_start, s.terms = n, fallback_tail, {}
+    if not masks:
+        return s
+    base = n + 1
+    full = (1 << base) - 2
+    common = -1
+    for v in masks:
+        common &= v
+    # the tail starts just above the highest column that some mask leaves short
+    missing = _full_mask(n, lo, lo, W) & ~common
+    t = lo + (missing.bit_length() - 1) // base + 1
+    below = (1 << (t - lo) * base) - 1
     index_tuples = {}
-    raw = {}
+    terms = {}
     for v, c in masks.items():
-        cols = {}
+        v &= below
+        cfg = []
         m = lo
         while v:
-            b = v & block
+            b = v & full
             if b:
                 ix = index_tuples.get(b)
                 if ix is None:
                     ix = index_tuples[b] = tuple([a for a in range(1, base) if b >> a & 1])
-                cols[m] = ix
+                cfg.append((m, ix))
             v >>= base
             m += 1
-        add_term(raw, _strip(cols, W, n), c)
-    return _assemble(n, raw, tail_start)
+        terms[tuple(cfg)] = c
+    s.tail_start, s.terms = t, terms
+    return s
+
+
+def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:
+    """``rules``, by default the standard ones, checked to have rank n."""
+    if rules is None:
+        return standard_rules(n)
+    if rules.n != n:
+        raise ValueError("rules of rank %d cannot act on a state of rank %d" % (rules.n, n))
+    return rules
 
 
 def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
                   budget=None) -> FockState:
     """Normal-order a mode element against a state from the left, in one call."""
+    if x.n != s.n:
+        raise ValueError("an element of rank %d cannot act on a state of rank %d" % (x.n, s.n))
     for xword in x.terms:
         check_indices(xword, s.n)
-    rules = rules or standard_rules(s.n)
+    rules = _rules_for(s.n, rules)
     base = s.n + 1
     T = s.tail_start
     W = max([T] + [m + 1 for xword in x.terms for m, _ in xword])
     lo = min([T] + [m for part in (s.terms, x.terms) for word in part for m, _ in word])
+    # each term, its columns spelled up to W - 1, is the normal start of its folds
+    tail = _full_mask(s.n, lo, T, W)
     folds = []
-    full = _full(s.n)
     for cfg, sc in s.terms.items():
-        # the state's word, its columns spelled up to W - 1, is the normal start
-        cols = cfg + tuple([(m, full) for m in range(T, W)])
-        start = sum([1 << (m - lo) * base + a for m, ix in cols for a in ix])
+        start = _mask(cfg, lo, base) | tail
         for xword, xc in x.terms.items():
             folds.append(([(m - lo) * base + a for m, a in xword], start, {}, sc * xc))
     done, _ = insertion_fold(rules, folds, lo, budget)
     return _read_masks(s.n, done, lo, W, T)
 
 
-def _prunable(cols: dict, tail_from: int, n: int, j: int, k: int) -> bool:
-    """True when the shifted generator provably dies against full columns."""
-    rng = range(k, j) if k < j else range(j + 1, k + 1)
-    for c in rng:
-        if c >= tail_from:
-            continue
-        if len(cols.get(c, ())) != n:
-            return False
-    return True
-
-
 def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = True,
             slot_window=None, columns=None, log_pruned=None, budget=None) -> FockState:
     """The shift derivation b_i applied to a state.
 
-    ``columns`` restricts the generator slots to the given columns (a
-    container such as a tuple or a range) and materializes the tail through
-    the largest of them; with a window of columns and ``prune=False`` this is
+    ``columns`` restricts the generator slots to the given columns (any
+    iterable of ints, read once) and materializes the tail through the
+    largest of them; with a window of columns and ``prune=False`` this is
     the brute-force oracle.  ``slot_window=(lo, hi)`` is shorthand for
     ``columns=range(lo, hi + 1)``.  Pruned slots are appended to
     ``log_pruned`` when a list is supplied.
     """
     if i == 0:
         raise ValueError("shift must be nonzero")
+    rules = _rules_for(s.n, rules)
     if slot_window is not None:
         columns = range(slot_window[0], slot_window[1] + 1)
-    if columns is not None and not columns:
-        return _make_state(s.n, s.tail_start, {})
-    rules = rules or standard_rules(s.n)
     n = s.n
-    full = _full(n)
     T = s.tail_start
     if columns is not None:
-        T_impl = max(T, max(columns) + 1)
+        columns = frozenset([strict_int(c, "column") for c in columns])
+        T_impl = max([T] + [c + 1 for c in columns])
     elif i < 0:
         T_impl = T - i
     else:
         T_impl = T
-    # every shifted slot lands below W, so one strip maps each output back
+    # every shifted slot lands below W, so one read maps each output back
     W = T_impl + max(i, 0)
     base = n + 1
     lo = min([T] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
+    tail = _full_mask(n, lo, T, W)
+    # a generator of the column at offset c passes the |i| columns of span << (c + step) * base
+    span = _full_mask(n, lo, lo, lo + abs(i))
+    step = min(i, 1)
     folds = []
     # in key order, so the pruned-slot log does not depend on how s was built
     for cfg, sc in sorted(s.terms.items()):
-        cols = dict(cfg)
-        for c in range(T, T_impl):
-            cols[c] = full
-        # the codes of the term's normal word, and the shifted code of each live slot
-        gens = []
+        word = _mask(cfg, lo, base) | tail
+        gens = _codes(word)
         slots = {}
-        for j in sorted(cols):
-            k = j + i
-            live = columns is None or j in columns
-            if live and prune and _prunable(cols, T_impl, n, j, k):
-                live = False
+        col = None
+        for p, x in enumerate(gens):
+            c = x // base
+            if c != col:
+                col = c
+                j = c + lo
+                live = j < T_impl and (columns is None or j in columns)
+                between = span << (c + step) * base
+                pruned = live and prune and word & between == between
+            if pruned:
                 if log_pruned is not None:
-                    log_pruned.extend(
-                        {"column": j, "index": a, "target_mode": k, "term": list(map(list, cfg))}
-                        for a in cols[j])
-            for a in cols[j]:
-                if live:
-                    slots[len(gens)] = (k - lo) * base + a
-                gens.append((j - lo) * base + a)
-        for c in range(T_impl, W):
-            gens.extend(range((c - lo) * base + 1, (c - lo + 1) * base))
+                    log_pruned.append({"column": j, "index": x - c * base,
+                                       "target_mode": j + i, "term": list(map(list, cfg))})
+            elif live:
+                slots[p] = x + i * base
         if slots:
             folds.append((gens, None, slots, sc))
     done, _ = insertion_fold(rules, folds, lo, budget)
@@ -344,6 +342,8 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     """
     if not (i >= 1 and j >= 1):
         raise ValueError("shifts i and j must be positive")
+    if window is not None and (type(window) is not int or window < 0):
+        raise ValueError("window must be a nonnegative integer, got %r" % (window,))
     rules = rules or standard_rules(n)
     v = vacuum(n, 0)
     kw = {"rules": rules, "budget": budget}

@@ -356,6 +356,8 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     Words holding a zero factor are dropped instead of queued.
     """
     budget = resolve_budget(budget)
+    if x.n != rules.n:
+        raise ValueError("rules of rank %d cannot reduce an element of rank %d" % (rules.n, x.n))
     if strategy == "insertion":
         return _insertion_normal_form(x, rules, budget)
     base = rules.n + 1

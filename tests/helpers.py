@@ -294,3 +294,34 @@ def reference_normal_form(x, rules):
         for w, c in reduce(tuple(word)).items():
             accumulate(out, w, coeff * c)
     return ModeElement(x.n, out)
+
+
+def reference_canonical(n, parts, fallback_tail):
+    """(tail_start, terms) of the canonical state of a sum, from sets of generators.
+
+    Each part is (tail_start, {config: coeff}).  Every term is read as the
+    set of its (mode, index) generators, with its tail written out up to the
+    largest tail start E, and like sets add.  The canonical tail is the least
+    t such that every surviving set holds all of modes t..E-1; each set is
+    read back as its nonempty columns below t.  No surviving set gives
+    (fallback_tail, {}).
+    """
+    end = max(t for t, _ in parts)
+    sums = {}
+    for t, terms in parts:
+        for cfg, c in terms.items():
+            gens = {(m, a) for m, ix in cfg for a in ix}
+            gens |= {(m, a) for m in range(t, end) for a in range(1, n + 1)}
+            key = frozenset(gens)
+            sums[key] = sums[key] + c if key in sums else c
+    sums = {g: c for g, c in sums.items() if c}
+    if not sums:
+        return fallback_tail, {}
+    t = end
+    while all({(t - 1, a) for a in range(1, n + 1)} <= g for g in sums):
+        t -= 1
+    terms = {}
+    for g, c in sums.items():
+        modes = sorted({m for m, _ in g if m < t})
+        terms[tuple((m, tuple(sorted(a for k, a in g if k == m))) for m in modes)] = c
+    return t, terms

@@ -270,6 +270,21 @@ class TestOtherCommands:
         assert (code, err) == (0, "")
         assert [r["rank"] for r in json.loads(out)["rows"]] == [1, 2, 1]
 
+    @pytest.mark.parametrize("argv, code", [
+        (("check", "hecke", "--n", "5"), 2),
+        (("dims", "--n", "3"), 2),
+        (("check", "moderel", "--i", "1", "--j", "0", "--n", "3"), 2),
+        (("dims", "--n", "2"), 0),
+        (("dims",), 0),
+    ])
+    def test_n_must_agree_with_matrix(self, capsys, argv, code):
+        # --n used to be ignored next to --matrix, so check hecke reported n=2
+        path = pathlib.Path(__file__).parent / "data" / "diagonal_5q_n2.json"
+        got, out, err = run(capsys, *argv, "--matrix", str(path))
+        assert got == code
+        if code == 2:
+            assert out == "" and "differs from n=2" in err
+
     def test_dims_rejects_non_pbw_matrix(self, capsys, tmp_path):
         blob = TensorOp.identity(2, 2).to_json()
         path = tmp_path / "identity.json"

@@ -35,7 +35,7 @@ from braided_fock.rmatrix import (
     interval_product_bar,
     standard_sln_R,
 )
-from helpers import reference_apply_b
+from helpers import reference_apply_b, reference_canonical
 
 ONE = LaurentPoly.one()
 
@@ -104,6 +104,14 @@ class TestStateBasics:
         with pytest.raises(ValueError, match=match):
             FockState(n, tail_start, {cfg: ONE})
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_constructor_rejects_rank_below_one(self, n):
+        # the mask of a column has n+1 bits, so n = -1 reached a division by zero
+        with pytest.raises(ValueError, match="n must be positive"):
+            FockState(n, 0, {(): ONE})
+        with pytest.raises(ValueError, match="n must be positive"):
+            FockState.from_json({"n": n, "tail_start": 0, "terms": []})
+
     @pytest.mark.parametrize("cfg", [((0, (1,)), (0, (2,))), ((0, (1,)), (0, ())),
                                      ((-1, (1,)), (0, (2,)), (-1, (1,)))])
     def test_constructor_rejects_repeated_mode(self, cfg):
@@ -121,6 +129,76 @@ class TestStateBasics:
         assert scalar_part(v.scale(braided_int_scalar(3, -2))) == braided_int_scalar(3, -2)
         assert scalar_part(vacuum(3, 0) - vacuum(3, 0)) == LaurentPoly.zero()
         assert scalar_part(apply_b(-1, v)) is None
+
+
+@st.composite
+def spelled_terms(draw, n, tail):
+    """{config: coeff} in the columns tail-4..tail-1, none canonical on purpose.
+
+    A column is full, partial or listed empty, and the columns of a
+    configuration come in any order.  Some terms are listed a second time,
+    reordered and with one more empty column, so that like terms meet; half
+    of those cancel the first spelling.
+    """
+    full = tuple(range(1, n + 1))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        cfg = []
+        for m in draw(st.lists(st.integers(tail - 4, tail - 1), unique=True, max_size=4)):
+            kind = draw(st.sampled_from(("full", "empty", "partial")))
+            if kind == "partial":
+                ix = tuple(sorted(draw(st.lists(st.integers(1, n), unique=True, min_size=1,
+                                                max_size=n))))
+            else:
+                ix = full if kind == "full" else ()
+            cfg.append((m, ix))
+        c = LaurentPoly.q_power(draw(st.integers(-2, 2)), draw(st.sampled_from((-2, -1, 1, 2))))
+        terms.setdefault(tuple(cfg), c)
+        if draw(st.booleans()):
+            free = [m for m in range(tail - 4, tail) if m not in dict(cfg)]
+            alt = tuple(reversed(cfg)) + tuple((m, ()) for m in free[:1])
+            terms.setdefault(alt, -c if draw(st.booleans()) else c)
+    return terms
+
+
+@st.composite
+def state_pairs(draw):
+    """(n, (tail, terms), (tail, terms)): tails out to 40 from 0 and up to 3 apart.
+
+    The second part is sometimes the first, negated and spelled with up to
+    two more full columns below a higher tail, so that the sum is 0.
+    """
+    n = draw(st.integers(1, 3))
+    tail = draw(st.integers(-40, 40))
+    terms = draw(spelled_terms(n, tail))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        pad = tuple((m, tuple(range(1, n + 1))) for m in range(tail, tail + k))
+        return n, (tail, terms), (tail + k, {cfg + pad: -c for cfg, c in terms.items()})
+    other = tail + draw(st.integers(-3, 3))
+    return n, (tail, terms), (other, draw(spelled_terms(n, other)))
+
+
+class TestCanonicalForm:
+    """The constructor and sums against a canonical form computed on generator sets."""
+
+    @staticmethod
+    def assert_canonical(s, want):
+        assert (s.tail_start, s.terms) == want
+        # the tail is minimal: some term leaves column tail_start - 1 short of full
+        full = tuple(range(1, s.n + 1))
+        assert not s.terms or any(dict(cfg).get(s.tail_start - 1) != full for cfg in s.terms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=state_pairs())
+    def test_constructor_and_sum(self, data):
+        n, (ta, terms_a), (tb, terms_b) = data
+        a, b = FockState(n, ta, terms_a), FockState(n, tb, terms_b)
+        self.assert_canonical(a, reference_canonical(n, [(ta, terms_a)], ta))
+        self.assert_canonical(b, reference_canonical(n, [(tb, terms_b)], tb))
+        # a zero sum keeps the lesser tail of its canonical summands
+        self.assert_canonical(a + b, reference_canonical(
+            n, [(ta, terms_a), (tb, terms_b)], min(a.tail_start, b.tail_start)))
 
 
 class TestMultiplyLeft:
@@ -163,6 +241,14 @@ class TestMultiplyLeft:
         with pytest.raises(ValueError):
             FockState(2, 0, {((4, (1,)),): ONE})
 
+    def test_rank_mismatch_rejected(self):
+        # under rank-3 rules the rank-2 vacuum used to be reduced as if n were 3
+        x = ModeElement.from_word(2, ((-1, 1),))
+        with pytest.raises(ValueError, match="rules of rank 3 cannot act on a state of rank 2"):
+            multiply_left(x, vacuum(2, 0), standard_rules(3))
+        with pytest.raises(ValueError, match="element of rank 3 cannot act on a state of rank 2"):
+            multiply_left(ModeElement.from_word(3, ((-1, 1),)), vacuum(2, 0))
+
     def test_hole_fill_matches_window_oracle(self):
         # multiply into a state with a hole in column 1 and compare against a
         # hand-flattened wide-window reduction of the same product
@@ -197,6 +283,24 @@ class TestShiftOperator:
     def test_zero_shift_rejected(self):
         with pytest.raises(ValueError):
             apply_b(0, vacuum(2, 0))
+
+    def test_rank_mismatch_rejected(self):
+        # this used to return [-1:1 0:2 | tail 1], a rank-2 state reduced by rank-3 rules
+        with pytest.raises(ValueError, match="rules of rank 3 cannot act on a state of rank 2"):
+            apply_b(-1, vacuum(2, 0), rules=standard_rules(3))
+
+    def test_columns_read_once(self):
+        # max() used to use up an iterator of columns, which then held no slot
+        want = apply_b(-2, vacuum(2, 0), columns=(0, 1))
+        assert len(want.terms) == 5
+        assert apply_b(-2, vacuum(2, 0), columns=iter((0, 1))) == want
+        assert apply_b(-2, vacuum(2, 0), columns=(c for c in (1, 0))) == want
+        assert not apply_b(-2, vacuum(2, 0), columns=iter(()))
+
+    @pytest.mark.parametrize("columns", [(0, 1.0), (True,), ("0",)])
+    def test_columns_must_be_ints(self, columns):
+        with pytest.raises(ValueError, match="column must be an integer"):
+            apply_b(-2, vacuum(2, 0), columns=columns)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_b_minus_one_lowest_column(self, n):
@@ -288,6 +392,17 @@ class TestHeisenberg:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             commutator_on_vacuum(0, 1, 2)
+
+    def test_rank_mismatch_rejected(self):
+        # this used to return the scalar 1, not 1 + q^-2 + q^-4
+        with pytest.raises(ValueError, match="rules of rank 2 cannot act on a state of rank 3"):
+            commutator_on_vacuum(1, 1, 3, rules=standard_rules(2))
+
+    @pytest.mark.parametrize("window", [-3, -1, 2.0, True, "4"])
+    def test_window_must_be_a_nonnegative_int(self, window):
+        # window=-3 used to give an empty column range and the scalar 0
+        with pytest.raises(ValueError, match="window must be a nonnegative integer"):
+            commutator_on_vacuum(2, 2, 2, window=window)
 
     def test_window_stability_level_one(self):
         pruned, state_p = commutator_on_vacuum(1, 1, 2)

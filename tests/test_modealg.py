@@ -549,6 +549,13 @@ class TestIndexValidation:
             normal_form(x, standard_rules(2), strategy)
         assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, ((0, 2), bad))
 
+    @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
+    def test_rank_mismatch_rejected(self, strategy):
+        # an n = 2 element used to be reduced with the n = 3 rules
+        x = ModeElement.from_word(2, ((1, 1), (0, 2)))
+        with pytest.raises(ValueError, match="rules of rank 3 cannot reduce an element of rank 2"):
+            normal_form_stats(x, standard_rules(3), strategy)
+
     def test_multiply_left_rejects_index(self):
         from braided_fock.fock import FockState, multiply_left, vacuum
 
