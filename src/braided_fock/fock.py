@@ -267,7 +267,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     ``columns=range(lo, hi + 1)``.  Pruned slots are appended to
     ``log_pruned`` when a list is supplied.
     """
-    if i == 0:
+    if strict_int(i, "shift") == 0:
         raise ValueError("shift must be nonzero")
     rules = _rules_for(s.n, rules)
     if slot_window is not None:
@@ -332,26 +332,17 @@ def scalar_part(s: FockState, base: int = 0):
 
 
 def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
-                         window=None, log_pruned=None, budget=None):
+                         log_pruned=None, budget=None):
     """(b_i b_{-j} - b_{-j} b_i) applied to the vacuum.
 
     Returns (scalar, state): ``scalar`` is the Laurent coefficient when the
-    result is a multiple of the vacuum and None otherwise.  ``window=W`` runs
-    the computation without pruning, with slots restricted to columns in
-    [-W, W + max(i, j)].
+    result is a multiple of the vacuum and None otherwise.
     """
-    if not (i >= 1 and j >= 1):
+    if not (strict_int(i, "shift i") >= 1 and strict_int(j, "shift j") >= 1):
         raise ValueError("shifts i and j must be positive")
-    if window is not None and (type(window) is not int or window < 0):
-        raise ValueError("window must be a nonnegative integer, got %r" % (window,))
     rules = rules or standard_rules(n)
     v = vacuum(n, 0)
-    kw = {"rules": rules, "budget": budget}
-    if window is not None:
-        kw["prune"] = False
-        kw["columns"] = range(-window, window + max(i, j) + 1)
-    else:
-        kw["log_pruned"] = log_pruned
+    kw = {"rules": rules, "log_pruned": log_pruned, "budget": budget}
     first = apply_b(i, apply_b(-j, v, **kw), **kw)
     second = apply_b(-j, apply_b(i, v, **kw), **kw)
     result = first - second

@@ -50,18 +50,18 @@ at p-1, p and p+1 can differ from the parent's.  Under the leftmost strategy
 every pair before p is good, so the child's bad pair is the first from p-1
 on (mirrored for rightmost): each new child is scanned from there.
 
-``strategy="insertion"`` multiplies a generator into a normal word instead,
-the multiplication-table technique of Plural for G-algebras.  For a normal
-word w: if w is empty or g < w[0], g.w is normal; if g = w[0], g.w = 0;
-otherwise the pair rewrites to sum c h1 h2 and
+``insertion_fold`` multiplies a generator into a normal word instead, the
+multiplication-table technique of Plural for G-algebras; ``fock`` runs the
+Fock states through it, and free words always take the heap engine.  For a
+normal word w: if w is empty or g < w[0], g.w is normal; if g = w[0],
+g.w = 0; otherwise the pair rewrites to sum c h1 h2 and
 
     NF(g.w) = sum c NF(h1 . NF(h2 . w[1:])).
 
 The recursion ends: the inner call has a shorter word, the outer one a
 smaller generator h1 < g and a word of the same length, and every mode
 stays inside [mode(w[0]), mode(g)], so only finitely many generators occur.
-Confluence makes the result the normal form.  A word is a right fold of
-insertions from its longest normal suffix.  A normal word has strictly
+Confluence makes the result the normal form.  A normal word has strictly
 increasing codes x = (m - lo)(n+1) + a, lo the lowest mode of the call, so
 the engine holds it as an int with bit x set for each of its codes: g.w is
 the prepend w | 1 << g, and w[0] is the lowest set bit.  NF(g.w) is
@@ -70,9 +70,9 @@ first code of the mode above g's on are cut off and put back unchanged,
 since no rewrite reaches above mode(g), and the rest is shifted down by
 s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.
 The key is (g - s, rest >> s), and a hit is read back as (v << s) | high.
-Here the budget guards the nesting depth of memo misses.  The same fold
-(``insertion_fold``) also sums a derivation over the slots of a normal word
-without building the words it makes; ``fock.apply_b`` runs b_i this way.
+Here the budget guards the nesting depth of memo misses.  The fold also
+sums a derivation over the slots of a normal word without building the
+words it makes; ``fock.apply_b`` runs b_i this way.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ import heapq
 import os
 import re
 from functools import lru_cache
-from operator import ge
 
 from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
@@ -98,9 +97,9 @@ class BudgetExceededError(RuntimeError):
     Besides the budget and the word whose rewrite would exceed it, records
     how far the reduction got: the longest chain finished (``depth``), the
     words expanded so far (``expansions``) and the words still waiting,
-    including this one (``pending``).  Under the insertion strategy these
-    are the deepest nesting of memo misses, the misses and the open ones,
-    and the message says so.
+    including this one (``pending``).  In ``insertion_fold`` these are the
+    deepest nesting of memo misses, the misses and the open ones, and the
+    message says so.
     """
 
     def __init__(self, word, budget, depth, expansions, pending, strategy="leftmost"):
@@ -328,9 +327,9 @@ class ReductionStats:
     ``depth`` is the longest sequential rewrite chain from an input word to
     any word it produced; the budget guards this quantity, which the strictly
     decreasing termination measure bounds.  ``expansions`` is the total number
-    of distinct words rewritten (tree size after merging like terms).  Under
-    the insertion strategy they are the deepest nesting of memo misses and
-    the number of misses.
+    of distinct words rewritten (tree size after merging like terms).  In
+    ``insertion_fold`` they are the deepest nesting of memo misses and the
+    number of misses.
     """
 
     __slots__ = ("depth", "expansions")
@@ -347,19 +346,19 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
                       budget=None):
     """Reduce to normal form; returns (element, :class:`ReductionStats`).
 
-    ``strategy`` is "leftmost" or "rightmost" (the heap engine below, which
-    rewrites the first bad pair in that order) or "insertion".  In the heap
-    engine, pending words are coded and processed lexicographically largest
-    first, and like terms are merged eagerly, so every distinct word is
-    expanded once per call, after all its parents: its coefficient and
-    recorded chain depth are final.  Each pending word carries its bad pair.
+    ``strategy`` is "leftmost" or "rightmost": the first bad pair in that
+    order is rewritten, and any other value raises ValueError.  Pending
+    words are coded and processed lexicographically largest first, and like
+    terms are merged eagerly, so every distinct word is expanded once per
+    call, after all its parents: its coefficient and recorded chain depth
+    are final.  Each pending word carries its bad pair.
     Words holding a zero factor are dropped instead of queued.
     """
     budget = resolve_budget(budget)
     if x.n != rules.n:
         raise ValueError("rules of rank %d cannot reduce an element of rank %d" % (rules.n, x.n))
-    if strategy == "insertion":
-        return _insertion_normal_form(x, rules, budget)
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError("strategy must be 'leftmost' or 'rightmost', got %r" % (strategy,))
     base = rules.n + 1
     heappush, heappop = heapq.heappush, heapq.heappop
     table = rules.pairs
@@ -526,24 +525,6 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
     # insert refers to itself, so free the memo now, not in a garbage collection
     del insert
     return done, stats
-
-
-def _insertion_normal_form(x: ModeElement, rules: ExchangeRules, budget: int):
-    """Normal form by :func:`insertion_fold`, each word folded from its longest normal suffix."""
-    base = rules.n + 1
-    for word in x.terms:
-        check_indices(word, rules.n)
-    lo = min([m for word in x.terms for m, _ in word], default=0)
-    folds = []
-    for word, coeff in x.terms.items():
-        code = [(m - lo) * base + a for m, a in word]
-        t = bytes(map(ge, code, code[1:])).rfind(1) + 1
-        folds.append((code[:t], sum([1 << c for c in code[t:]]), {}, coeff))
-    done, stats = insertion_fold(rules, folds, lo, budget)
-    done = {tuple(_codes(v)): c for v, c in done.items()}
-    # output words share one (mode, index) tuple per generator
-    gens = {k: (k // base + lo, k % base) for w in done for k in w}
-    return ModeElement(x.n, {tuple([gens[k] for k in w]): c for w, c in done.items()}), stats
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

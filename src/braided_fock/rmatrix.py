@@ -55,6 +55,9 @@ class HeckeData:
     __slots__ = ("n", "R", "q")
 
     def __init__(self, n: int, R: TensorOp, q: LaurentPoly = None):
+        if R.n != n or R.legs != 2:
+            raise ValueError("R must be a two-leg operator of rank %d, got %d legs of rank %d"
+                             % (n, R.legs, R.n))
         self.n = n
         self.R = R
         self.q = LaurentPoly.q() if q is None else q
@@ -129,8 +132,6 @@ def _first_entry_witness(op: TensorOp, show=str):
 
 def check_hecke(data: HeckeData) -> CheckResult:
     """Verify (PR - q)(PR + 1/q) = 0 exactly, on integer images (``integer_images``)."""
-    if data.R.legs != 2:
-        raise ValueError("the Hecke check needs a two-leg operator")
     pr = data.PR()
     qv = data.q
     qinv = qv.unit_inverse()

@@ -325,3 +325,50 @@ def reference_canonical(n, parts, fallback_tail):
         modes = sorted({m for m, _ in g if m < t})
         terms[tuple((m, tuple(sorted(a for k, a in g if k == m))) for m in modes)] = c
     return t, terms
+
+
+def insertion_normal_form(x, rules, budget=None):
+    """Normal form of a free element by the insertion engine, as ``fock`` runs it.
+
+    x is folded into ``vacuum(n, T)``, T one above x's top mode, by
+    ``fock.multiply_left``; no rewrite reaches above the mode it rewrites, so
+    each configuration, with the full columns from its ``tail_start`` up to
+    T - 1, is one word of the normal form.  T is read off well-formed
+    generators only, so that ``multiply_left`` rejects the others itself.
+    """
+    from braided_fock.fock import multiply_left, vacuum
+    from braided_fock.modealg import ModeElement
+
+    n = x.n
+    T = 1 + max([g[0] for w in x.terms for g in w if type(g) is tuple and len(g) == 2
+                 and type(g[0]) is int], default=-1)
+    s = multiply_left(x, vacuum(n, T), rules, budget)
+    full = tuple((m, a) for m in range(s.tail_start, T) for a in range(1, n + 1))
+    return ModeElement(n, {tuple((m, a) for m, ix in cfg for a in ix) + full: c
+                           for cfg, c in s.terms.items()})
+
+
+def engine_normal_form(x, rules, strategy, budget=None):
+    """``normal_form`` in the order ``strategy``, or, for "insertion", ``insertion_normal_form``."""
+    from braided_fock.modealg import normal_form
+
+    if strategy == "insertion":
+        return insertion_normal_form(x, rules, budget)
+    return normal_form(x, rules, strategy, budget)
+
+
+def window_commutator(i, j, n, W):
+    """[b_i, b_-j] on the vacuum with no pruning, slots in columns [-W, W + max(i, j)].
+
+    Returns (scalar, state) as ``commutator_on_vacuum`` does.  The lowered
+    vacuum has columns -j..-1, so the window must reach them: W >= j.
+    """
+    from braided_fock.fock import apply_b, scalar_part, vacuum
+    from braided_fock.modealg import standard_rules
+
+    assert W >= j, "a window of %d columns misses the columns -%d..-1" % (W, j)
+    kw = {"rules": standard_rules(n), "prune": False,
+          "columns": range(-W, W + max(i, j) + 1)}
+    v = vacuum(n, 0)
+    result = apply_b(i, apply_b(-j, v, **kw), **kw) - apply_b(-j, apply_b(i, v, **kw), **kw)
+    return scalar_part(result), result

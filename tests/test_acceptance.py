@@ -42,7 +42,7 @@ from braided_fock.rmatrix import (
     standard_sln_R,
 )
 from braided_fock.wedge import degree_rank, derive_wedge_rules
-from helpers import reference_normal_form
+from helpers import engine_normal_form, reference_normal_form, window_commutator
 
 ONE = LaurentPoly.one()
 
@@ -211,8 +211,8 @@ def test_c14_pruning_oracles():
             # unpruned slots in columns [-W, W + max(i, j)], then two columns more
             w = max(i, j) + 2
             pruned = commutator_on_vacuum(i, j, n)
-            ok = ok and pruned == commutator_on_vacuum(i, j, n, window=w)
-            ok = ok and pruned == commutator_on_vacuum(i, j, n, window=w + 2)
+            ok = ok and pruned == window_commutator(i, j, n, w)
+            ok = ok and pruned == window_commutator(i, j, n, w + 2)
     c.done(ok)
 
 
@@ -252,7 +252,7 @@ def test_c16_three_letter_overlaps():
                 want = reference_normal_form(x, rules)
                 words += 1
                 for strategy in ("leftmost", "rightmost", "insertion"):
-                    ok = ok and normal_form(x, rules, strategy) == want
+                    ok = ok and engine_normal_form(x, rules, strategy) == want
     c.done(ok and words == 24010)
 
 

@@ -136,6 +136,19 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "hecke", "--matrix", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["check", "hecke"], ["check", "ybe"], ["check", "pybe"],
+                                      ["check", "unitarity"],
+                                      ["check", "moderel", "--i", "2", "--j", "0"], ["dims"]])
+    def test_three_leg_matrix_rejected_alike(self, capsys, tmp_path, argv):
+        # each command used to fail in its own way, with one of three messages
+        from braided_fock.tensor import embed
+
+        path = tmp_path / "r3.json"
+        path.write_text(json.dumps(embed(standard_sln_R(2).R, [1, 2], 3).to_json()))
+        code, out, err = run(capsys, *argv, "--matrix", str(path))
+        assert code == 2 and out == ""
+        assert err == "R must be a two-leg operator of rank 2, got 3 legs of rank 2\n"
+
 
 class TestNfCommand:
     def test_adjacent_expansion(self, capsys):
@@ -462,7 +475,9 @@ def test_rmatrix_check_loads_neither_modealg_nor_fock():
     assert "modealg" not in loaded and "fock" not in loaded
 
 
-@pytest.mark.parametrize("argv", [["check", "hecke", "--n", "2"], ["dims", "--n", "2"]])
+@pytest.mark.parametrize("argv", [["check", kind, "--n", "2"]
+                                  for kind in ("hecke", "ybe", "pybe", "unitarity")]
+                         + [["dims", "--n", "2"]])
 def test_cli_without_modes_loads_neither_modealg_nor_fock(argv):
     # runs the module as ``python -m braided_fock.cli`` does, then lists the
     # loaded modules at exit on stderr

@@ -35,7 +35,7 @@ from braided_fock.rmatrix import (
     interval_product_bar,
     standard_sln_R,
 )
-from helpers import reference_apply_b, reference_canonical
+from helpers import reference_apply_b, reference_canonical, window_commutator
 
 ONE = LaurentPoly.one()
 
@@ -284,6 +284,12 @@ class TestShiftOperator:
         with pytest.raises(ValueError):
             apply_b(0, vacuum(2, 0))
 
+    @pytest.mark.parametrize("i", [True, -1.0, 2.0, "1"])
+    def test_shift_must_be_a_plain_int(self, i):
+        # True used to run as b_1, and 2.0 to die with a TypeError in the mask code
+        with pytest.raises(ValueError, match="shift must be an integer"):
+            apply_b(i, vacuum(2, 0))
+
     def test_rank_mismatch_rejected(self):
         # this used to return [-1:1 0:2 | tail 1], a rank-2 state reduced by rank-3 rules
         with pytest.raises(ValueError, match="rules of rank 3 cannot act on a state of rank 2"):
@@ -398,16 +404,16 @@ class TestHeisenberg:
         with pytest.raises(ValueError, match="rules of rank 2 cannot act on a state of rank 3"):
             commutator_on_vacuum(1, 1, 3, rules=standard_rules(2))
 
-    @pytest.mark.parametrize("window", [-3, -1, 2.0, True, "4"])
-    def test_window_must_be_a_nonnegative_int(self, window):
-        # window=-3 used to give an empty column range and the scalar 0
-        with pytest.raises(ValueError, match="window must be a nonnegative integer"):
-            commutator_on_vacuum(2, 2, 2, window=window)
+    @pytest.mark.parametrize("i, j", [(True, True), (1, 1.0), (2.0, 1), ("1", 1)])
+    def test_shifts_must_be_plain_ints(self, i, j):
+        # (True, True) used to run as (1, 1) and give 1 + q^-2
+        with pytest.raises(ValueError, match="shift [ij] must be an integer"):
+            commutator_on_vacuum(i, j, 2)
 
     def test_window_stability_level_one(self):
         pruned, state_p = commutator_on_vacuum(1, 1, 2)
-        w4, state_4 = commutator_on_vacuum(1, 1, 2, window=4)
-        w6, state_6 = commutator_on_vacuum(1, 1, 2, window=6)
+        w4, state_4 = window_commutator(1, 1, 2, 4)
+        w6, state_6 = window_commutator(1, 1, 2, 6)
         assert pruned == w4 == w6
         assert state_p == state_4 == state_6
 

@@ -26,7 +26,8 @@ from braided_fock.modealg import (
 )
 from braided_fock.rmatrix import standard_sln_R
 from braided_fock.wedge import wedge_normal_form
-from helpers import reference_normal_form, reference_pair_rewrites, slot_element
+from helpers import (engine_normal_form, insertion_normal_form, reference_normal_form,
+                     reference_pair_rewrites, slot_element)
 
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
@@ -458,12 +459,12 @@ def test_matches_reference_normal_form_hypothesis(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_three_engines_agree_hypothesis(data):
-    # memoised insertion, the heap engine in both orders and plain
-    # recursive rewriting give one normal form
+    # memoised insertion (through fock.multiply_left), the heap engine in
+    # both orders and plain recursive rewriting give one normal form
     x, rules = _random_element(data, data.draw(st.integers(1, 4)), 3, 7)
     want = reference_normal_form(x, rules)
     for strategy in ("insertion", "leftmost", "rightmost"):
-        assert normal_form(x, rules, strategy) == want, strategy
+        assert engine_normal_form(x, rules, strategy) == want, strategy
 
 
 def test_slot_words_match_reference_normal_form():
@@ -473,7 +474,7 @@ def test_slot_words_match_reference_normal_form():
     for x, rules in calls:
         want = reference_normal_form(x, rules)
         for strategy in ("insertion", "leftmost", "rightmost"):
-            assert normal_form(x, rules, strategy) == want, strategy
+            assert engine_normal_form(x, rules, strategy) == want, strategy
 
 
 def test_insertion_matches_heap_on_wide_words():
@@ -489,7 +490,7 @@ def test_insertion_matches_heap_on_wide_words():
         x = ModeElement.from_word(n, tuple((m, rng.randint(1, n)) for m in modes),
                                   LaurentPoly.q_power(rng.randint(-2, 2)))
         rules = standard_rules(n, VARIANTS[k % 2])
-        assert normal_form(x, rules, "insertion") == normal_form(x, rules), x
+        assert insertion_normal_form(x, rules) == normal_form(x, rules), x
 
 
 class TestIndexValidation:
@@ -506,7 +507,7 @@ class TestIndexValidation:
     ])
     def test_non_int_mode_rejected(self, word, bad, strategy):
         with pytest.raises(ValueError) as err:
-            normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
+            engine_normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
         assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, word)
 
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
@@ -515,7 +516,7 @@ class TestIndexValidation:
         # (0, 1, 9) used to be read as (0, 1), and (0,) to raise IndexError
         word = ((1, 2), bad)
         with pytest.raises(ValueError) as err:
-            normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
+            engine_normal_form(ModeElement.from_word(2, word), standard_rules(2), strategy)
         assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, word)
 
     @pytest.mark.parametrize("bad", [(0, 1, 9), (0,)])
@@ -535,7 +536,7 @@ class TestIndexValidation:
         msg = "generator index 3 outside 1..2 in ((1, 2), (0, 1), (1, 3), (0, 4))"
         for strategy in ("insertion", "leftmost"):
             with pytest.raises(ValueError) as err:
-                normal_form(x, rules, strategy)
+                engine_normal_form(x, rules, strategy)
             assert str(err.value) == msg, strategy
 
     @pytest.mark.parametrize("strategy", ["leftmost", "insertion"])
@@ -546,7 +547,7 @@ class TestIndexValidation:
         one = LaurentPoly.one()
         x = ModeElement(2, {((1, 1), (0, 2)): one, ((0, 2), bad): one})
         with pytest.raises(ValueError) as err:
-            normal_form(x, standard_rules(2), strategy)
+            engine_normal_form(x, standard_rules(2), strategy)
         assert str(err.value) == "generator %r is not a pair of ints in %r" % (bad, ((0, 2), bad))
 
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
@@ -555,6 +556,15 @@ class TestIndexValidation:
         x = ModeElement.from_word(2, ((1, 1), (0, 2)))
         with pytest.raises(ValueError, match="rules of rank 3 cannot reduce an element of rank 2"):
             normal_form_stats(x, standard_rules(3), strategy)
+
+    @pytest.mark.parametrize("strategy", ["insertion", "Leftmost", None])
+    def test_unknown_strategy_rejected(self, strategy):
+        # "insertion" used to run the Fock engine on free words, and any other
+        # value the leftmost order
+        x = ModeElement.from_word(2, ((1, 1), (0, 2)))
+        for reduce in (normal_form, normal_form_stats):
+            with pytest.raises(ValueError, match="strategy must be 'leftmost' or 'rightmost'"):
+                reduce(x, standard_rules(2), strategy)
 
     def test_multiply_left_rejects_index(self):
         from braided_fock.fock import FockState, multiply_left, vacuum
@@ -584,7 +594,7 @@ def test_budget_error_reports_progress():
 def test_budget_error_under_insertion_names_memo_misses():
     word = ((3, 1), (0, 2), (-2, 1))
     with pytest.raises(BudgetExceededError) as err:
-        normal_form(ModeElement.from_word(2, word), standard_rules(2), "insertion", budget=2)
+        insertion_normal_form(ModeElement.from_word(2, word), standard_rules(2), budget=2)
     exc = err.value
     assert exc.budget == 2 and exc.depth == 2 and exc.pending == 3
     assert str(exc).endswith("(nesting depth 2, %d memo misses, 3 misses open)" % exc.expansions)
@@ -679,7 +689,7 @@ def test_pair_table_filled_once_per_rules_object(variant):
         normal_form(x, rules, strategy)
     heap = {k: table[k] for k, _ in table.reads}
     table.reads = []
-    normal_form(x, rules, "insertion")
+    insertion_normal_form(x, rules)
     # the insertion engine finds the heap engine's entries, the same objects
     shared = [(k, v) for k, v in table.reads if k in heap]
     assert heap and shared
@@ -689,7 +699,7 @@ def test_pair_table_filled_once_per_rules_object(variant):
     seen = dict(table)
     for d in (1, -5, 9):
         for strategy in ("leftmost", "rightmost", "insertion"):
-            normal_form(translate_element(d, x), rules, strategy)
+            engine_normal_form(translate_element(d, x), rules, strategy)
     assert table.keys() == seen.keys()
     assert all(table[k] is v for k, v in seen.items())
     # another rules object starts with its own, empty table

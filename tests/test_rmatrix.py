@@ -116,9 +116,15 @@ class TestCheckHecke:
 
     def test_dimension_mismatch(self):
         data = standard_sln_R(2)
-        bad = HeckeData(n=2, R=embed(data.R, [1, 2], 3))
         with pytest.raises(ValueError):
-            check_hecke(bad)
+            check_hecke(HeckeData(n=2, R=embed(data.R, [1, 2], 3)))
+
+    def test_wrong_rank_rejected_by_every_check(self):
+        # check_pybe used to pass an R of rank 2 declared as rank 3, where the
+        # other checks raised "operator shape mismatch"
+        with pytest.raises(ValueError, match="R must be a two-leg operator of rank 3, "
+                                             "got 2 legs of rank 2"):
+            HeckeData(3, standard_sln_R(2).R)
 
 
 class TestHeckeShortcuts:
