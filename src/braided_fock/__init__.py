@@ -25,8 +25,8 @@ _LAYERS = {
     "wedge": ("NonPBWInputError", "SwapRuleTable", "WedgeElement", "braided_partial",
               "degree_rank", "derive_wedge_rules", "top_form", "wedge_normal_form"),
     "modealg": ("BudgetExceededError", "ExchangeRules", "ModeElement", "check_modeanticom",
-                "check_modeind", "check_moderel", "gerv_normal_form", "normal_form",
-                "normal_form_stats", "r_anticommutator", "standard_rules"),
+                "check_modeind", "check_moderel", "normal_form", "normal_form_stats",
+                "r_anticommutator", "standard_rules"),
     "fock": ("FockState", "apply_b", "commutator_on_vacuum", "heisenberg_matches",
              "lemma33_closed_form", "lemma33_coefficient", "lemma33_second_term",
              "lemma33_second_term_expected", "multiply_left", "scalar_part", "translate",

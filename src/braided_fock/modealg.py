@@ -97,14 +97,13 @@ class BudgetExceededError(RuntimeError):
     Besides the budget and the word whose rewrite would exceed it, records
     how far the reduction got: the longest chain finished (``depth``), the
     words expanded so far (``expansions``) and the words still waiting,
-    including this one (``pending``).  In ``insertion_fold`` these are the
-    deepest nesting of memo misses, the misses and the open ones, and the
-    message says so.
+    including this one (``pending``).  ``progress`` words the three numbers
+    for the message; ``insertion_fold`` passes its own, since there they are
+    the deepest nesting of memo misses, the misses and the open ones.
     """
 
-    def __init__(self, word, budget, depth, expansions, pending, strategy="leftmost"):
-        progress = ("nesting depth %d, %d memo misses, %d misses open" if strategy == "insertion"
-                    else "depth %d, %d expansions, %d words pending")
+    def __init__(self, word, budget, depth, expansions, pending,
+                 progress="depth %d, %d expansions, %d words pending"):
         super().__init__("rewrite budget %d exceeded while reducing %r (%s)" % (
             budget, word, progress % (depth, expansions, pending)))
         self.word = word
@@ -186,14 +185,10 @@ class ExchangeRules:
         self.n = data.n
         self.variant = variant
         self.swap = derive_wedge_rules(data)
-        pr = data.PR()
         qinv = data.q.unit_inverse()
-        self.pr_cols = _columns_of(pr)
-        self.pbold_cols = _columns_of(pr.scale(-qinv))
-        one = TensorOp.identity(self.n, 2)
-        self.plus_pbold_cols = _columns_of(one + pr.scale(-qinv))
-        self.pr_inv_cols = _columns_of(hecke_PR_inverse(data))
-        self.q = data.q
+        pbold = data.P_bold_R()
+        self.pbold_cols = _columns_of(pbold)
+        self.plus_pbold_cols = _columns_of(TensorOp.identity(self.n, 2) + pbold)
         self.q_inv = qinv
         self.qm2_minus_1 = qinv * qinv - LaurentPoly.one()
         # the coded pair rewrites of both normal-form engines, keyed so that
@@ -481,7 +476,8 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
                 off = lo * base + sum(frames)
                 raise BudgetExceededError(
                     tuple([divmod(c + off, base) for c in [g] + _codes(w)]), budget,
-                    stats.depth, stats.expansions, len(frames) + 1, "insertion")
+                    stats.depth, stats.expansions, len(frames) + 1,
+                    "nesting depth %d, %d memo misses, %d misses open")
             frames.append(s)
             stats.expansions += 1
             stats.depth = max(stats.depth, len(frames))
@@ -532,102 +528,94 @@ def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost"
     return normal_form_stats(x, rules, strategy, budget)[0]
 
 
-def gerv_normal_form(x: ModeElement, n: int = None, budget=None) -> ModeElement:
-    """Normal form in the plain braided tensor product (no correction terms)."""
-    return normal_form(x, standard_rules(n or x.n, "gerv"), budget=budget)
-
-
 # ---- generators and consistency checks ---------------------------------------
+
+
+def _anticommutator(rules: ExchangeRules, i: int, j: int):
+    """The terms of {theta^i, theta^j}_R = theta^i theta^j + (1/q) theta^j theta^i PR."""
+    return [(i, j, TensorOp.identity(rules.n, 2)), (j, i, rules.data.PR().scale(rules.q_inv))]
+
+
+def _column(relation, n: int, col) -> ModeElement:
+    """sum over (m1, m2, op) in ``relation`` of theta^(m1)_c theta^(m2)_d op[(c,d), col]."""
+    terms = {}
+    for m1, m2, op in relation:
+        for ((c, d), k), coeff in op.entries.items():
+            if k == col:
+                add_term(terms, ((m1, c), (m2, d)), coeff)
+    return ModeElement(n, terms)
+
+
+def _vanishes(relation, n: int, rules: ExchangeRules) -> bool:
+    """Whether a relation, as ``_column`` terms, normal-orders to 0 at every column (a, b).
+
+    The normal form is linear and exact, so a relation L = R holds exactly
+    when each column of L - R reduces to 0.
+    """
+    if rules.n != n:
+        raise ValueError("rules of rank %d cannot reduce an element of rank %d" % (rules.n, n))
+    cols = range(1, n + 1)
+    return not any(normal_form(_column(relation, n, (a, b)), rules) for a in cols for b in cols)
 
 
 def r_anticommutator(rules: ExchangeRules, g1, g2) -> ModeElement:
     """theta^(i)_a theta^(j)_b + (1/q) sum_cd (PR)^cd_ab theta^(j)_c theta^(i)_d, unreduced."""
     (i, a), (j, b) = g1, g2
-    terms = {((i, a), (j, b)): LaurentPoly.one()}
-    for (c, d), coeff in rules.pr_cols.get((a, b), ()):
-        add_term(terms, ((j, c), (i, d)), rules.q_inv * coeff)
-    return ModeElement(rules.n, terms)
+    return _column(_anticommutator(rules, i, j), rules.n, (a, b))
 
 
 def check_moderel(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
     """Exchange-relation consistency for one mode pair i > j.
 
-    Normal-orders both sides of
+    Normal-orders the difference of the two sides of
 
         theta^j theta^i PR + q theta^i theta^j
             = theta^(j+1) theta^(i-1) (PR)^{-1} + (1/q) theta^(i-1) theta^(j+1)
 
-    componentwise and compares exactly.
+    column by column and checks that every column reduces to 0.
     """
     if i <= j:
         raise ValueError("need i > j")
     rules = rules or standard_rules(n)
-    one = LaurentPoly.one()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            lhs = {}
-            for (c, d), coeff in rules.pr_cols.get((a, b), ()):
-                add_term(lhs, ((j, c), (i, d)), coeff)
-            add_term(lhs, ((i, a), (j, b)), rules.q * one)
-            rhs = {}
-            for (c, d), coeff in rules.pr_inv_cols.get((a, b), ()):
-                add_term(rhs, ((j + 1, c), (i - 1, d)), coeff)
-            add_term(rhs, ((i - 1, a), (j + 1, b)), rules.q_inv * one)
-            L = normal_form(ModeElement(n, lhs), rules)
-            R = normal_form(ModeElement(n, rhs), rules)
-            if L != R:
-                return False
-    return True
+    one = TensorOp.identity(rules.n, 2)
+    return _vanishes([(j, i, rules.data.PR()), (i, j, one.scale(rules.data.q)),
+                      (j + 1, i - 1, hecke_PR_inverse(rules.data).scale(-1)),
+                      (i - 1, j + 1, one.scale(-rules.q_inv))], n, rules)
 
 
 def check_modeind(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
     """Closed-form correction terms against the one-step recursion, gap >= 2.
 
-    Verifies componentwise that
+    Normal-orders the difference of the two sides of
 
         {theta^i, theta^j}_R = {theta^(i-1), theta^(j+1)}_R (1 + (q - 1/q) PR)
             + (1/q^2 - 1) theta^(j+1) theta^(i-1) (1 - (1/q) PR)
 
-    after normal ordering both sides.
+    column by column and checks that every column reduces to 0.
     """
     if i - j < 2:
         raise ValueError("need i - j >= 2")
     rules = rules or standard_rules(n)
-    lam = rules.q - rules.q_inv
-    ident = TensorOp.identity(n, 2)
-    pr = rules.data.PR()
-    m1_cols = _columns_of(ident + pr.scale(lam))
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            lhs = normal_form(r_anticommutator(rules, (i, a), (j, b)), rules)
-            rhs = ModeElement.zero(n)
-            for (c, d), coeff in m1_cols.get((a, b), ()):
-                rhs = rhs + r_anticommutator(rules, (i - 1, c), (j + 1, d)).scale(coeff)
-            extra = {}
-            for (c, d), coeff in rules.plus_pbold_cols.get((a, b), ()):
-                add_term(extra, ((j + 1, c), (i - 1, d)), rules.qm2_minus_1 * coeff)
-            rhs = normal_form(rhs + ModeElement(n, extra), rules)
-            if lhs != rhs:
-                return False
-    return True
+    data = rules.data
+    one = TensorOp.identity(rules.n, 2)
+    step = (one + data.PR().scale(data.q - rules.q_inv)).scale(-1)
+    correction = (one + data.P_bold_R()).scale(-rules.qm2_minus_1)
+    return _vanishes(_anticommutator(rules, i, j)
+                     + [(m1, m2, op @ step) for m1, m2, op in _anticommutator(rules, i - 1, j + 1)]
+                     + [(j + 1, i - 1, correction)], n, rules)
 
 
 def check_modeanticom(i: int, j: int, n: int, rules: ExchangeRules = None) -> bool:
-    """(theta^i theta^j + theta^j theta^i)(PR + 1/q) normal-orders to zero."""
+    """(theta^i theta^j + theta^j theta^i)(PR + 1/q) = 0 for i > j.
+
+    Normal-orders the left side column by column and checks that every
+    column reduces to 0.
+    """
     if i <= j:
         raise ValueError("need i > j")
     rules = rules or standard_rules(n)
-    m = rules.data.PR() + TensorOp.identity(n, 2).scale(rules.q_inv)
-    cols = _columns_of(m)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            acc = {}
-            for (c, d), coeff in cols.get((a, b), ()):
-                add_term(acc, ((i, c), (j, d)), coeff)
-                add_term(acc, ((j, c), (i, d)), coeff)
-            if normal_form(ModeElement(n, acc), rules):
-                return False
-    return True
+    m = rules.data.PR() + TensorOp.identity(rules.n, 2).scale(rules.q_inv)
+    return _vanishes([(i, j, m), (j, i, m)], n, rules)
 
 
 def shift_leibniz(i: int, x: ModeElement) -> ModeElement:

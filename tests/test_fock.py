@@ -395,6 +395,16 @@ class TestHeisenberg:
             assert scalar == LaurentPoly.zero() and not state
             assert heisenberg_matches(scalar, i, j, 2)
 
+    # A negative control.  The closed form is a finding of this code, not a
+    # statement of the paper: under gerv rules, which drop the correction
+    # terms, the commutator is [n; q^-2] [i; q^(-2(n-1))], and it meets the
+    # Heisenberg relation at level 1 only.
+    @pytest.mark.parametrize("n, i", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_gerv_rules_hold_at_level_one_only(self, n, i):
+        scalar, _ = commutator_on_vacuum(i, i, n, standard_rules(n, "gerv"))
+        assert scalar == braided_int_scalar(n, -2) * braided_int_scalar(i, -2 * (n - 1))
+        assert heisenberg_matches(scalar, i, i, n) == (i == 1)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             commutator_on_vacuum(0, 1, 2)

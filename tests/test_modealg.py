@@ -1,4 +1,6 @@
 import heapq
+import json
+import pathlib
 import random
 import sys
 
@@ -15,7 +17,6 @@ from braided_fock.modealg import (
     check_modeanticom,
     check_modeind,
     check_moderel,
-    gerv_normal_form,
     normal_form,
     normal_form_stats,
     r_anticommutator,
@@ -24,11 +25,13 @@ from braided_fock.modealg import (
     translate_element,
     word_measure,
 )
-from braided_fock.rmatrix import standard_sln_R
+from braided_fock.rmatrix import HeckeData, standard_sln_R
+from braided_fock.tensor import TensorOp
 from braided_fock.wedge import wedge_normal_form
 from helpers import (engine_normal_form, insertion_normal_form, reference_normal_form,
                      reference_pair_rewrites, slot_element)
 
+DATA = pathlib.Path(__file__).parent / "data"
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
 
@@ -180,6 +183,23 @@ class TestConsistency:
             assert check_modeanticom(i, j, 2)
             assert check_modeanticom(i, j, 3)
 
+    @pytest.mark.parametrize("check", [check_moderel, check_modeind, check_modeanticom])
+    def test_rules_of_another_rank_rejected(self, check):
+        with pytest.raises(ValueError, match="rules of rank 2 cannot reduce an element of rank 3"):
+            check(3, 0, 3, standard_rules(2))
+
+    # The shipped R files, at j = 0 and keyed by i.  diagonal_5q fails check
+    # hecke; of these mode checks it fails moderel at gap 1 only.
+    @pytest.mark.parametrize("name, moderel, modeind", [
+        ("twist_3000_n3.json", {1: True, 2: True, 3: True}, {2: True, 3: True}),
+        ("diagonal_5q_n2.json", {1: False, 2: True, 3: True}, {2: True, 3: True}),
+    ])
+    def test_shipped_matrix_files(self, name, moderel, modeind):
+        op = TensorOp.from_json(json.loads((DATA / name).read_text()))
+        rules = ExchangeRules(HeckeData(n=op.n, R=op))
+        assert {i: check_moderel(i, 0, op.n, rules) for i in moderel} == moderel
+        assert {i: check_modeind(i, 0, op.n, rules) for i in modeind} == modeind
+
 
 class TestGervVariant:
     def test_leading_rule_only(self):
@@ -230,7 +250,6 @@ class TestGervVariant:
         full = standard_rules(2)
         gerv = standard_rules(2, "gerv")
         x = ModeElement.from_word(2, ((0, 2), (0, 1)))
-        assert normal_form(x, full) == gerv_normal_form(x)
         assert normal_form(x, gerv) == normal_form(x, full)
 
     def test_unknown_variant(self):
