@@ -10,9 +10,10 @@ interpreter, so the wall time includes no warm cache and the max RSS is that
 point's alone.  A point passes when the scalar is the closed form
 i * sum_{s<n} q^(-2is), built from integers.  Per point it prints the wall
 time of the commutator, the memo misses of the insertion engine summed over
-the four ``apply_b`` calls, the deepest nesting of misses, and the max RSS of
-the process (``ru_maxrss``).  The misses and the depth are deterministic;
-wall and RSS depend on the host.  The exit code is 1 when any point fails.
+the four ``apply_b`` calls, the misses its zero test proved 0 (summed the
+same way), the deepest nesting of misses, and the max RSS of the process
+(``ru_maxrss``).  The misses, zeros and depth are deterministic; wall and
+RSS depend on the host.  The exit code is 1 when any point fails.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ def run_point(n, i):
         "n": n, "i": i, "pass": scalar is not None and scalar.terms == expected,
         "wall_s": round(wall, 3),
         "misses": sum(s.expansions for s in made),
+        "zeros": sum(s.zeros for s in made),
         "depth": max((s.depth for s in made), default=0),
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
@@ -60,17 +62,17 @@ def main(argv):
         print(json.dumps(run_point(int(argv[1]), int(argv[2]))))
         return 0
     points = [tuple(int(v) for v in a.split(",")) for a in argv] or TABLE
-    print("| (n, i) | wall | misses | depth | max RSS | closed form |")
-    print("|---|---|---|---|---|---|")
+    print("| (n, i) | wall | misses | zeros | depth | max RSS | closed form |")
+    print("|---|---|---|---|---|---|---|")
     ok = True
     for n, i in points:
         out = subprocess.run([sys.executable, __file__, "--point", str(n), str(i)],
                              capture_output=True, text=True, check=True)
         r = json.loads(out.stdout)
         ok = ok and r["pass"]
-        print("| (%d, %d) | %.2f s | %s | %d | %.0f MB | %s |" % (
-            n, i, r["wall_s"], format(r["misses"], ","), r["depth"], r["max_rss_mb"],
-            "match" if r["pass"] else "MISMATCH"), flush=True)
+        print("| (%d, %d) | %.2f s | %s | %s | %d | %.0f MB | %s |" % (
+            n, i, r["wall_s"], format(r["misses"], ","), format(r["zeros"], ","), r["depth"],
+            r["max_rss_mb"], "match" if r["pass"] else "MISMATCH"), flush=True)
     return 0 if ok else 1
 
 

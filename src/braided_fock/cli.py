@@ -87,20 +87,28 @@ def cmd_check(args) -> int:
         if getattr(args, opt) is not None and kind not in kinds:
             raise ValueError("check %s does not read --%s" % (kind, opt))
     data = _load_hecke(args)
+    from .rmatrix import admissible_samples, check_braid, check_hecke, check_pybe, check_unitarity
+
     if kind in ("moderel", "modeind"):
         if args.i is None or args.j is None:
             raise ValueError("check %s needs --i and --j" % kind)
         from .modealg import ExchangeRules, check_modeind, check_moderel
 
-        check = check_moderel if kind == "moderel" else check_modeind
-        ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules or "theorem21"))
+        # both checks invert PR through the quadratic relation, which holds
+        # only for a Hecke R: any other R fails here, with the Hecke witness
+        hecke = check_hecke(data)
+        ok = hecke.passed
+        if ok:
+            check = check_moderel if kind == "moderel" else check_modeind
+            ok = check(args.i, args.j, data.n, ExchangeRules(data, args.rules or "theorem21"))
         report = {"check": kind, "n": data.n, "i": args.i, "j": args.j, "pass": ok,
-                  "witness": None, "degrees": {}}
-        _emit(args, report, ["%s i=%d j=%d n=%d: %s" % (kind, args.i, args.j, data.n,
-                                                        "pass" if ok else "FAIL")])
+                  "witness": hecke.witness, "degrees": {}}
+        lines = ["%s i=%d j=%d n=%d: %s" % (kind, args.i, args.j, data.n,
+                                             "pass" if ok else "FAIL")]
+        if not hecke.passed:
+            lines.append("R fails check hecke, witness: %s" % (hecke.witness,))
+        _emit(args, report, lines)
         return EXIT_PASS if ok else EXIT_FAIL
-    from .rmatrix import admissible_samples, check_braid, check_hecke, check_pybe, check_unitarity
-
     if kind == "unitarity":
         res = check_unitarity(data, admissible_samples(5, args.seed or 0))
     else:

@@ -402,6 +402,33 @@ class LinearCombination:
         return bool(self.terms)
 
 
+def to_image(p: LaurentPoly, b: int, e0: int, step: int = 1) -> int:
+    """The integer image of ``p``: sum c 2^(b k) over its terms c q^(e0 + step k).
+
+    That is q^(-e0) p at q^step = 2^b; ``step`` is 1 or -1, and every k must
+    be nonnegative.
+    """
+    return sum([c << b * (e - e0) * step for e, c in p.terms.items()])
+
+
+def from_image(x: int, b: int, e0: int, step: int = 1) -> LaurentPoly:
+    """The ``p`` with ``to_image(p, b, e0, step) == x``.
+
+    Exact when every coefficient of p lies strictly between -2^(b-1) and
+    2^(b-1): they are then the balanced base-2^b digits of x.
+    """
+    terms, e = {}, e0
+    base, half = 1 << b, 1 << (b - 1)
+    while x:
+        d = x & (base - 1)
+        if d >= half:
+            d -= base
+        terms[e] = d
+        x = (x - d) >> b
+        e += step
+    return LaurentPoly(terms)
+
+
 def braided_int_scalar(m: int, step: int = -2) -> LaurentPoly:
     """The scalar braided integer: sum of q**(step*s) for s = 0 .. m-1.
 

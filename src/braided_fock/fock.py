@@ -28,9 +28,10 @@ for oracle comparisons.
 ``apply_b`` spells each term up to W, the materialised tail plus i for a
 raising shift, so that every shifted slot lands below it.  It hands
 ``modealg.insertion_fold`` the term's codes A (read off its mask by
-``modealg._codes``) and the shifted code x_p = A[p] + i(n+1) of each unpruned
-slot p; the fold sums NF(A[:p] x_p A[p+1:]) over the slots by one right fold
-per term, never building a slot's word, and all terms share the call's memo.
+``modealg._codes``), and for each unpruned slot p the shifted code
+x_p = A[p] + i(n+1) with the mask of A[p+1:]; the fold sums
+NF(A[:p] x_p A[p+1:]) over the slots by one right fold per term, never
+building a slot's word, and all terms share the call's memo.
 ``multiply_left`` folds each word of the element into the state's mask,
 spelled up to above every mode it inserts.  Truncation keeps this local:
 every rewrite keeps both output modes inside the mode range of the pair it
@@ -309,7 +310,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                     log_pruned.append({"column": j, "index": x - c * base,
                                        "target_mode": j + i, "term": list(map(list, cfg))})
             elif live:
-                slots[p] = x + i * base
+                slots[p] = (x + i * base, word & -(2 << x))
         if slots:
             folds.append((gens, None, slots, sc))
     done, _ = insertion_fold(rules, folds, lo, budget)

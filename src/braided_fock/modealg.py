@@ -29,7 +29,8 @@ the mode gap and the two indices only, so ``ExchangeRules`` keeps one table
 of pair rewrites for both engines, keyed on (x1 - x2, x2 mod (n+1)) for a
 pair x1 x2, with each child y1 y2 stored as the offsets (y1 - x2, y2 - x2).
 Translated pairs share an entry, and each entry is built once per rules
-object.
+object, as is its copy with integer-image coefficients (``images``) that
+the insertion engine reads.
 
 The heap engine codes a generator as -x instead, which reverses the
 generator order, so the smallest coded word on the heap is the
@@ -72,7 +73,46 @@ s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.
 The key is (g - s, rest >> s), and a hit is read back as (v << s) | high.
 Here the budget guards the nesting depth of memo misses.  The fold also
 sums a derivation over the slots of a normal word without building the
-words it makes; ``fock.apply_b`` runs b_i this way.
+words it makes; ``fock.apply_b`` runs b_i this way.  It carries only a
+nonzero partial sum: where it carries nothing it jumps to the next slot.
+
+Inside ``insertion_fold`` a coefficient c is an int, the value of q^-d c at
+q^-1 = 2^b (Kronecker substitution, as in ``rmatrix.integer_images``), for
+an offset d >= the top exponent of c, so that only powers q^-k occur.  The
+terms of one memo entry share one offset, the largest of their products'
+offsets; a rule coefficient has offset max(0, top exponent), which is 0
+for the standard R in both variants, and adding terms of two offsets
+shifts the lower one by b bits per step.  Each coefficient carries a bound
+on the L1 norm of the polynomial it encodes: the product of the bounds in
+a product, their sum in a sum.  A polynomial whose coefficients all lie
+strictly between -2^(b-1) and 2^(b-1) is read back from its image as
+balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
+the polynomial 0.  Terms are carried even when their image cancels to 0,
+and every bound only grows along the fold, so checking the bounds of the
+outputs is enough: an output bound of 2^(b-1) or more starts the call again
+at twice the width.  b starts at ``_FOLD_BITS`` = 32.
+
+Every rewrite keeps the index multiset, the mode sum and the mode range of
+the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
+an R whose relations are PBW (``wedge.derive_wedge_rules``), so PR maps
+e_(a,b) into the span of e_(a,b) and e_(b,a), and so do P_bold_R = -PR/q,
+1 + P_bold_R and every rewrite built from them.  The mode sum: a cross-mode
+child of modes (i, j) sits at modes (j + s, i - s).  So every word of
+NF(g.w) has the index counts N_a and the mode sum S of g.w and its modes in
+the window of K+1 modes from mode(w[0]) to mode(g).  A normal word holds a
+generator at most once, so its N_a generators of index a sit at distinct
+window offsets, whose sum lies between N_a(N_a-1)/2 and
+N_a K - N_a(N_a-1)/2, and every sum in between occurs.  Such a word exists
+exactly when every N_a <= K+1 and S, counted from the bottom of the window,
+lies between the sums of those bounds over a; when none exists,
+NF(g.w) = 0.  For a normal w inside the window, only g's index can break
+N_a <= K+1, and S cannot fall below the lower bound; the upper one fails
+exactly when P + S_w > K |w| - N_g, with P the pairs of like indices in w,
+S_w its mode sum, |w| its length and N_g its count of g's index.  The miss
+path runs this test, two popcounts per mode, when w already holds g: on the
+``fock_ladder`` benchmark and at the (3, 9) and (4, 8) frontier points no
+other miss fails it.  A proved 0 is stored as the empty sum and counted in
+``ReductionStats.zeros``, not as an expansion.
 """
 
 from __future__ import annotations
@@ -82,7 +122,7 @@ import os
 import re
 from functools import lru_cache
 
-from .coeff import LaurentPoly, LinearCombination, add_term
+from .coeff import LaurentPoly, LinearCombination, add_term, from_image, to_image
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
 from .wedge import VARIANTS, derive_wedge_rules
@@ -194,6 +234,9 @@ class ExchangeRules:
         # the coded pair rewrites of both normal-form engines, keyed so that
         # translated pairs share an entry; filled on first use by pair_rule
         self.pairs = {}
+        # per image width, the same rewrites with the integer-image
+        # coefficients of insertion_fold
+        self.images = {}
 
     def cross_expansion(self, gap: int, a: int, b: int):
         """Rewrite data for theta^(i)_a theta^(j)_b with i - j = gap > 0.
@@ -324,17 +367,20 @@ class ReductionStats:
     decreasing termination measure bounds.  ``expansions`` is the total number
     of distinct words rewritten (tree size after merging like terms).  In
     ``insertion_fold`` they are the deepest nesting of memo misses and the
-    number of misses.
+    number of misses, and ``zeros`` counts the misses its zero test proved
+    0 without a rewrite (the heap engine leaves it 0).
     """
 
-    __slots__ = ("depth", "expansions")
+    __slots__ = ("depth", "expansions", "zeros")
 
-    def __init__(self, depth=0, expansions=0):
+    def __init__(self, depth=0, expansions=0, zeros=0):
         self.depth = depth
         self.expansions = expansions
+        self.zeros = zeros
 
     def __repr__(self):
-        return "ReductionStats(depth=%d, expansions=%d)" % (self.depth, self.expansions)
+        return "ReductionStats(depth=%d, expansions=%d, zeros=%d)" % (
+            self.depth, self.expansions, self.zeros)
 
 
 def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",
@@ -429,6 +475,20 @@ def _codes(mask):
     return out
 
 
+# the bit width b of the coefficient images at the start of an insertion_fold call
+_FOLD_BITS = 32
+
+
+class _WidthExceeded(Exception):
+    """A coefficient bound of an insertion_fold call reached 2^(b-1)."""
+
+
+def _fold_image(c: LaurentPoly, bits: int):
+    """(image, L1 norm, offset d) of c: d = max(0, top exponent), image q^-d c at q^-1 = 2^bits."""
+    d = max(0, max(c.terms))
+    return to_image(c, bits, d, -1), sum(map(abs, c.terms.values())), d
+
+
 def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
     """Sum of right folds of memoised insertions; returns ({mask: coeff}, stats).
 
@@ -437,8 +497,8 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
     the int ``mask`` with bit x set for each code x.  Each fold is
     ``(gens, start, slots, coeff)``: ``gens`` is a list of codes, ``start`` the
     mask of a normal word (or None for 0) and ``slots`` maps positions p of
-    ``gens`` to codes x_p.  Folding from R = {start} and p = len(gens) - 1
-    down to 0, the fold carries
+    ``gens`` to pairs of a code x_p and the mask of gens[p+1:].  Folding from
+    R = {start} and p = len(gens) - 1 down to 0, the fold carries
 
         R_p = NF(gens[p] . R_(p+1)) + NF(x_p . gens[p+1:]),
 
@@ -446,23 +506,76 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
     slots this is NF(gens . start); with a normal ``gens`` and ``start`` None
     it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
     rule of a derivation that replaces one generator.  One memo serves every
-    fold of the call, and ``stats`` counts its misses and their nesting.
+    fold of the call, and ``stats`` counts its misses, their nesting and the
+    misses proved 0.  Coefficients are integer images of b bits (see the
+    module docstring), and a call whose bounds outgrow them runs again at
+    twice the width.
     """
     budget = resolve_budget(budget)
+    stats = ReductionStats()
+    bits = _FOLD_BITS
+    while True:
+        try:
+            return _fold(rules, folds, lo, budget, bits, stats), stats
+        except _WidthExceeded:
+            stats.__init__()  # count the work of the last attempt only
+            bits *= 2
+
+
+def _fold(rules, folds, lo, budget, bits, stats):
+    """``insertion_fold`` at ``bits`` bits; raises _WidthExceeded when they do not suffice."""
     base = rules.n + 1
-    one = LaurentPoly.one()
-    table = rules.pairs
+    half = 1 << (bits - 1)
+    block = (1 << base) - 1
+    pairs = rules.pairs
+    table = rules.images.setdefault(bits, {})
     memo = {}
     frames = []  # the shift s of each open miss, outermost first
-    stats = ReductionStats()
+
+    def add(acc, bnd, D, terms, d, c, cb):
+        # acc += c terms, for terms (mask, image, bound) at offset d and acc
+        # at offset D; returns the offset of the sum
+        if d > D:
+            for v in acc:
+                acc[v] <<= (d - D) * bits
+            D = d
+        c <<= (D - d) * bits
+        for v, cv, bv in terms:
+            x = acc.get(v)
+            if x is None:
+                acc[v] = c * cv
+                bnd[v] = cb * bv
+            else:
+                acc[v] = x + c * cv
+                bnd[v] += cb * bv
+        return D
+
+    def push(acc, bnd, D, g, terms, d, c, cb):
+        # acc += c NF(g . u) cu over (u, cu, bu) in terms, at offset d
+        for u, cu, bu in terms:
+            dv, vs = insert(g, u)
+            if d + dv != D:
+                D = add(acc, bnd, D, vs, d + dv, c * cu, cb * bu)
+                continue
+            cu *= c
+            bu *= cb
+            for v, cv, bv in vs:
+                x = acc.get(v)
+                if x is None:
+                    acc[v] = cu * cv
+                    bnd[v] = bu * bv
+                else:
+                    acc[v] = x + cu * cv
+                    bnd[v] += bu * bv
+        return D
 
     def insert(g, w):
-        # NF(g . w) for a normal mask w, as ((mask, coefficient), ...)
+        # NF(g . w) for a normal mask w, as (offset, [(mask, image, bound), ...])
         w0 = (w & -w).bit_length() - 1
         if g < w0 or not w:
-            return ((w | 1 << g, one),)
+            return 0, ((w | 1 << g, 1, 1),)
         if g == w0:
-            return ()
+            return 0, ()
         # no rewrite reaches above g's mode, so the bits from top on are cut
         # off; the rest is shifted down to w0's mode, since the rules depend
         # only on mode gaps
@@ -472,6 +585,11 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
         key = (g - s, (w ^ high) >> s)
         out = memo.get(key)
         if out is None:
+            kg, kw = key
+            if kw >> kg & 1 and infeasible(kg, kw):
+                stats.zeros += 1
+                memo[key] = (0, ())
+                return 0, ()
             if len(frames) >= budget:
                 off = lo * base + sum(frames)
                 raise BudgetExceededError(
@@ -481,46 +599,78 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
             frames.append(s)
             stats.expansions += 1
             stats.depth = max(stats.depth, len(frames))
-            g, w = key
             h = w0 - s
-            rest = w ^ 1 << h
-            pair = (g - h, h)
+            rest = kw ^ 1 << h
+            pair = (kg - h, h)
             rule = table.get(pair)
             if rule is None:
-                rule = rules.pair_rule(pair)
-            acc = {}
-            for o1, o2, c in rule:
-                for u, cu in insert(h + o2, rest):
-                    cu = c if cu is one else c * cu
-                    for v, cv in insert(h + o1, u):
-                        add_term(acc, v, cu if cv is one else cu * cv)
-            out = memo[key] = tuple(acc.items())
+                rule = pairs.get(pair)
+                if rule is None:
+                    rule = rules.pair_rule(pair)
+                rule = table[pair] = [(o1, o2) + _fold_image(c, bits) for o1, o2, c in rule if c]
+            acc, bnd, D = {}, {}, 0
+            for o1, o2, c, cb, cd in rule:
+                du, us = insert(h + o2, rest)
+                D = push(acc, bnd, D, h + o1, us, du + cd, c, cb)
+            out = memo[key] = (D, tuple(zip(acc, acc.values(), bnd.values())))
             frames.pop()
-        return [(v << s | high, c) for v, c in out]
+        d, terms = out
+        if not terms or not (s or high):
+            return out
+        if len(terms) == 1:  # the common case, without a comprehension
+            ((v, c, cb),) = terms
+            return d, ((v << s | high, c, cb),)
+        return d, [(v << s | high, c, cb) for v, c, cb in terms]
 
-    done = {}
+    def infeasible(g, w):
+        # whether no normal word of modes 0..K, K = mode(g), has the index
+        # counts and the mode sum of g . w, for a w that holds g (see the
+        # module docstring)
+        K = g // base
+        rep = ((1 << (K + 1) * base) - 1) // block  # bit 0 of each mode
+        col = w >> g - K * base & rep
+        if col == rep:
+            return True
+        t = 0
+        for k in range(base, (K + 1) * base, base):
+            v = w >> k
+            t += v.bit_count() + (w & v).bit_count()
+        return t > K * w.bit_count() - col.bit_count()
+
+    done, dbnd, Dd = {}, {}, 0
     for gens, start, slots, coeff in folds:
-        cur = {} if start is None else {start: one}
-        suffix = 0  # the mask of gens[p+1:]
-        for p in range(len(gens) - 1, -1, -1):
-            g = gens[p]
-            nxt = {}
-            for u, cu in cur.items():
-                for v, cv in insert(g, u):
-                    add_term(nxt, v, cv if cu is one else cu if cv is one else cu * cv)
-            x = slots.get(p)
-            if x is not None:
-                for v, cv in insert(x, suffix):
-                    add_term(nxt, v, cv)
-            suffix |= 1 << g
-            cur = nxt
-        if coeff == one:  # then skip the products below
-            coeff = one
-        for v, c in cur.items():
-            add_term(done, v, c if coeff is one else c * coeff)
-    # insert refers to itself, so free the memo now, not in a garbage collection
+        # R_p: images acc and bounds bnd at offset D
+        acc, bnd, D = ({}, {}, 0) if start is None else ({start: 1}, {start: 1}, 0)
+        order = sorted(slots, reverse=True)  # the slot positions, highest first
+        k = 0
+        p = len(gens) - 1
+        while p >= 0:
+            if not acc:
+                # nothing is carried, so R_p is 0 down to the next slot
+                if k == len(order):
+                    break
+                p = order[k]
+            nxt, nbnd = {}, {}
+            E = push(nxt, nbnd, 0, gens[p], zip(acc, acc.values(), bnd.values()), D, 1, 1)
+            if k < len(order) and order[k] == p:
+                k += 1
+                x, suffix = slots[p]
+                E = push(nxt, nbnd, E, x, ((suffix, 1, 1),), 0, 1, 1)
+            acc, bnd, D = nxt, nbnd, E
+            p -= 1
+        if acc:
+            c, cb, cd = _fold_image(coeff, bits)
+            Dd = add(done, dbnd, Dd, zip(acc, acc.values(), bnd.values()), D + cd, c, cb)
+    out = {}
+    for v, x in done.items():
+        if dbnd[v] >= half:
+            raise _WidthExceeded
+        if x:
+            out[v] = from_image(x, bits, Dd, -1)
+    # insert and push refer to each other, so free the memo now, not in a
+    # garbage collection
     del insert
-    return done, stats
+    return out
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

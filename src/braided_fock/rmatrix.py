@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeff import LaurentPoly, PolyQZW, add_term
+from .coeff import LaurentPoly, PolyQZW, add_term, from_image, to_image
 from .tensor import TensorOp, embed, invert, permutation_P
 
 
@@ -255,22 +255,8 @@ def integer_images(factors, u: int):
     b = (4 * rows ** (u - 1) * norm ** u).bit_length()
     if b * span > _IMAGE_BITS:
         return factors, lambda c: c
-    images = [op.map_coefficients(
-        lambda c: sum(v << b * (e - lo) for e, v in c.terms.items())) for op in factors]
-    base, half = 1 << b, 1 << (b - 1)
-
-    def decode(x: int) -> LaurentPoly:
-        terms, e = {}, u * lo
-        while x:
-            d = x & (base - 1)
-            if d >= half:
-                d -= base
-            terms[e] = d
-            x = (x - d) >> b
-            e += 1
-        return LaurentPoly(terms)
-
-    return images, decode
+    images = [op.map_coefficients(lambda c: to_image(c, b, lo)) for op in factors]
+    return images, lambda x: from_image(x, b, u * lo)
 
 
 # the base M of the Kronecker encoding, for z- and w-degrees up to 2 (``check_pybe``)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from braided_fock.cli import main, parse_word, ParseError
-from braided_fock.rmatrix import standard_sln_R
+from braided_fock.rmatrix import HeckeData, check_hecke, standard_sln_R
 from braided_fock.tensor import TensorOp
 
 
@@ -282,6 +282,23 @@ class TestOtherCommands:
         code, out, err = run(capsys, "dims", "--matrix", str(path), "--output", "json")
         assert (code, err) == (0, "")
         assert [r["rank"] for r in json.loads(out)["rows"]] == [1, 2, 1]
+
+    @pytest.mark.parametrize("kind", ["moderel", "modeind"])
+    def test_mode_checks_refuse_a_non_hecke_matrix(self, capsys, kind):
+        # the mode checks invert PR through the quadratic relation; on this
+        # non-Hecke R they used to print pass with exit 0 at i = 2, j = 0
+        path = pathlib.Path(__file__).parent / "data" / "diagonal_5q_n2.json"
+        data = HeckeData(2, TensorOp.from_json(json.loads(path.read_text())))
+        witness = check_hecke(data).witness
+        assert witness is not None
+        argv = ("check", kind, "--i", "2", "--j", "0", "--matrix", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == ["%s i=2 j=0 n=2: FAIL" % kind,
+                                    "R fails check hecke, witness: %s" % (witness,)]
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        report = json.loads(out)
+        assert code == 1 and report["pass"] is False and report["witness"] == witness
 
     @pytest.mark.parametrize("argv, code", [
         (("check", "hecke", "--n", "5"), 2),
