@@ -10,9 +10,10 @@ interpreter, so the wall time includes no warm cache and the max RSS is that
 point's alone.  A point passes when the scalar is the closed form
 i * sum_{s<n} q^(-2is), built from integers.  Per point it prints the wall
 time of the commutator, the memo misses of the insertion engine summed over
-the four ``apply_b`` calls, the misses its zero test proved 0 (summed the
-same way), the deepest nesting of misses, and the max RSS of the process
-(``ru_maxrss``).  The misses, zeros and depth are deterministic; wall and
+the four shifts of the commutator (one ``insertion_fold`` call each), the
+misses its zero test proved 0 (summed the same way; slots that the same
+test drops before they are built are not counted), the deepest nesting of
+misses, and the max RSS of the process (``ru_maxrss``).  The misses, zeros and depth are deterministic; wall and
 RSS depend on the host.  The exit code is 1 when any point fails.
 """
 

@@ -429,6 +429,19 @@ def from_image(x: int, b: int, e0: int, step: int = 1) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def image_l1(x: int, b: int) -> int:
+    """The L1 norm of ``from_image(x, b, e0, step)``: the sum of the absolute digits of x."""
+    total = 0
+    mask, half = (1 << b) - 1, 1 << (b - 1)
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= mask + 1
+        total += abs(d)
+        x = (x - d) >> b
+    return total
+
+
 def braided_int_scalar(m: int, step: int = -2) -> LaurentPoly:
     """The scalar braided integer: sum of q**(step*s) for s = 0 .. m-1.
 

@@ -21,17 +21,28 @@ dropped when every column between k and j (including k, excluding j) is
 full, because the shifted generator then reorders onto a full column and a
 product of n+1 generators of one mode vanishes; correction terms produced on
 the way live strictly between k and j and die against the same full columns.
-The test is one mask comparison per column.  Every pruned slot can be
-logged, and pruning can be switched off entirely inside a finite slot window
-for oracle comparisons.
+The test is one mask comparison per column.  A raised slot p of a word A is
+also dropped when the counting test of ``modealg`` (``infeasible``, the
+routine its memo misses run) proves NF(x_p . A[p+1:]) = 0 for the shifted
+generator x_p.  That drop is exact by the same proof: the slot's term is
+NF(A[:p] . NF(x_p . A[p+1:])), and every rewrite keeps the index counts and
+the mode sum that the test finds no normal word for.  The pruned-slot log
+lists the column-rule prunes only.  ``prune=False`` switches both tests off;
+inside a finite slot window it is the oracle for comparisons.
 
-``apply_b`` spells each term up to W, the materialised tail plus i for a
-raising shift, so that every shifted slot lands below it.  It hands
-``modealg.insertion_fold`` the term's codes A (read off its mask by
-``modealg._codes``), and for each unpruned slot p the shifted code
-x_p = A[p] + i(n+1) with the mask of A[p+1:]; the fold sums
-NF(A[:p] x_p A[p+1:]) over the slots by one right fold per term, never
-building a slot's word, and all terms share the call's memo.
+The shift core ``_shift`` works on a spelled state (terms, lo, W, T): each
+mask spells the modes lo..W-1, full from the canonical tail start T on, and
+maps to its coefficient as the (image, L1 bound, offset) triple of
+``modealg.insertion_fold``.  It spells each term up to W, the materialised
+tail plus i for a raising shift, so that every shifted slot lands below it.
+It builds each term's slots one column at a time and hands the fold the
+term's codes A and, for each slot p, the shifted code x_p = A[p] + i(n+1)
+with the mask of A[p+1:]; the fold sums NF(A[:p] x_p A[p+1:]) over the slots
+by one right fold per term, never building a slot's word, and all terms
+share the call's memo.  ``apply_b`` encodes a state, runs the core once and
+decodes; ``commutator_on_vacuum`` chains it for b_i b_-j omega and
+b_-j b_i omega and decodes once, at the end.  A width restart
+(``modealg.at_fold_width``) runs the whole chain again at twice the width.
 ``multiply_left`` folds each word of the element into the state's mask,
 spelled up to above every mode it inserts.  Truncation keeps this local:
 every rewrite keeps both output modes inside the mode range of the pair it
@@ -42,8 +53,8 @@ and the memo keys each insertion on the columns at or below it.
 from __future__ import annotations
 
 from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
-from .modealg import (ExchangeRules, ModeElement, _codes, check_indices, insertion_fold,
-                      standard_rules)
+from .modealg import (ExchangeRules, ModeElement, at_fold_width, check_indices, fold_image,
+                      infeasible, insertion_fold, standard_rules, unfold_image)
 
 
 class FockState:
@@ -187,42 +198,53 @@ def _full_mask(n: int, lo: int, start: int, end: int) -> int:
 def _read_masks(n: int, masks: dict, lo: int, W: int, fallback_tail: int) -> FockState:
     """The canonical state of {mask: coeff}, each mask spelling modes ``lo`` to W - 1.
 
-    The tail starts at the least t such that the columns t..W-1 are full in
-    every mask, the largest of the terms' own minimal tails; the nonempty
-    columns below t are read back in order, so distinct masks stay distinct
-    configurations.  No mask gives the state 0 with tail ``fallback_tail``.
+    The tail starts at ``_tail``; the nonempty columns below it are read back
+    in order, so distinct masks stay distinct configurations.  No mask gives
+    the state 0 with tail ``fallback_tail``.
     """
     s = FockState.__new__(FockState)
-    s.n, s.tail_start, s.terms = n, fallback_tail, {}
+    t = _tail(n, masks, lo, W, fallback_tail)
+    cache = {}
+    s.n, s.tail_start = n, t
+    s.terms = {_config(v, lo, t, n + 1, cache): c for v, c in masks.items()}
+    return s
+
+
+def _tail(n: int, masks, lo: int, W: int, fallback_tail: int) -> int:
+    """The least t such that the columns t..W-1 are full in every mask, or ``fallback_tail``.
+
+    That is the largest of the masks' own minimal tails; no mask gives
+    ``fallback_tail``.
+    """
     if not masks:
-        return s
-    base = n + 1
-    full = (1 << base) - 2
+        return fallback_tail
     common = -1
     for v in masks:
         common &= v
     # the tail starts just above the highest column that some mask leaves short
     missing = _full_mask(n, lo, lo, W) & ~common
-    t = lo + (missing.bit_length() - 1) // base + 1
-    below = (1 << (t - lo) * base) - 1
-    index_tuples = {}
-    terms = {}
-    for v, c in masks.items():
-        v &= below
-        cfg = []
-        m = lo
-        while v:
-            b = v & full
-            if b:
-                ix = index_tuples.get(b)
-                if ix is None:
-                    ix = index_tuples[b] = tuple([a for a in range(1, base) if b >> a & 1])
-                cfg.append((m, ix))
-            v >>= base
-            m += 1
-        terms[tuple(cfg)] = c
-    s.tail_start, s.terms = t, terms
-    return s
+    return lo + (missing.bit_length() - 1) // (n + 1) + 1
+
+
+def _config(v: int, lo: int, t: int, base: int, cache: dict) -> tuple:
+    """The nonempty columns of mask v below mode t, as ((mode, indices), ...).
+
+    ``cache`` maps a column's bits to its index tuple.
+    """
+    v &= (1 << (t - lo) * base) - 1
+    full = (1 << base) - 2
+    cfg = []
+    m = lo
+    while v:
+        b = v & full
+        if b:
+            ix = cache.get(b)
+            if ix is None:
+                ix = cache[b] = tuple([a for a in range(1, base) if b >> a & 1])
+            cfg.append((m, ix))
+        v >>= base
+        m += 1
+    return tuple(cfg)
 
 
 def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:
@@ -232,6 +254,36 @@ def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:
     if rules.n != n:
         raise ValueError("rules of rank %d cannot act on a state of rank %d" % (rules.n, n))
     return rules
+
+
+def _encode(s: FockState, lo: int, bits: int):
+    """The spelled state (terms, lo, W, T) of s, its masks spelling modes ``lo`` to W - 1.
+
+    ``terms`` maps each mask to the (image, bound, offset) triple of its
+    coefficient at ``bits`` bits, and W = T = s.tail_start.
+    """
+    base = s.n + 1
+    terms = {_mask(cfg, lo, base): fold_image(c, bits) for cfg, c in s.terms.items()}
+    return terms, lo, s.tail_start, s.tail_start
+
+
+def _decode(n: int, spelled, bits: int) -> FockState:
+    """The canonical state of a spelled state (terms, lo, W, T)."""
+    terms, lo, W, T = spelled
+    return _read_masks(n, {v: unfold_image(t, bits) for v, t in terms.items()}, lo, W, T)
+
+
+def _at_width(run, log):
+    """``run(bits)`` by ``at_fold_width``; each attempt cuts ``log`` back to its length now."""
+    if log is None:
+        return at_fold_width(run)
+    mark = len(log)
+
+    def attempt(bits):
+        del log[mark:]
+        return run(bits)
+
+    return at_fold_width(attempt)
 
 
 def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
@@ -248,13 +300,108 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
     lo = min([T] + [m for part in (s.terms, x.terms) for word in part for m, _ in word])
     # each term, its columns spelled up to W - 1, is the normal start of its folds
     tail = _full_mask(s.n, lo, T, W)
+
+    def run(bits):
+        folds = []
+        for cfg, sc in s.terms.items():
+            start = _mask(cfg, lo, base) | tail
+            for xword, xc in x.terms.items():
+                folds.append(([(m - lo) * base + a for m, a in xword], start, (),
+                              fold_image(sc * xc, bits)))
+        done, _ = insertion_fold(rules, folds, lo, budget, bits)
+        return _decode(s.n, (done, lo, W, T), bits)
+
+    return at_fold_width(run)
+
+
+def _shift(rules: ExchangeRules, i: int, spelled, bits: int, prune: bool = True,
+           columns=None, log=None, budget=None):
+    """b_i on a spelled state (terms, lo, W, T); returns the spelled result.
+
+    ``terms`` maps masks, each spelling the modes lo..W-1 with full columns
+    from T on, to (image, bound, offset) triples of ``bits`` bits; T is the
+    canonical tail start of the terms, and ``lo`` is at most every mode plus
+    min(i, 0).  ``columns`` is None or a set of ints; the other arguments are
+    those of ``apply_b``.  Each term's slots are built one column at a time,
+    and the log lists the terms in configuration order, so that it does not
+    depend on how the state was built.
+    """
+    n = rules.n
+    base = n + 1
+    terms, lo, W, T = spelled
+    if columns is not None:
+        T_impl = max([T] + [c + 1 for c in columns])
+    elif i < 0:
+        T_impl = T - i
+    else:
+        T_impl = T
+    # every shifted slot lands below W, so the result is spelled to W too
+    top = T_impl + max(i, 0)
+    if top > W:
+        tail = _full_mask(n, lo, W, top)
+        terms = {v | tail: t for v, t in terms.items()}
+        W = top
+    full = (1 << base) - 2
+    # a generator of the column at offset c passes the |i| columns of span << (c + step) * base
+    span = _full_mask(n, lo, lo, lo + abs(i))
+    step = min(i, 1)
+    shift = i * base
+    cache = {}
     folds = []
-    for cfg, sc in s.terms.items():
-        start = _mask(cfg, lo, base) | tail
-        for xword, xc in x.terms.items():
-            folds.append(([(m - lo) * base + a for m, a in xword], start, {}, sc * xc))
-    done, _ = insertion_fold(rules, folds, lo, budget)
-    return _read_masks(s.n, done, lo, W, T)
+    logged = []  # (configuration, [(column, index), ...]) of each term with logged prunes
+    # a fixed order, so that the work does not depend on how the state was
+    # built; decreasing masks keep the misses nested as shallowly as the
+    # configuration order does ([b_7, b_-7] at n = 4: 6 deep, 27 in the
+    # order the lowering shift made the terms)
+    for word, coeff in sorted(terms.items(), reverse=True):
+        gens = []
+        slots = []
+        pruned = []
+        for c in range(T_impl - lo):
+            b = word >> c * base & full
+            if not b:
+                continue
+            ix = cache.get(b)
+            if ix is None:
+                ix = cache[b] = tuple([a for a in range(1, base) if b >> a & 1])
+            x0 = c * base
+            p0 = len(gens)
+            gens += [x0 + a for a in ix]
+            j = c + lo
+            if columns is not None and j not in columns:
+                continue
+            between = span << (c + step) * base
+            if prune and word & between == between:
+                if log is not None:
+                    pruned += [(j, a) for a in ix]
+                continue
+            # the codes of g's mode and below, for the counting test
+            cut = (1 << (c + i + 1) * base) - 1
+            for p, a in enumerate(ix, p0):
+                x = x0 + a
+                g = x + shift
+                suffix = word & -(2 << x)
+                if prune and i > 0:
+                    # a raised slot is not built when the counting test of a
+                    # memo miss proves its insertion NF(g . suffix) 0; the
+                    # test takes the miss's key, suffix cut above g's mode
+                    # and shifted down to the mode of its first code w0
+                    w0 = (suffix & -suffix).bit_length() - 1
+                    s = w0 - w0 % base
+                    kw = (suffix & cut) >> s
+                    if g > w0 and kw >> g - s & 1 and infeasible(g - s, kw, base):
+                        continue
+                slots.append((p, g, suffix))
+        if slots:
+            slots.reverse()
+            folds.append((gens, None, slots, coeff))
+        if pruned:
+            logged.append((_config(word, lo, T, base, cache), pruned))
+    for cfg, pruned in sorted(logged, key=lambda entry: entry[0]):
+        term = list(map(list, cfg))
+        log += [{"column": j, "index": a, "target_mode": j + i, "term": term} for j, a in pruned]
+    done, _ = insertion_fold(rules, folds, lo, budget, bits)
+    return done, lo, W, _tail(n, done, lo, W, T)
 
 
 def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = True,
@@ -264,57 +411,31 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     ``columns`` restricts the generator slots to the given columns (any
     iterable of ints, read once) and materializes the tail through the
     largest of them; with a window of columns and ``prune=False`` this is
-    the brute-force oracle.  ``slot_window=(lo, hi)`` is shorthand for
-    ``columns=range(lo, hi + 1)``.  Pruned slots are appended to
+    the brute-force oracle.  ``slot_window=(lo, hi)``, a pair of ints, is
+    shorthand for ``columns=range(lo, hi + 1)``; giving both raises
+    ValueError.  Slots pruned by the column rule are appended to
     ``log_pruned`` when a list is supplied.
     """
     if strict_int(i, "shift") == 0:
         raise ValueError("shift must be nonzero")
     rules = _rules_for(s.n, rules)
     if slot_window is not None:
-        columns = range(slot_window[0], slot_window[1] + 1)
-    n = s.n
-    T = s.tail_start
+        if columns is not None:
+            raise ValueError("give slot_window or columns, not both")
+        if not (isinstance(slot_window, (tuple, list)) and len(slot_window) == 2):
+            raise ValueError("slot_window must be a pair (lo, hi) of ints, got %r"
+                             % (slot_window,))
+        columns = range(strict_int(slot_window[0], "slot_window lo"),
+                        strict_int(slot_window[1], "slot_window hi") + 1)
     if columns is not None:
         columns = frozenset([strict_int(c, "column") for c in columns])
-        T_impl = max([T] + [c + 1 for c in columns])
-    elif i < 0:
-        T_impl = T - i
-    else:
-        T_impl = T
-    # every shifted slot lands below W, so one read maps each output back
-    W = T_impl + max(i, 0)
-    base = n + 1
-    lo = min([T] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
-    tail = _full_mask(n, lo, T, W)
-    # a generator of the column at offset c passes the |i| columns of span << (c + step) * base
-    span = _full_mask(n, lo, lo, lo + abs(i))
-    step = min(i, 1)
-    folds = []
-    # in key order, so the pruned-slot log does not depend on how s was built
-    for cfg, sc in sorted(s.terms.items()):
-        word = _mask(cfg, lo, base) | tail
-        gens = _codes(word)
-        slots = {}
-        col = None
-        for p, x in enumerate(gens):
-            c = x // base
-            if c != col:
-                col = c
-                j = c + lo
-                live = j < T_impl and (columns is None or j in columns)
-                between = span << (c + step) * base
-                pruned = live and prune and word & between == between
-            if pruned:
-                if log_pruned is not None:
-                    log_pruned.append({"column": j, "index": x - c * base,
-                                       "target_mode": j + i, "term": list(map(list, cfg))})
-            elif live:
-                slots[p] = (x + i * base, word & -(2 << x))
-        if slots:
-            folds.append((gens, None, slots, sc))
-    done, _ = insertion_fold(rules, folds, lo, budget)
-    return _read_masks(n, done, lo, W, T)
+    lo = min([s.tail_start] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
+
+    def run(bits):
+        return _decode(s.n, _shift(rules, i, _encode(s, lo, bits), bits, prune, columns,
+                                   log_pruned, budget), bits)
+
+    return _at_width(run, log_pruned)
 
 
 def translate(s: FockState, d: int) -> FockState:
@@ -337,16 +458,24 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     """(b_i b_{-j} - b_{-j} b_i) applied to the vacuum.
 
     Returns (scalar, state): ``scalar`` is the Laurent coefficient when the
-    result is a multiple of the vacuum and None otherwise.
+    result is a multiple of the vacuum and None otherwise.  Each product
+    chains its two shifts on masks and coefficient images, and is decoded
+    once, at the end; a width restart runs both products again.
     """
     if not (strict_int(i, "shift i") >= 1 and strict_int(j, "shift j") >= 1):
         raise ValueError("shifts i and j must be positive")
-    rules = rules or standard_rules(n)
     v = vacuum(n, 0)
-    kw = {"rules": rules, "log_pruned": log_pruned, "budget": budget}
-    first = apply_b(i, apply_b(-j, v, **kw), **kw)
-    second = apply_b(-j, apply_b(i, v, **kw), **kw)
-    result = first - second
+    rules = _rules_for(n, rules)
+
+    def run(bits):
+        # the vacuum spelled from mode -j on, low enough for b_-j in either order
+        start = _encode(v, -j, bits)
+        kw = {"log": log_pruned, "budget": budget}
+        first = _shift(rules, i, _shift(rules, -j, start, bits, **kw), bits, **kw)
+        second = _shift(rules, -j, _shift(rules, i, start, bits, **kw), bits, **kw)
+        return _decode(n, first, bits) - _decode(n, second, bits)
+
+    result = _at_width(run, log_pruned)
     return scalar_part(result), result
 
 

@@ -73,8 +73,8 @@ s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.
 The key is (g - s, rest >> s), and a hit is read back as (v << s) | high.
 Here the budget guards the nesting depth of memo misses.  The fold also
 sums a derivation over the slots of a normal word without building the
-words it makes; ``fock.apply_b`` runs b_i this way.  It carries only a
-nonzero partial sum: where it carries nothing it jumps to the next slot.
+words it makes; ``fock`` runs b_i this way.  It carries only a nonzero
+partial sum: where it carries nothing it jumps to the next slot.
 
 Inside ``insertion_fold`` a coefficient c is an int, the value of q^-d c at
 q^-1 = 2^b (Kronecker substitution, as in ``rmatrix.integer_images``), for
@@ -89,8 +89,16 @@ strictly between -2^(b-1) and 2^(b-1) is read back from its image as
 balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
 the polynomial 0.  Terms are carried even when their image cancels to 0,
 and every bound only grows along the fold, so checking the bounds of the
-outputs is enough: an output bound of 2^(b-1) or more starts the call again
-at twice the width.  b starts at ``_FOLD_BITS`` = 32.
+outputs is enough: an output bound of 2^(b-1) or more raises, and
+``at_fold_width`` runs the caller again at twice the width.  b starts at
+``_FOLD_BITS`` = 32.  The fold takes its coefficients encoded and hands its
+outputs back as such, (image, bound, offset), so ``fock`` chains two shifts
+without decoding in between (``fold_image`` and ``unfold_image`` convert),
+and a restart runs the whole chain again.  A chained fold multiplies the
+bounds it is given, which grow far past the norms they bound: at the (5, 8)
+frontier point those of b_-8 omega reach 808,512 for norms of at most 8, and
+carried into b_8 they passed 2^31.  So an output bound of 2^(b/4) or more
+is replaced by the exact norm, read off the digits (``coeff.image_l1``).
 
 Every rewrite keeps the index multiset, the mode sum and the mode range of
 the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
@@ -109,10 +117,14 @@ NF(g.w) = 0.  For a normal w inside the window, only g's index can break
 N_a <= K+1, and S cannot fall below the lower bound; the upper one fails
 exactly when P + S_w > K |w| - N_g, with P the pairs of like indices in w,
 S_w its mode sum, |w| its length and N_g its count of g's index.  The miss
-path runs this test, two popcounts per mode, when w already holds g: on the
-``fock_ladder`` benchmark and at the (3, 9) and (4, 8) frontier points no
-other miss fails it.  A proved 0 is stored as the empty sum and counted in
-``ReductionStats.zeros``, not as an expansion.
+path runs this test (``infeasible``), two popcounts per mode, when w
+already holds g: on the ``fock_ladder`` benchmark and at the (3, 9) and
+(4, 8) frontier points no other miss fails it.  A proved 0 is stored as the
+empty sum and counted in ``ReductionStats.zeros``, not as an expansion.
+``fock`` runs the same routine on the slots of a raising shift before it
+builds them, and drops those it proves 0, exactly by the same proof; their
+insertions then never reach the memo, so ``zeros`` does not count them, and
+its pruned-slot log, which lists the column-rule prunes only, omits them.
 """
 
 from __future__ import annotations
@@ -122,7 +134,7 @@ import os
 import re
 from functools import lru_cache
 
-from .coeff import LaurentPoly, LinearCombination, add_term, from_image, to_image
+from .coeff import LaurentPoly, LinearCombination, add_term, from_image, image_l1, to_image
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
 from .wedge import VARIANTS, derive_wedge_rules
@@ -465,17 +477,7 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
 
 
-def _codes(mask):
-    """The set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-# the bit width b of the coefficient images at the start of an insertion_fold call
+# the bit width b of the coefficient images at the first attempt of at_fold_width
 _FOLD_BITS = 32
 
 
@@ -483,22 +485,62 @@ class _WidthExceeded(Exception):
     """A coefficient bound of an insertion_fold call reached 2^(b-1)."""
 
 
-def _fold_image(c: LaurentPoly, bits: int):
+def fold_image(c: LaurentPoly, bits: int):
     """(image, L1 norm, offset d) of c: d = max(0, top exponent), image q^-d c at q^-1 = 2^bits."""
     d = max(0, max(c.terms))
     return to_image(c, bits, d, -1), sum(map(abs, c.terms.values())), d
 
 
-def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
-    """Sum of right folds of memoised insertions; returns ({mask: coeff}, stats).
+def unfold_image(t, bits: int) -> LaurentPoly:
+    """The polynomial of an (image, bound, offset) triple whose bound is below 2^(bits-1)."""
+    return from_image(t[0], bits, t[2], -1)
+
+
+def at_fold_width(run):
+    """``run(bits)`` at bits = ``_FOLD_BITS``, and again at twice the width while it raises.
+
+    ``run`` raises _WidthExceeded, through ``insertion_fold``, when a
+    coefficient bound outgrows its width; it is run whole again, so a chain
+    of folds restarts from its first one.
+    """
+    bits = _FOLD_BITS
+    while True:
+        try:
+            return run(bits)
+        except _WidthExceeded:
+            bits *= 2
+
+
+def infeasible(g: int, w: int, base: int) -> bool:
+    """Whether the counting test proves NF(g . w) = 0 for the memo key (g, w) of an insertion.
+
+    ``w`` is a normal word that holds ``g``, coded with its lowest generator
+    in mode 0 and cut off above g's mode K; the test asks whether no normal
+    word of the modes 0..K has the index counts and the mode sum of g . w
+    (see the module docstring).
+    """
+    K = g // base
+    rep = ((1 << (K + 1) * base) - 1) // ((1 << base) - 1)  # bit 0 of each mode
+    col = w >> g - K * base & rep
+    if col == rep:
+        return True
+    t = 0
+    for k in range(base, (K + 1) * base, base):
+        v = w >> k
+        t += v.bit_count() + (w & v).bit_count()
+    return t > K * w.bit_count() - col.bit_count()
+
+
+def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits: int):
+    """Sum of right folds of memoised insertions; returns ({mask: image triple}, stats).
 
     A generator (m, a) is coded as x = (m - lo)(n+1) + a, so ``lo`` must be at
     most every mode of the call, and a normal word, whose codes increase, is
     the int ``mask`` with bit x set for each code x.  Each fold is
     ``(gens, start, slots, coeff)``: ``gens`` is a list of codes, ``start`` the
-    mask of a normal word (or None for 0) and ``slots`` maps positions p of
-    ``gens`` to pairs of a code x_p and the mask of gens[p+1:].  Folding from
-    R = {start} and p = len(gens) - 1 down to 0, the fold carries
+    mask of a normal word (or None for 0) and ``slots`` a list of triples
+    (p, x_p, mask of gens[p+1:]) for positions p of ``gens``, highest first.
+    Folding from R = {start} and p = len(gens) - 1 down to 0, the fold carries
 
         R_p = NF(gens[p] . R_(p+1)) + NF(x_p . gens[p+1:]),
 
@@ -507,26 +549,16 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget):
     it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
     rule of a derivation that replaces one generator.  One memo serves every
     fold of the call, and ``stats`` counts its misses, their nesting and the
-    misses proved 0.  Coefficients are integer images of b bits (see the
-    module docstring), and a call whose bounds outgrow them runs again at
-    twice the width.
+    misses proved 0.  Coefficients, ``coeff`` and the outputs alike, are
+    (image, L1 bound, offset) triples of ``bits`` bits (see the module
+    docstring, and ``fold_image``); an output image 0 is dropped.  When an
+    output bound reaches 2^(bits-1) the call raises _WidthExceeded, which
+    ``at_fold_width`` answers by a run at twice the width.
     """
     budget = resolve_budget(budget)
     stats = ReductionStats()
-    bits = _FOLD_BITS
-    while True:
-        try:
-            return _fold(rules, folds, lo, budget, bits, stats), stats
-        except _WidthExceeded:
-            stats.__init__()  # count the work of the last attempt only
-            bits *= 2
-
-
-def _fold(rules, folds, lo, budget, bits, stats):
-    """``insertion_fold`` at ``bits`` bits; raises _WidthExceeded when they do not suffice."""
     base = rules.n + 1
     half = 1 << (bits - 1)
-    block = (1 << base) - 1
     pairs = rules.pairs
     table = rules.images.setdefault(bits, {})
     memo = {}
@@ -553,7 +585,13 @@ def _fold(rules, folds, lo, budget, bits, stats):
     def push(acc, bnd, D, g, terms, d, c, cb):
         # acc += c NF(g . u) cu over (u, cu, bu) in terms, at offset d
         for u, cu, bu in terms:
-            dv, vs = insert(g, u)
+            u0 = (u & -u).bit_length() - 1
+            if g > u0 and u:
+                dv, vs = insert(g, u)
+            elif g < u0 or not u:  # g . u is normal
+                dv, vs = 0, ((u | 1 << g, 1, 1),)
+            else:  # g . u starts g g
+                continue
             if d + dv != D:
                 D = add(acc, bnd, D, vs, d + dv, c * cu, cb * bu)
                 continue
@@ -586,14 +624,15 @@ def _fold(rules, folds, lo, budget, bits, stats):
         out = memo.get(key)
         if out is None:
             kg, kw = key
-            if kw >> kg & 1 and infeasible(kg, kw):
+            if kw >> kg & 1 and infeasible(kg, kw, base):
                 stats.zeros += 1
                 memo[key] = (0, ())
                 return 0, ()
             if len(frames) >= budget:
                 off = lo * base + sum(frames)
                 raise BudgetExceededError(
-                    tuple([divmod(c + off, base) for c in [g] + _codes(w)]), budget,
+                    tuple([divmod(c + off, base) for c in [g] + [
+                        x for x in range(w.bit_length()) if w >> x & 1]]), budget,
                     stats.depth, stats.expansions, len(frames) + 1,
                     "nesting depth %d, %d memo misses, %d misses open")
             frames.append(s)
@@ -607,7 +646,7 @@ def _fold(rules, folds, lo, budget, bits, stats):
                 rule = pairs.get(pair)
                 if rule is None:
                     rule = rules.pair_rule(pair)
-                rule = table[pair] = [(o1, o2) + _fold_image(c, bits) for o1, o2, c in rule if c]
+                rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule if c]
             acc, bnd, D = {}, {}, 0
             for o1, o2, c, cb, cd in rule:
                 du, us = insert(h + o2, rest)
@@ -622,55 +661,41 @@ def _fold(rules, folds, lo, budget, bits, stats):
             return d, ((v << s | high, c, cb),)
         return d, [(v << s | high, c, cb) for v, c, cb in terms]
 
-    def infeasible(g, w):
-        # whether no normal word of modes 0..K, K = mode(g), has the index
-        # counts and the mode sum of g . w, for a w that holds g (see the
-        # module docstring)
-        K = g // base
-        rep = ((1 << (K + 1) * base) - 1) // block  # bit 0 of each mode
-        col = w >> g - K * base & rep
-        if col == rep:
-            return True
-        t = 0
-        for k in range(base, (K + 1) * base, base):
-            v = w >> k
-            t += v.bit_count() + (w & v).bit_count()
-        return t > K * w.bit_count() - col.bit_count()
-
     done, dbnd, Dd = {}, {}, 0
-    for gens, start, slots, coeff in folds:
+    for gens, start, slots, (c, cb, cd) in folds:
         # R_p: images acc and bounds bnd at offset D
         acc, bnd, D = ({}, {}, 0) if start is None else ({start: 1}, {start: 1}, 0)
-        order = sorted(slots, reverse=True)  # the slot positions, highest first
         k = 0
         p = len(gens) - 1
         while p >= 0:
             if not acc:
                 # nothing is carried, so R_p is 0 down to the next slot
-                if k == len(order):
+                if k == len(slots):
                     break
-                p = order[k]
+                p = slots[k][0]
             nxt, nbnd = {}, {}
             E = push(nxt, nbnd, 0, gens[p], zip(acc, acc.values(), bnd.values()), D, 1, 1)
-            if k < len(order) and order[k] == p:
+            if k < len(slots) and slots[k][0] == p:
+                _, x, suffix = slots[k]
                 k += 1
-                x, suffix = slots[p]
                 E = push(nxt, nbnd, E, x, ((suffix, 1, 1),), 0, 1, 1)
             acc, bnd, D = nxt, nbnd, E
             p -= 1
         if acc:
-            c, cb, cd = _fold_image(coeff, bits)
             Dd = add(done, dbnd, Dd, zip(acc, acc.values(), bnd.values()), D + cd, c, cb)
     out = {}
     for v, x in done.items():
-        if dbnd[v] >= half:
+        b = dbnd[v]
+        if b >= half:
             raise _WidthExceeded
         if x:
-            out[v] = from_image(x, bits, Dd, -1)
+            # a chained fold multiplies this bound again; past 2^(bits/4) the
+            # exact norm, one pass over the digits, is worth reading
+            out[v] = (x, image_l1(x, bits) if b >> bits // 4 else b, Dd)
     # insert and push refer to each other, so free the memo now, not in a
     # garbage collection
     del insert
-    return out
+    return out, stats
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

@@ -357,18 +357,64 @@ def engine_normal_form(x, rules, strategy, budget=None):
     return normal_form(x, rules, strategy, budget)
 
 
-def window_commutator(i, j, n, W):
+def window_commutator(i, j, n, W, rules=None):
     """[b_i, b_-j] on the vacuum with no pruning, slots in columns [-W, W + max(i, j)].
 
-    Returns (scalar, state) as ``commutator_on_vacuum`` does.  The lowered
+    Returns (scalar, state) as ``commutator_on_vacuum`` does, by four
+    ``apply_b`` calls; ``rules`` defaults to the standard ones.  The lowered
     vacuum has columns -j..-1, so the window must reach them: W >= j.
     """
     from braided_fock.fock import apply_b, scalar_part, vacuum
     from braided_fock.modealg import standard_rules
 
     assert W >= j, "a window of %d columns misses the columns -%d..-1" % (W, j)
-    kw = {"rules": standard_rules(n), "prune": False,
+    kw = {"rules": rules or standard_rules(n), "prune": False,
           "columns": range(-W, W + max(i, j) + 1)}
     v = vacuum(n, 0)
     result = apply_b(i, apply_b(-j, v, **kw), **kw) - apply_b(-j, apply_b(i, v, **kw), **kw)
     return scalar_part(result), result
+
+
+def classical_form(s, end):
+    """The state s at q = 1: {frozenset of (mode, index): int}, tails spelled up to ``end``.
+
+    Each configuration becomes the set of its generators, with the full
+    columns from ``s.tail_start`` up to ``end`` - 1 written out, and each
+    coefficient its value at q = 1; values 0 are dropped.
+    """
+    assert s.tail_start <= end
+    out = {}
+    for cfg, c in s.terms.items():
+        gens = frozenset([(m, a) for m, ix in cfg for a in ix]
+                         + [(m, a) for m in range(s.tail_start, end) for a in range(1, s.n + 1)])
+        value = reference_evaluate(c, 1)
+        if value:
+            out[gens] = value
+    return out
+
+
+def classical_shift(i, s):
+    """b_i on the state s at q = 1, as ``classical_form`` with ``end`` = s.tail_start + |i|.
+
+    At q = 1 the standard R is the identity and every correction weight
+    (q^-2 - 1) q^(-2(s-1)) vanishes, so theta^(i)_a theta^(j)_b =
+    -theta^(j)_b theta^(i)_a for every pair: the mode algebra is the
+    Grassmann algebra, a normal word is a set of generators and b_i is the
+    derivation that shifts one generator by i modes.  The shifted word is 0
+    when its generator is already present (the tail counts as present), and
+    otherwise sorting it back passes the generator over every one strictly
+    between its old and new places, one sign each.  The tail columns from
+    ``end`` on would land in the tail, so only columns below ``end`` are slots.
+    """
+    end = s.tail_start + abs(i)
+    out = {}
+    for gens, value in classical_form(s, end).items():
+        for m, a in gens:
+            new = (m + i, a)
+            if new in gens or new[0] >= end:
+                continue
+            lo, hi = min(new, (m, a)), max(new, (m, a))
+            passed = sum(1 for g in gens if lo < g < hi)
+            key = gens - {(m, a)} | {new}
+            out[key] = out.get(key, 0) + (-1) ** passed * value
+    return {k: v for k, v in out.items() if v}

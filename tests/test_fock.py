@@ -35,7 +35,8 @@ from braided_fock.rmatrix import (
     interval_product_bar,
     standard_sln_R,
 )
-from helpers import reference_apply_b, reference_canonical, window_commutator
+from helpers import (classical_form, classical_shift, reference_apply_b, reference_canonical,
+                     window_commutator)
 
 ONE = LaurentPoly.one()
 
@@ -349,6 +350,19 @@ class TestShiftOperator:
             want = want + piece
         assert apply_b(i, s, prune=False, slot_window=(lo, hi)) == want
 
+    def test_slot_window_and_columns_rejected_together(self):
+        # columns used to be dropped silently: this gave the slot_window result,
+        # while columns=(5,) alone gives 0
+        with pytest.raises(ValueError, match="slot_window or columns, not both"):
+            apply_b(-1, vacuum(2, 0), slot_window=(0, 0), columns=(5,))
+
+    @pytest.mark.parametrize("window", [(0, 1, 2), (0,), (True, 1), (0, 1.0), 5, "01"])
+    def test_slot_window_must_be_a_pair_of_ints(self, window):
+        # (0, 1, 2) used to run as (0, 1) and (True, 1) as (1, 1); the others
+        # died with an IndexError or a TypeError
+        with pytest.raises(ValueError, match="slot_window"):
+            apply_b(-1, vacuum(2, 0), slot_window=window)
+
     def test_pruning_logged(self):
         # raising slots on a deviated state: exactly the provably-dead slots
         # are logged
@@ -613,16 +627,68 @@ class TestPruningAgainstWindow:
     Deviations sit in the 3 columns below the tail start, so the window from
     7 columns below it to |i| + 2 columns above it holds every slot that
     pruning keeps; widening it by 2 on each side must change nothing either.
+    The pruned call skips slots by the column rule and, for a raising shift,
+    by the counting test; the unpruned window builds every slot.
     """
 
     @settings(max_examples=300, deadline=None)
-    @given(s=finite_deviations(), i=st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    @given(s=finite_deviations(), i=st.sampled_from((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
     def test_pruned_equals_unpruned_window(self, s, i):
         rules = standard_rules(s.n)
         lo, hi = s.tail_start - 7, s.tail_start + abs(i) + 3
         pruned = apply_b(i, s, rules)
         assert apply_b(i, s, rules, prune=False, columns=range(lo, hi)) == pruned
         assert apply_b(i, s, rules, prune=False, columns=range(lo - 2, hi + 2)) == pruned
+
+
+    @pytest.mark.parametrize("n, top", [(2, 6), (3, 5), (4, 4)])
+    def test_counting_skip_on_the_ladder_is_exact(self, n, top, monkeypatch):
+        # the raising shifts of fock_ladder, where the counting test skips
+        # most slots, against every slot of the lowered state's columns
+        verdicts = []
+        run = fock.infeasible
+
+        def recording(*args):
+            verdicts.append(run(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(fock, "infeasible", recording)
+        rules = standard_rules(n)
+        for i in range(top - 1, top + 1):
+            lowered = apply_b(-i, vacuum(n, 0), rules)
+            verdicts.clear()
+            pruned = apply_b(i, lowered, rules)
+            assert any(verdicts), i
+            window = range(-i, lowered.tail_start)
+            assert pruned == apply_b(i, lowered, rules, prune=False, columns=window)
+
+
+class TestClassicalLimit:
+    """At q = 1 the engine must give the Grassmann-algebra shift of ``classical_shift``.
+
+    Evaluation at q = 1 is a ring homomorphism, and the normal words are a
+    basis on both sides, so this checks slot choice, pruning, Leibniz signs
+    and the mask codec on states of any size, with no code of ``fock``.  It
+    is blind to what vanishes at q = 1: the correction terms and the q-powers
+    of the leading rule.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=finite_deviations(), i=st.sampled_from((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)),
+           variant=st.sampled_from(VARIANTS))
+    def test_random_states(self, s, i, variant):
+        out = apply_b(i, s, standard_rules(s.n, variant))
+        assert classical_form(out, s.tail_start + abs(i)) == classical_shift(i, s)
+
+    @pytest.mark.parametrize("n, top", [(2, 6), (3, 5), (4, 4)])
+    def test_ladder_states(self, n, top):
+        # every lowered state b_-i omega of fock_ladder, and its raising
+        for i in range(1, top + 1):
+            v = vacuum(n, 0)
+            lowered = apply_b(-i, v)
+            assert classical_form(lowered, i) == classical_shift(-i, v), i
+            raised = apply_b(i, lowered)
+            assert classical_form(raised, lowered.tail_start + i) == classical_shift(i, lowered), i
 
 
 class TestFarFromModeZero:

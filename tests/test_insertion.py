@@ -1,8 +1,9 @@
 """The insertion engine: integer-image coefficients, their width and the zero test.
 
 Every test compares ``modealg.insertion_fold`` (called directly or through
-``fock``) with an oracle that shares none of its code: the heap engine
-``normal_form``, or the closed form i * sum_{s<n} q^(-2is) of [b_i, b_-i].
+``fock``) with an oracle that shares none of the code under test: the heap
+engine ``normal_form``, the closed form i * sum_{s<n} q^(-2is) of
+[b_i, b_-i], or the unpruned slot window, which skips no slot.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from braided_fock.modealg import (VARIANTS, ExchangeRules, ModeElement, insertio
 from braided_fock.rmatrix import HeckeData, standard_sln_R
 from braided_fock.tensor import TensorOp
 from braided_fock.wedge import NonPBWInputError
-from helpers import insertion_normal_form
+from helpers import insertion_normal_form, window_commutator
 
 DATA = pathlib.Path(__file__).parent / "data"
 ONE = LaurentPoly.one()
@@ -32,12 +33,13 @@ def insert(rules, g, word):
     base = rules.n + 1
     lo = min(m for m, _ in (g,) + word)
     start = sum(1 << (m - lo) * base + a for m, a in word)
-    fold = ([(g[0] - lo) * base + g[1]], start, {}, ONE)
-    out, stats = insertion_fold(rules, [fold], lo, None)
+    bits = modealg._FOLD_BITS
+    fold = ([(g[0] - lo) * base + g[1]], start, (), modealg.fold_image(ONE, bits))
+    out, stats = insertion_fold(rules, [fold], lo, None, bits)
     terms = {}
     for mask, c in out.items():
         codes = [x for x in range(mask.bit_length()) if mask >> x & 1]
-        terms[tuple((lo + x // base, x % base) for x in codes)] = c
+        terms[tuple((lo + x // base, x % base) for x in codes)] = modealg.unfold_image(c, bits)
     return ModeElement(rules.n, terms), stats
 
 
@@ -104,48 +106,52 @@ def test_insertion_matches_heap_on_every_small_window(n, K):
     assert proved > 0
 
 
-def _fold_widths(monkeypatch):
-    """The image width of every attempt of every insertion_fold call from now on."""
-    widths = []
-    run = modealg._fold
+def _fold_calls(monkeypatch):
+    """The widths of the insertion_fold calls of ``fock`` from now on, and those that return.
 
-    def recording(rules, folds, lo, budget, bits, stats):
-        widths.append(bits)
-        return run(rules, folds, lo, budget, bits, stats)
+    Returns (tried, calls): the image width of every call, and (bits, misses,
+    zeros, depth) for every call that returns.
+    """
+    tried, calls = [], []
+    run = modealg.insertion_fold
 
-    monkeypatch.setattr(modealg, "_fold", recording)
-    return widths
+    def recording(rules, folds, lo, budget, bits):
+        tried.append(bits)
+        out, stats = run(rules, folds, lo, budget, bits)
+        calls.append((bits, stats.expansions, stats.zeros, stats.depth))
+        return out, stats
+
+    monkeypatch.setattr("braided_fock.fock.insertion_fold", recording)
+    return tried, calls
 
 
 def test_forced_width_restart_gives_equal_results(monkeypatch):
-    # from 2 bits every coefficient bound of 2 or more restarts the call;
-    # the results and the miss counts match the default width
+    # from 2 bits every coefficient bound of 2 or more restarts the
+    # commutator; the last run chains all four shifts at one width, from the
+    # first, and gives the default width's result, miss counts and log
     rules = standard_rules(3)
-    calls = []
-    run = modealg.insertion_fold
-
-    def counting(*args):
-        out, stats = run(*args)
-        calls.append((stats.expansions, stats.zeros, stats.depth))
-        return out, stats
-
-    monkeypatch.setattr("braided_fock.fock.insertion_fold", counting)
-    want = commutator_on_vacuum(4, 4, 3, rules=rules)
+    tried, calls = _fold_calls(monkeypatch)
+    log = []
+    want = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log)
     once = list(calls)
-    widths = _fold_widths(monkeypatch)
+    assert [bits for bits, *_ in once] == [modealg._FOLD_BITS] * 4
     monkeypatch.setattr(modealg, "_FOLD_BITS", 2)
+    tried.clear()
     calls.clear()
-    got = commutator_on_vacuum(4, 4, 3, rules=rules)
-    assert got[0] == want[0] and got[1] == want[1]
-    assert calls == once
-    assert widths[0] == 2 and max(widths) >= 8 and len(widths) > len(once)
+    log_2 = []
+    got = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log_2)
+    assert got[0] == want[0] and got[1] == want[1] and log_2 == log
+    last = tried[-1]
+    assert tried[0] == 2 and last >= 8 and len(calls) > 4
+    assert tried.count(last) == 4 and [c[0] for c in calls[-4:]] == [last] * 4
+    assert [c[1:] for c in calls[-4:]] == [c[1:] for c in once]
 
 
 def test_default_width_does_not_restart(monkeypatch):
-    widths = _fold_widths(monkeypatch)
+    tried, _ = _fold_calls(monkeypatch)
     for n, i in ((2, 6), (3, 5), (4, 4)):
         commutator_on_vacuum(i, i, n)
-    assert set(widths) == {modealg._FOLD_BITS}
+    assert tried == [modealg._FOLD_BITS] * 12
 
 
 def twist(n):
@@ -187,6 +193,16 @@ def test_twist_apply_b_matches_unpruned_window(n):
     s = apply_b(-2, vacuum(n, 0), rules)
     for i in (-1, 1, 2):
         assert apply_b(i, s, rules) == apply_b(i, s, rules, prune=False, columns=range(-6, 6))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_chained_commutator_matches_unpruned_window(n, twisted):
+    # both products of the commutator chained on masks and images, pruned,
+    # against four unpruned apply_b calls over a window, off the diagonal too
+    rules = ExchangeRules(twist(n)) if twisted else standard_rules(n)
+    for i, j in ((1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (1, 3), (3, 2)):
+        assert commutator_on_vacuum(i, j, n, rules) == window_commutator(i, j, n, j + 1, rules)
 
 
 def _rules_objects():
