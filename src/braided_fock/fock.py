@@ -30,19 +30,21 @@ the mode sum that the test finds no normal word for.  The pruned-slot log
 lists the column-rule prunes only.  ``prune=False`` switches both tests off;
 inside a finite slot window it is the oracle for comparisons.
 
-The shift core ``_shift`` works on a spelled state (terms, lo, W, T): each
-mask spells the modes lo..W-1, full from the canonical tail start T on, and
-maps to its coefficient as the (image, L1 bound, offset) triple of
-``modealg.insertion_fold``.  It spells each term up to W, the materialised
+The shift core ``_shift`` works on a spelled state (terms, lo, W, T, bits):
+each mask spells the modes lo..W-1, full from the canonical tail start T
+on, and maps to its coefficient as ``modealg.insertion_fold`` takes it, an
+(image, L1 bound, offset) triple of ``bits`` bits, or a LaurentPoly when
+``bits`` is None.  It spells each term up to W, the materialised
 tail plus i for a raising shift, so that every shifted slot lands below it.
 It builds each term's slots one column at a time and hands the fold the
 term's codes A and, for each slot p, the shifted code x_p = A[p] + i(n+1)
 with the mask of A[p+1:]; the fold sums NF(A[:p] x_p A[p+1:]) over the slots
 by one right fold per term, never building a slot's word, and all terms
-share the call's memo.  ``apply_b`` encodes a state, runs the core once and
-decodes; ``commutator_on_vacuum`` chains it for b_i b_-j omega and
-b_-j b_i omega and decodes once, at the end.  A width restart
-(``modealg.at_fold_width``) runs the whole chain again at twice the width.
+share the call's memo.  The fold picks its own width, widening and
+running again alone when a bound outgrows it, and the spelled result
+carries the width it returned.  ``apply_b`` spells a state, runs the core
+once and decodes; ``commutator_on_vacuum`` chains it for b_i b_-j omega
+and b_-j b_i omega and decodes once, at the end.
 ``multiply_left`` folds each word of the element into the state's mask,
 spelled up to above every mode it inserts.  Truncation keeps this local:
 every rewrite keeps both output modes inside the mode range of the pair it
@@ -53,8 +55,8 @@ and the memo keys each insertion on the columns at or below it.
 from __future__ import annotations
 
 from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
-from .modealg import (ExchangeRules, ModeElement, at_fold_width, check_indices, fold_image,
-                      infeasible, insertion_fold, standard_rules, unfold_image)
+from .modealg import (ExchangeRules, ModeElement, check_indices, infeasible, insertion_fold,
+                      standard_rules, unfold_image)
 
 
 class FockState:
@@ -80,8 +82,6 @@ class FockState:
                         for m, ix in cfg if len(ix)}
                 if len({m for m, _ in cfg}) < len(cfg):
                     raise ValueError("configuration %r lists a mode twice" % (cfg,))
-                if not c:
-                    continue
                 for ix in cols.values():
                     if not all(1 <= a <= n for a in ix) or any(
                         x >= y for x, y in zip(ix, ix[1:])
@@ -91,7 +91,8 @@ class FockState:
                         )
                 if any(m >= tail_start for m in cols):
                     raise ValueError("explicit column inside the implicit tail")
-                checked.append((cols.items(), c))
+                if c:
+                    checked.append((cols.items(), c))
         lo = min([tail_start] + [m for cols, _ in checked for m, _ in cols])
         masks = {}
         for cols, c in checked:
@@ -256,34 +257,21 @@ def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:
     return rules
 
 
-def _encode(s: FockState, lo: int, bits: int):
-    """The spelled state (terms, lo, W, T) of s, its masks spelling modes ``lo`` to W - 1.
+def _encode(s: FockState, lo: int):
+    """The spelled state (terms, lo, W, T, None) of s, its masks spelling modes ``lo`` to W - 1.
 
-    ``terms`` maps each mask to the (image, bound, offset) triple of its
-    coefficient at ``bits`` bits, and W = T = s.tail_start.
+    ``terms`` maps each mask to its coefficient, a LaurentPoly, and
+    W = T = s.tail_start.
     """
     base = s.n + 1
-    terms = {_mask(cfg, lo, base): fold_image(c, bits) for cfg, c in s.terms.items()}
-    return terms, lo, s.tail_start, s.tail_start
+    terms = {_mask(cfg, lo, base): c for cfg, c in s.terms.items()}
+    return terms, lo, s.tail_start, s.tail_start, None
 
 
-def _decode(n: int, spelled, bits: int) -> FockState:
-    """The canonical state of a spelled state (terms, lo, W, T)."""
-    terms, lo, W, T = spelled
+def _decode(n: int, spelled) -> FockState:
+    """The canonical state of a spelled state (terms, lo, W, T, bits) out of a fold."""
+    terms, lo, W, T, bits = spelled
     return _read_masks(n, {v: unfold_image(t, bits) for v, t in terms.items()}, lo, W, T)
-
-
-def _at_width(run, log):
-    """``run(bits)`` by ``at_fold_width``; each attempt cuts ``log`` back to its length now."""
-    if log is None:
-        return at_fold_width(run)
-    mark = len(log)
-
-    def attempt(bits):
-        del log[mark:]
-        return run(bits)
-
-    return at_fold_width(attempt)
 
 
 def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
@@ -300,35 +288,31 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
     lo = min([T] + [m for part in (s.terms, x.terms) for word in part for m, _ in word])
     # each term, its columns spelled up to W - 1, is the normal start of its folds
     tail = _full_mask(s.n, lo, T, W)
-
-    def run(bits):
-        folds = []
-        for cfg, sc in s.terms.items():
-            start = _mask(cfg, lo, base) | tail
-            for xword, xc in x.terms.items():
-                folds.append(([(m - lo) * base + a for m, a in xword], start, (),
-                              fold_image(sc * xc, bits)))
-        done, _ = insertion_fold(rules, folds, lo, budget, bits)
-        return _decode(s.n, (done, lo, W, T), bits)
-
-    return at_fold_width(run)
+    folds = []
+    for cfg, sc in s.terms.items():
+        start = _mask(cfg, lo, base) | tail
+        for xword, xc in x.terms.items():
+            folds.append(([(m - lo) * base + a for m, a in xword], start, (), sc * xc))
+    done, _, bits = insertion_fold(rules, folds, lo, budget, None)
+    return _decode(s.n, (done, lo, W, T, bits))
 
 
-def _shift(rules: ExchangeRules, i: int, spelled, bits: int, prune: bool = True,
-           columns=None, log=None, budget=None):
-    """b_i on a spelled state (terms, lo, W, T); returns the spelled result.
+def _shift(rules: ExchangeRules, i: int, spelled, prune: bool = True, columns=None,
+           log=None, budget=None):
+    """b_i on a spelled state (terms, lo, W, T, bits); returns the spelled result.
 
     ``terms`` maps masks, each spelling the modes lo..W-1 with full columns
-    from T on, to (image, bound, offset) triples of ``bits`` bits; T is the
-    canonical tail start of the terms, and ``lo`` is at most every mode plus
-    min(i, 0).  ``columns`` is None or a set of ints; the other arguments are
-    those of ``apply_b``.  Each term's slots are built one column at a time,
-    and the log lists the terms in configuration order, so that it does not
-    depend on how the state was built.
+    from T on, to coefficients in the form ``insertion_fold`` takes at
+    ``bits``; T is the canonical tail start of the terms, and ``lo`` is at
+    most every mode plus min(i, 0).  ``columns`` is None or a set of ints;
+    the other arguments are those of ``apply_b``.  Each term's slots are
+    built one column at a time, and the log lists the terms in
+    configuration order, so that it does not depend on how the state was
+    built.
     """
     n = rules.n
     base = n + 1
-    terms, lo, W, T = spelled
+    terms, lo, W, T, bits = spelled
     if columns is not None:
         T_impl = max([T] + [c + 1 for c in columns])
     elif i < 0:
@@ -400,8 +384,8 @@ def _shift(rules: ExchangeRules, i: int, spelled, bits: int, prune: bool = True,
     for cfg, pruned in sorted(logged, key=lambda entry: entry[0]):
         term = list(map(list, cfg))
         log += [{"column": j, "index": a, "target_mode": j + i, "term": term} for j, a in pruned]
-    done, _ = insertion_fold(rules, folds, lo, budget, bits)
-    return done, lo, W, _tail(n, done, lo, W, T)
+    done, _, bits = insertion_fold(rules, folds, lo, budget, bits)
+    return done, lo, W, _tail(n, done, lo, W, T), bits
 
 
 def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = True,
@@ -430,12 +414,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
     if columns is not None:
         columns = frozenset([strict_int(c, "column") for c in columns])
     lo = min([s.tail_start] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
-
-    def run(bits):
-        return _decode(s.n, _shift(rules, i, _encode(s, lo, bits), bits, prune, columns,
-                                   log_pruned, budget), bits)
-
-    return _at_width(run, log_pruned)
+    return _decode(s.n, _shift(rules, i, _encode(s, lo), prune, columns, log_pruned, budget))
 
 
 def translate(s: FockState, d: int) -> FockState:
@@ -460,22 +439,18 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     Returns (scalar, state): ``scalar`` is the Laurent coefficient when the
     result is a multiple of the vacuum and None otherwise.  Each product
     chains its two shifts on masks and coefficient images, and is decoded
-    once, at the end; a width restart runs both products again.
+    once, at the end.
     """
     if not (strict_int(i, "shift i") >= 1 and strict_int(j, "shift j") >= 1):
         raise ValueError("shifts i and j must be positive")
     v = vacuum(n, 0)
     rules = _rules_for(n, rules)
-
-    def run(bits):
-        # the vacuum spelled from mode -j on, low enough for b_-j in either order
-        start = _encode(v, -j, bits)
-        kw = {"log": log_pruned, "budget": budget}
-        first = _shift(rules, i, _shift(rules, -j, start, bits, **kw), bits, **kw)
-        second = _shift(rules, -j, _shift(rules, i, start, bits, **kw), bits, **kw)
-        return _decode(n, first, bits) - _decode(n, second, bits)
-
-    result = _at_width(run, log_pruned)
+    # the vacuum spelled from mode -j on, low enough for b_-j in either order
+    start = _encode(v, -j)
+    kw = {"log": log_pruned, "budget": budget}
+    first = _shift(rules, i, _shift(rules, -j, start, **kw), **kw)
+    second = _shift(rules, -j, _shift(rules, i, start, **kw), **kw)
+    result = _decode(n, first) - _decode(n, second)
     return scalar_part(result), result
 
 

@@ -89,16 +89,19 @@ strictly between -2^(b-1) and 2^(b-1) is read back from its image as
 balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
 the polynomial 0.  Terms are carried even when their image cancels to 0,
 and every bound only grows along the fold, so checking the bounds of the
-outputs is enough: an output bound of 2^(b-1) or more raises, and
-``at_fold_width`` runs the caller again at twice the width.  b starts at
-``_FOLD_BITS`` = 32.  The fold takes its coefficients encoded and hands its
-outputs back as such, (image, bound, offset), so ``fock`` chains two shifts
-without decoding in between (``fold_image`` and ``unfold_image`` convert),
-and a restart runs the whole chain again.  A chained fold multiplies the
-bounds it is given, which grow far past the norms they bound: at the (5, 8)
-frontier point those of b_-8 omega reach 808,512 for norms of at most 8, and
-carried into b_8 they passed 2^31.  So an output bound of 2^(b/4) or more
-is replaced by the exact norm, read off the digits (``coeff.image_l1``).
+outputs is enough.  The fold takes its coefficients encoded (or as
+LaurentPolys) and hands its outputs back encoded, (image, bound, offset)
+with their width b, so ``fock`` chains two shifts without decoding in
+between (``fold_image`` and ``unfold_image`` convert).  b starts at
+``_FOLD_BITS`` = 32, or at the width of the coefficients given if that is
+larger.  When an output bound reaches 2^(b-1) the fold reads its given
+coefficients back, exact since their bounds were checked, encodes them at
+2b and runs again, alone: the folds before it in a chain keep their
+outputs.  A chained fold multiplies the bounds it is given, which grow far
+past the norms they bound: at the (5, 8) frontier point those of b_-8 omega
+reach 808,512 for norms of at most 8, and carried into b_8 they passed
+2^31.  So an output bound of 2^(b/4) or more is replaced by the exact
+norm, read off the digits (``coeff.image_l1``).
 
 Every rewrite keeps the index multiset, the mode sum and the mode range of
 the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
@@ -477,12 +480,8 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
     return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
 
 
-# the bit width b of the coefficient images at the first attempt of at_fold_width
+# the narrowest bit width b of the coefficient images that insertion_fold runs at
 _FOLD_BITS = 32
-
-
-class _WidthExceeded(Exception):
-    """A coefficient bound of an insertion_fold call reached 2^(b-1)."""
 
 
 def fold_image(c: LaurentPoly, bits: int):
@@ -494,21 +493,6 @@ def fold_image(c: LaurentPoly, bits: int):
 def unfold_image(t, bits: int) -> LaurentPoly:
     """The polynomial of an (image, bound, offset) triple whose bound is below 2^(bits-1)."""
     return from_image(t[0], bits, t[2], -1)
-
-
-def at_fold_width(run):
-    """``run(bits)`` at bits = ``_FOLD_BITS``, and again at twice the width while it raises.
-
-    ``run`` raises _WidthExceeded, through ``insertion_fold``, when a
-    coefficient bound outgrows its width; it is run whole again, so a chain
-    of folds restarts from its first one.
-    """
-    bits = _FOLD_BITS
-    while True:
-        try:
-            return run(bits)
-        except _WidthExceeded:
-            bits *= 2
 
 
 def infeasible(g: int, w: int, base: int) -> bool:
@@ -531,8 +515,8 @@ def infeasible(g: int, w: int, base: int) -> bool:
     return t > K * w.bit_count() - col.bit_count()
 
 
-def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits: int):
-    """Sum of right folds of memoised insertions; returns ({mask: image triple}, stats).
+def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits):
+    """Sum of right folds of memoised insertions; returns ({mask: image triple}, stats, width).
 
     A generator (m, a) is coded as x = (m - lo)(n+1) + a, so ``lo`` must be at
     most every mode of the call, and a normal word, whose codes increase, is
@@ -549,13 +533,30 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits: int):
     it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
     rule of a derivation that replaces one generator.  One memo serves every
     fold of the call, and ``stats`` counts its misses, their nesting and the
-    misses proved 0.  Coefficients, ``coeff`` and the outputs alike, are
-    (image, L1 bound, offset) triples of ``bits`` bits (see the module
-    docstring, and ``fold_image``); an output image 0 is dropped.  When an
-    output bound reaches 2^(bits-1) the call raises _WidthExceeded, which
-    ``at_fold_width`` answers by a run at twice the width.
+    misses proved 0.  Each ``coeff`` is an (image, L1 bound, offset) triple
+    of ``bits`` bits whose bound is below 2^(bits-1), or a LaurentPoly when
+    ``bits`` is None (see the module docstring, and ``fold_image``).  The
+    fold runs at the larger of ``bits`` and ``_FOLD_BITS``; while an output
+    bound reaches 2^(b-1) it encodes its own coefficients again at twice the
+    width and runs again.  The outputs are triples of the width it returns,
+    with images 0 dropped, and ``stats`` are those of the run that returned.
     """
     budget = resolve_budget(budget)
+    width = max(bits or 0, _FOLD_BITS)
+    run = folds
+    while True:
+        if width != bits:
+            # the given coefficients are exact at their own width
+            run = [(gens, start, slots, fold_image(unfold_image(c, bits) if bits else c, width))
+                   for gens, start, slots, c in folds]
+        done = _fold_at(rules, run, lo, budget, width)
+        if done:
+            return done + (width,)
+        width *= 2
+
+
+def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int):
+    """One run of ``insertion_fold`` at ``bits`` bits: (outputs, stats), or None on overflow."""
     stats = ReductionStats()
     base = rules.n + 1
     half = 1 << (bits - 1)
@@ -687,7 +688,8 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits: int):
     for v, x in done.items():
         b = dbnd[v]
         if b >= half:
-            raise _WidthExceeded
+            out = None
+            break
         if x:
             # a chained fold multiplies this bound again; past 2^(bits/4) the
             # exact norm, one pass over the digits, is worth reading
@@ -695,7 +697,7 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits: int):
     # insert and push refer to each other, so free the memo now, not in a
     # garbage collection
     del insert
-    return out, stats
+    return None if out is None else (out, stats)
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

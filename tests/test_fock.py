@@ -125,6 +125,22 @@ class TestStateBasics:
         with pytest.raises(ValueError, match="duplicate term"):
             FockState.from_json({"n": 2, "tail_start": 1, "terms": [term, term]})
 
+    @pytest.mark.parametrize("tail_start, cfg, match", [
+        (0, ((0, (5,)),), "indices in 1..n"),
+        (0, ((1, (1,)),), "inside the implicit tail"),
+    ])
+    def test_constructor_checks_terms_with_coefficient_zero(self, tail_start, cfg, match):
+        # a term whose coefficient is 0 used to be dropped before its columns were checked
+        for c in (ONE, LaurentPoly.zero()):
+            with pytest.raises(ValueError, match=match):
+                FockState(2, tail_start, {cfg: c})
+
+    def test_json_checks_terms_with_coefficient_zero(self):
+        for coeff in ({"0": 1}, {}):
+            term = {"coeff": coeff, "columns": {"-1": [3, 9]}}
+            with pytest.raises(ValueError, match="indices in 1..n"):
+                FockState.from_json({"n": 3, "tail_start": 0, "terms": [term]})
+
     def test_scalar_part(self):
         v = vacuum(3, 0)
         assert scalar_part(v.scale(braided_int_scalar(3, -2))) == braided_int_scalar(3, -2)
@@ -690,6 +706,16 @@ class TestClassicalLimit:
             raised = apply_b(i, lowered)
             assert classical_form(raised, lowered.tail_start + i) == classical_shift(i, lowered), i
 
+    @pytest.mark.parametrize("n, i, size", [(3, 9, 849), (4, 8, 1874)])
+    def test_frontier_states(self, n, i, size):
+        # the lowered states of the frontier points (3, 9) and (4, 8), and their raising
+        v = vacuum(n, 0)
+        lowered = apply_b(-i, v)
+        assert len(lowered.terms) == size
+        assert classical_form(lowered, i) == classical_shift(-i, v)
+        raised = apply_b(i, lowered)
+        assert classical_form(raised, lowered.tail_start + i) == classical_shift(i, lowered)
+
 
 class TestFarFromModeZero:
     """The shift fold codes each generator from the lowest mode of its call.
@@ -755,9 +781,9 @@ class TestTransportReuse:
         orig = fock.insertion_fold
 
         def counting(*args, **kwargs):
-            out, stats = orig(*args, **kwargs)
+            out, stats, bits = orig(*args, **kwargs)
             calls.append(stats)
-            return out, stats
+            return out, stats, bits
 
         monkeypatch.setattr(fock, "insertion_fold", counting)
         return calls

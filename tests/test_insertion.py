@@ -35,7 +35,7 @@ def insert(rules, g, word):
     start = sum(1 << (m - lo) * base + a for m, a in word)
     bits = modealg._FOLD_BITS
     fold = ([(g[0] - lo) * base + g[1]], start, (), modealg.fold_image(ONE, bits))
-    out, stats = insertion_fold(rules, [fold], lo, None, bits)
+    out, stats, bits = insertion_fold(rules, [fold], lo, None, bits)
     terms = {}
     for mask, c in out.items():
         codes = [x for x in range(mask.bit_length()) if mask >> x & 1]
@@ -107,51 +107,69 @@ def test_insertion_matches_heap_on_every_small_window(n, K):
 
 
 def _fold_calls(monkeypatch):
-    """The widths of the insertion_fold calls of ``fock`` from now on, and those that return.
+    """The insertion_fold calls of ``fock`` from now on, and the runs they make.
 
-    Returns (tried, calls): the image width of every call, and (bits, misses,
-    zeros, depth) for every call that returns.
+    Returns (runs, calls): the width of every run of a fold, and for every
+    call (width given, width returned, slots, misses, zeros, depth); the
+    width given is None for LaurentPoly coefficients.
     """
-    tried, calls = [], []
-    run = modealg.insertion_fold
+    runs, calls = [], []
+    fold, run = modealg.insertion_fold, modealg._fold_at
 
     def recording(rules, folds, lo, budget, bits):
-        tried.append(bits)
-        out, stats = run(rules, folds, lo, budget, bits)
-        calls.append((bits, stats.expansions, stats.zeros, stats.depth))
-        return out, stats
+        out, stats, width = fold(rules, folds, lo, budget, bits)
+        calls.append((bits, width, sum(len(slots) for _, _, slots, _ in folds),
+                      stats.expansions, stats.zeros, stats.depth))
+        return out, stats, width
+
+    def running(rules, folds, lo, budget, bits):
+        runs.append(bits)
+        return run(rules, folds, lo, budget, bits)
 
     monkeypatch.setattr("braided_fock.fock.insertion_fold", recording)
-    return tried, calls
+    monkeypatch.setattr(modealg, "_fold_at", running)
+    return runs, calls
 
 
 def test_forced_width_restart_gives_equal_results(monkeypatch):
-    # from 2 bits every coefficient bound of 2 or more restarts the
-    # commutator; the last run chains all four shifts at one width, from the
-    # first, and gives the default width's result, miss counts and log
+    # from 2 bits every coefficient bound of 2 or more widens a fold; each
+    # fold widens alone, from the width its coefficients come at, and the
+    # result, the pruned log and every fold's counters are the default width's
     rules = standard_rules(3)
-    tried, calls = _fold_calls(monkeypatch)
+    runs, calls = _fold_calls(monkeypatch)
     log = []
     want = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log)
-    once = list(calls)
-    assert [bits for bits, *_ in once] == [modealg._FOLD_BITS] * 4
+    once = [c[2:] for c in calls]
+    bits = modealg._FOLD_BITS
+    assert [c[:2] for c in calls] == [(None, bits), (bits, bits)] * 2
     monkeypatch.setattr(modealg, "_FOLD_BITS", 2)
-    tried.clear()
+    runs.clear()
     calls.clear()
     log_2 = []
     got = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log_2)
     assert got[0] == want[0] and got[1] == want[1] and log_2 == log
-    last = tried[-1]
-    assert tried[0] == 2 and last >= 8 and len(calls) > 4
-    assert tried.count(last) == 4 and [c[0] for c in calls[-4:]] == [last] * 4
-    assert [c[1:] for c in calls[-4:]] == [c[1:] for c in once]
+    assert [c[2:] for c in calls] == once and max(c[1] for c in calls) >= 8
+    # each fold runs once at each width from its start to the one it returns at
+    widths = []
+    for given, width, *_ in calls:
+        b = max(given or 0, 2)
+        while b <= width:
+            widths.append(b)
+            b *= 2
+    assert runs == widths and len(runs) > len(calls)
 
 
 def test_default_width_does_not_restart(monkeypatch):
-    tried, _ = _fold_calls(monkeypatch)
-    for n, i in ((2, 6), (3, 5), (4, 4)):
-        commutator_on_vacuum(i, i, n)
-    assert tried == [modealg._FOLD_BITS] * 12
+    # no fold of the fock_ladder range widens, and the engine's work there is
+    # pinned: slots handed to the folds, memo misses, misses proved 0 and
+    # the deepest nesting
+    runs, calls = _fold_calls(monkeypatch)
+    for n, top in ((2, 6), (3, 5), (4, 4)):
+        for i in range(1, top + 1):
+            commutator_on_vacuum(i, i, n)
+    assert len(calls) == 60 and runs == [modealg._FOLD_BITS] * 60
+    assert [sum(c[k] for c in calls) for k in (2, 3, 4)] == [576, 2625, 831]
+    assert max(c[5] for c in calls) == 5
 
 
 def twist(n):
