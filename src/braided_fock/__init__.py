@@ -27,10 +27,9 @@ _LAYERS = {
     "modealg": ("BudgetExceededError", "ExchangeRules", "ModeElement", "check_modeanticom",
                 "check_modeind", "check_moderel", "normal_form", "normal_form_stats",
                 "r_anticommutator", "standard_rules"),
-    "fock": ("FockState", "apply_b", "commutator_on_vacuum", "heisenberg_matches",
-             "lemma33_closed_form", "lemma33_coefficient", "lemma33_second_term",
-             "lemma33_second_term_expected", "multiply_left", "scalar_part", "translate",
-             "vacuum"),
+    "fock": ("FockState", "apply_b", "column_piece", "commutator_on_vacuum",
+             "lemma33_closed_form", "lemma33_second_term_expected", "multiply_left",
+             "scalar_part", "translate", "vacuum"),
 }
 # each name, and each layer module itself, -> its layer
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in (layer, *names)}

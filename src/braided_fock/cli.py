@@ -175,8 +175,7 @@ def cmd_lemma33(args) -> int:
     from . import fock
 
     n = args.n
-    engine = fock.lemma33_coefficient(n)
-    second = fock.lemma33_second_term(n)
+    engine, second = fock.column_piece(n, 0), fock.column_piece(n, 1)
     closed = fock.lemma33_closed_form(n)
     second_expected = fock.lemma33_second_term_expected(n)
     ok = engine == closed and second == second_expected

@@ -26,15 +26,6 @@ def strict_int(value, what: str) -> int:
     return value
 
 
-def _json_terms(obj, parse_key) -> dict:
-    """Exponent-to-coefficient map of a serialized polynomial, checked strictly."""
-    if not isinstance(obj, dict):
-        raise ValueError("a polynomial must be a map from exponents to integers, got %r"
-                         % (obj,))
-    return {parse_key(key): strict_int(c, "coefficient of %r" % (key,))
-            for key, c in obj.items()}
-
-
 def _json_exponent(text) -> int:
     if not isinstance(text, str) or not _JSON_EXPONENT.match(text):
         raise ValueError("malformed exponent key %r" % (text,))
@@ -56,8 +47,8 @@ class _SparsePoly:
     exponent keys to nonzero integers, and everything but the ring operations.
 
     A subclass sets ``_UNIT_KEY`` (the exponent key of the constant term) and
-    defines ``_factors`` (the printed factors of one monomial), ``_json_key``
-    and ``_parse_key``; ``__add__`` and ``__mul__`` stay in each subclass.
+    defines ``_factors`` (the printed factors of one monomial); ``__add__`` and
+    ``__mul__`` stay in each subclass.
     """
 
     __slots__ = ()
@@ -111,14 +102,7 @@ class _SparsePoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # ---- serialization and display ----------------------------------------
-
-    def to_json(self) -> dict:
-        return {self._json_key(k): c for k, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        return cls(_json_terms(obj, cls._parse_key))
+    # ---- display -----------------------------------------------------------
 
     def __repr__(self):
         return "%s(%r)" % (self.__class__.__name__, self.terms)
@@ -275,8 +259,17 @@ class LaurentPoly(_SparsePoly):
 
     # ---- serialization and display ----------------------------------------
 
-    _json_key = staticmethod(str)
-    _parse_key = staticmethod(_json_exponent)
+    def to_json(self) -> dict:
+        return {str(e): c for e, c in sorted(self.terms.items())}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The polynomial of a map from exponent strings to integers, checked strictly."""
+        if not isinstance(obj, dict):
+            raise ValueError("a polynomial must be a map from exponents to integers, got %r"
+                             % (obj,))
+        return cls({_json_exponent(key): strict_int(c, "coefficient of %r" % (key,))
+                    for key, c in obj.items()})
 
     @staticmethod
     def _factors(e):
@@ -341,17 +334,6 @@ class PolyQZW(_SparsePoly):
         return r
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _json_key(key):
-        return "%d,%d,%d" % key
-
-    @staticmethod
-    def _parse_key(key):
-        parts = key.split(",") if isinstance(key, str) else ()
-        if len(parts) != 3:
-            raise ValueError("malformed exponent key %r" % (key,))
-        return tuple(_json_exponent(x) for x in parts)
 
     @staticmethod
     def _factors(key):
@@ -431,15 +413,7 @@ def from_image(x: int, b: int, e0: int, step: int = 1) -> LaurentPoly:
 
 def image_l1(x: int, b: int) -> int:
     """The L1 norm of ``from_image(x, b, e0, step)``: the sum of the absolute digits of x."""
-    total = 0
-    mask, half = (1 << b) - 1, 1 << (b - 1)
-    while x:
-        d = x & mask
-        if d >= half:
-            d -= mask + 1
-        total += abs(d)
-        x = (x - d) >> b
-    return total
+    return sum(map(abs, from_image(x, b, 0).terms.values()))
 
 
 def braided_int_scalar(m: int, step: int = -2) -> LaurentPoly:

@@ -9,8 +9,8 @@ index tuple) and implicit full columns from ``tail_start`` on.  Canonically,
 stored, so equal states compare equal as dictionaries.
 
 Inside the module a term is one bit mask, theta^(m)_a at bit (m - lo)(n+1) + a
-for a floor ``lo``, with the tail spelled out as full columns up to a window
-end W.  ``_mask`` and ``_full_mask`` encode; ``_read_masks`` alone decides
+for a floor ``lo`` (``_floor``), with the tail spelled out as full columns up
+to a window end W.  ``_spell`` alone encodes and ``_read_masks`` alone decides
 the canonical form, for the constructor, for sums and for engine outputs.
 
 The shift operator b_i replaces one generator theta^(j)_a by theta^(j+i)_a,
@@ -44,7 +44,8 @@ share the call's memo.  The fold picks its own width, widening and
 running again alone when a bound outgrows it, and the spelled result
 carries the width it returned.  ``apply_b`` spells a state, runs the core
 once and decodes; ``commutator_on_vacuum`` chains it for b_i b_-j omega
-and b_-j b_i omega and decodes once, at the end.
+and b_-j b_i omega, and ``column_piece`` for b_2 b_-2 omega from one
+column, and each decodes once, at the end.
 ``multiply_left`` folds each word of the element into the state's mask,
 spelled up to above every mode it inserts.  Truncation keeps this local:
 every rewrite keeps both output modes inside the mode range of the pair it
@@ -93,11 +94,9 @@ class FockState:
                     raise ValueError("explicit column inside the implicit tail")
                 if c:
                     checked.append((cols.items(), c))
-        lo = min([tail_start] + [m for cols, _ in checked for m, _ in cols])
-        masks = {}
-        for cols, c in checked:
-            add_term(masks, _mask(cols, lo, n + 1), c)
-        other = _read_masks(n, masks, lo, tail_start, tail_start)
+        parts = [(tail_start, checked)]
+        lo = _floor(parts)
+        other = _read_masks(n, _spell(n, parts, lo, tail_start), lo, tail_start, tail_start)
         self.n = n
         self.tail_start = other.tail_start
         self.terms = other.terms
@@ -120,16 +119,11 @@ class FockState:
     def __add__(self, other):
         if not isinstance(other, FockState) or self.n != other.n:
             raise ValueError("can only add states on the same space")
-        n = self.n
+        parts = [(s.tail_start, s.terms.items()) for s in (self, other)]
+        lo = _floor(parts)
         W = max(self.tail_start, other.tail_start)
-        lo = min([self.tail_start, other.tail_start]
-                 + [m for s in (self, other) for cfg in s.terms for m, _ in cfg])
-        masks = {}
-        for s in (self, other):
-            tail = _full_mask(n, lo, s.tail_start, W)
-            for cfg, c in s.terms.items():
-                add_term(masks, _mask(cfg, lo, n + 1) | tail, c)
-        return _read_masks(n, masks, lo, W, min(self.tail_start, other.tail_start))
+        masks = _spell(self.n, parts, lo, W)
+        return _read_masks(self.n, masks, lo, W, min(self.tail_start, other.tail_start))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -183,9 +177,25 @@ def vacuum(n: int, base: int = 0) -> FockState:
     return FockState(n, base, {(): LaurentPoly.one()})
 
 
-def _mask(cfg, lo: int, base: int) -> int:
-    """The mask of the columns ``cfg``, pairs (mode, indices), with modes from ``lo`` on."""
-    return sum([1 << (m - lo) * base + a for m, ix in cfg for a in ix])
+def _floor(parts) -> int:
+    """The lowest mode of ``parts``, pairs (tail_start, (configuration, coeff) pairs)."""
+    return min([T for T, _ in parts] + [m for _, terms in parts for cfg, _ in terms
+                                        for m, _ in cfg])
+
+
+def _spell(n: int, parts, lo: int, W: int) -> dict:
+    """{mask: coeff} of the terms of ``parts``, as ``_floor`` takes them, like terms summed.
+
+    Each mask spells the modes ``lo`` to W - 1: the term's columns, each a
+    pair (mode, indices), and full columns from its part's tail_start on.
+    """
+    base = n + 1
+    masks = {}
+    for T, terms in parts:
+        tail = _full_mask(n, lo, T, W)
+        for cfg, c in terms:
+            add_term(masks, sum([1 << (m - lo) * base + a for m, ix in cfg for a in ix]) | tail, c)
+    return masks
 
 
 def _full_mask(n: int, lo: int, start: int, end: int) -> int:
@@ -257,15 +267,15 @@ def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:
     return rules
 
 
-def _encode(s: FockState, lo: int):
+def _encode(s: FockState, room: int):
     """The spelled state (terms, lo, W, T, None) of s, its masks spelling modes ``lo`` to W - 1.
 
-    ``terms`` maps each mask to its coefficient, a LaurentPoly, and
-    W = T = s.tail_start.
+    ``lo`` is ``room`` modes below the lowest mode of s, ``terms`` maps each
+    mask to its coefficient, a LaurentPoly, and W = T = s.tail_start.
     """
-    base = s.n + 1
-    terms = {_mask(cfg, lo, base): c for cfg, c in s.terms.items()}
-    return terms, lo, s.tail_start, s.tail_start, None
+    parts = [(s.tail_start, s.terms.items())]
+    lo = _floor(parts) - room
+    return _spell(s.n, parts, lo, s.tail_start), lo, s.tail_start, s.tail_start, None
 
 
 def _decode(n: int, spelled) -> FockState:
@@ -285,14 +295,11 @@ def multiply_left(x: ModeElement, s: FockState, rules: ExchangeRules = None,
     base = s.n + 1
     T = s.tail_start
     W = max([T] + [m + 1 for xword in x.terms for m, _ in xword])
-    lo = min([T] + [m for part in (s.terms, x.terms) for word in part for m, _ in word])
+    parts = [(T, s.terms.items())]
+    lo = _floor(parts + [(T, x.terms.items())])
     # each term, its columns spelled up to W - 1, is the normal start of its folds
-    tail = _full_mask(s.n, lo, T, W)
-    folds = []
-    for cfg, sc in s.terms.items():
-        start = _mask(cfg, lo, base) | tail
-        for xword, xc in x.terms.items():
-            folds.append(([(m - lo) * base + a for m, a in xword], start, (), sc * xc))
+    folds = [([(m - lo) * base + a for m, a in xword], start, (), sc * xc)
+             for start, sc in _spell(s.n, parts, lo, W).items() for xword, xc in x.terms.items()]
     done, _, bits = insertion_fold(rules, folds, lo, budget, None)
     return _decode(s.n, (done, lo, W, T, bits))
 
@@ -413,8 +420,8 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
                         strict_int(slot_window[1], "slot_window hi") + 1)
     if columns is not None:
         columns = frozenset([strict_int(c, "column") for c in columns])
-    lo = min([s.tail_start] + [m for cfg in s.terms for m, _ in cfg]) + min(i, 0)
-    return _decode(s.n, _shift(rules, i, _encode(s, lo), prune, columns, log_pruned, budget))
+    spelled = _encode(s, max(-i, 0))
+    return _decode(s.n, _shift(rules, i, spelled, prune, columns, log_pruned, budget))
 
 
 def translate(s: FockState, d: int) -> FockState:
@@ -423,11 +430,11 @@ def translate(s: FockState, d: int) -> FockState:
     return FockState(s.n, s.tail_start + d, terms)
 
 
-def scalar_part(s: FockState, base: int = 0):
-    """The coefficient c with s = c * vacuum(n, base), or None if deviations remain."""
+def scalar_part(s: FockState):
+    """The coefficient c with s = c * vacuum(n), or None if deviations remain."""
     if not s.terms:
         return LaurentPoly.zero()
-    if s.tail_start == base and set(s.terms) == {()}:
+    if s.tail_start == 0 and set(s.terms) == {()}:
         return s.terms[()]
     return None
 
@@ -446,7 +453,7 @@ def commutator_on_vacuum(i: int, j: int, n: int, rules: ExchangeRules = None,
     v = vacuum(n, 0)
     rules = _rules_for(n, rules)
     # the vacuum spelled from mode -j on, low enough for b_-j in either order
-    start = _encode(v, -j)
+    start = _encode(v, j)
     kw = {"log": log_pruned, "budget": budget}
     first = _shift(rules, i, _shift(rules, -j, start, **kw), **kw)
     second = _shift(rules, -j, _shift(rules, i, start, **kw), **kw)
@@ -469,30 +476,23 @@ def heisenberg_sides(scalar: LaurentPoly, i: int, j: int, n: int):
     return lhs, rhs
 
 
-def heisenberg_matches(scalar: LaurentPoly, i: int, j: int, n: int) -> bool:
-    """Denominator-cleared Heisenberg relation test: the two sides agree exactly."""
-    lhs, rhs = heisenberg_sides(scalar, i, j, n)
-    return lhs == rhs
+def column_piece(n: int, column: int, rules: ExchangeRules = None) -> LaurentPoly:
+    """b_2 applied to the part of b_-2 omega from the slots in one column, a scalar.
 
-
-def _column_piece(n: int, column: int, rules: ExchangeRules = None) -> LaurentPoly:
-    """b_2 applied to the part of b_{-2} omega from slots in one column."""
-    rules = rules or standard_rules(n)
-    s = apply_b(-2, vacuum(n, 0), rules=rules, columns=(column,))
-    c = scalar_part(apply_b(2, s, rules=rules))
+    Lemma 3.3's pieces are columns 0 and 1.  The two shifts are chained on
+    masks and coefficient images, as in ``commutator_on_vacuum``.
+    """
+    v = vacuum(n, 0)
+    rules = _rules_for(n, rules)
+    low = _shift(rules, -2, _encode(v, 2), columns=frozenset([strict_int(column, "column")]))
+    c = scalar_part(_decode(n, _shift(rules, 2, low)))
     if c is None:
-        raise ArithmeticError(
-            "column-%d contribution is not a multiple of the vacuum" % column)
+        raise ArithmeticError("column-%d contribution is not a multiple of the vacuum" % column)
     return c
 
 
-def lemma33_coefficient(n: int, rules: ExchangeRules = None) -> LaurentPoly:
-    """Engine value of the column-0 piece: b_2 applied to b_{-2} of column 0."""
-    return _column_piece(n, 0, rules)
-
-
 def lemma33_closed_form(n: int) -> LaurentPoly:
-    """[n; q^-2] + (1 - q^-2)([n-1; q^-4] - q^(-2(n-1)) [n-1; q^-2])."""
+    """The column-0 piece: [n; q^-2] + (1 - q^-2)([n-1; q^-4] - q^(-2(n-1)) [n-1; q^-2])."""
     one = LaurentPoly.one()
     qm2 = LaurentPoly.q_power(-2)
     return braided_int_scalar(n, -2) + (one - qm2) * (
@@ -501,11 +501,6 @@ def lemma33_closed_form(n: int) -> LaurentPoly:
     )
 
 
-def lemma33_second_term(n: int, rules: ExchangeRules = None) -> LaurentPoly:
-    """Engine value of the column-1 piece: b_2 applied to b_{-2} of column 1."""
-    return _column_piece(n, 1, rules)
-
-
 def lemma33_second_term_expected(n: int) -> LaurentPoly:
-    """q^(-2(n-1)) [n; q^-2]."""
+    """The column-1 piece: q^(-2(n-1)) [n; q^-2]."""
     return LaurentPoly.q_power(-2 * (n - 1)) * braided_int_scalar(n, -2)

@@ -20,7 +20,7 @@ the length and keep modes inside the range of the pair they rewrite, so a
 reduction only meets finitely many words, and it terminates (the ordering
 argument of Bergman's diamond lemma).  ``word_measure`` gives a second
 decreasing quantity, (mode inversion weight, index inversion count), which
-bounds chain lengths and sizes budgets.  The rewrite budget guards the
+bounds chain lengths; only the tests call it.  The rewrite budget guards the
 length of sequential rewrite chains; exceeding it raises with the offending
 word and how far the reduction got.
 

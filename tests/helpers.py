@@ -375,6 +375,20 @@ def window_commutator(i, j, n, W, rules=None):
     return scalar_part(result), result
 
 
+def reference_column_piece(n, column, rules=None):
+    """b_2 on the part of b_-2 omega from the slots in one column, by two ``apply_b`` calls.
+
+    Each call decodes its result to a canonical state; returns the scalar
+    part, or None when deviations remain.
+    """
+    from braided_fock.fock import apply_b, scalar_part, vacuum
+    from braided_fock.modealg import standard_rules
+
+    rules = rules or standard_rules(n)
+    low = apply_b(-2, vacuum(n, 0), rules=rules, columns=(column,))
+    return scalar_part(apply_b(2, low, rules=rules))
+
+
 def classical_form(s, end):
     """The state s at q = 1: {frozenset of (mode, index): int}, tails spelled up to ``end``.
 

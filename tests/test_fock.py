@@ -10,11 +10,10 @@ from braided_fock.coeff import LaurentPoly, braided_int_scalar
 from braided_fock.fock import (
     FockState,
     apply_b,
+    column_piece,
     commutator_on_vacuum,
-    heisenberg_matches,
+    heisenberg_sides,
     lemma33_closed_form,
-    lemma33_coefficient,
-    lemma33_second_term,
     lemma33_second_term_expected,
     multiply_left,
     scalar_part,
@@ -36,7 +35,7 @@ from braided_fock.rmatrix import (
     standard_sln_R,
 )
 from helpers import (classical_form, classical_shift, reference_apply_b, reference_canonical,
-                     window_commutator)
+                     reference_column_piece, window_commutator)
 
 ONE = LaurentPoly.one()
 
@@ -411,19 +410,22 @@ class TestHeisenberg:
     def test_level_one(self, n):
         scalar, state = commutator_on_vacuum(1, 1, n)
         assert scalar == braided_int_scalar(n, -2)
-        assert heisenberg_matches(scalar, 1, 1, n)
+        lhs, rhs = heisenberg_sides(scalar, 1, 1, n)
+        assert lhs == rhs
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_level_two(self, n):
         scalar, state = commutator_on_vacuum(2, 2, n)
         assert scalar == braided_int_scalar(n, -4) * 2
-        assert heisenberg_matches(scalar, 2, 2, n)
+        lhs, rhs = heisenberg_sides(scalar, 2, 2, n)
+        assert lhs == rhs
 
     def test_off_diagonal(self):
         for (i, j) in ((1, 2), (2, 1)):
             scalar, state = commutator_on_vacuum(i, j, 2)
             assert scalar == LaurentPoly.zero() and not state
-            assert heisenberg_matches(scalar, i, j, 2)
+            lhs, rhs = heisenberg_sides(scalar, i, j, 2)
+            assert lhs == rhs
 
     # A negative control.  The closed form is a finding of this code, not a
     # statement of the paper: under gerv rules, which drop the correction
@@ -433,7 +435,8 @@ class TestHeisenberg:
     def test_gerv_rules_hold_at_level_one_only(self, n, i):
         scalar, _ = commutator_on_vacuum(i, i, n, standard_rules(n, "gerv"))
         assert scalar == braided_int_scalar(n, -2) * braided_int_scalar(i, -2 * (n - 1))
-        assert heisenberg_matches(scalar, i, i, n) == (i == 1)
+        lhs, rhs = heisenberg_sides(scalar, i, i, n)
+        assert (lhs == rhs) == (i == 1)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -459,19 +462,29 @@ class TestHeisenberg:
 
 
 class TestLemma33:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_closed_form(self, n):
-        assert lemma33_coefficient(n) == lemma33_closed_form(n)
+        assert column_piece(n, 0) == lemma33_closed_form(n)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_second_term(self, n):
-        assert lemma33_second_term(n) == lemma33_second_term_expected(n)
+        assert column_piece(n, 1) == lemma33_second_term_expected(n)
 
-    def test_pieces_sum_to_commutator(self, ):
-        for n in (2, 3):
-            total = lemma33_coefficient(n) + lemma33_second_term(n)
+    def test_pieces_sum_to_commutator(self):
+        for n in range(2, 7):
             scalar, _ = commutator_on_vacuum(2, 2, n)
-            assert total == scalar
+            assert column_piece(n, 0) + column_piece(n, 1) == scalar
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_chained_pieces_match_two_apply_b_calls(self, n):
+        # column 2 lowers onto the full column 0, so its piece is 0
+        for column in (0, 1, 2):
+            assert column_piece(n, column) == reference_column_piece(n, column)
+        assert not column_piece(n, 2)
+
+    def test_column_must_be_an_int(self):
+        with pytest.raises(ValueError, match="column must be an integer"):
+            column_piece(2, 1.0)
 
 
 class TestTelescoping:

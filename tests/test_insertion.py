@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from braided_fock import modealg
 from braided_fock.coeff import LaurentPoly
-from braided_fock.fock import apply_b, commutator_on_vacuum, vacuum
+from braided_fock.fock import FockState, apply_b, commutator_on_vacuum, vacuum
 from braided_fock.modealg import (VARIANTS, ExchangeRules, ModeElement, insertion_fold,
                                   normal_form, standard_rules)
 from braided_fock.rmatrix import HeckeData, standard_sln_R
@@ -74,14 +74,17 @@ def normal_word_exists(gens, n):
     """Whether some normal word of the modes of ``gens`` has their index counts and mode sum.
 
     Tries every set of generators of the window between the lowest and the
-    highest mode.
+    highest mode: a normal word holds each generator at most once, so it is
+    a set of distinct modes for each index, and its mode sum is the sum of
+    theirs.
     """
     lo, hi = min(m for m, _ in gens), max(m for m, _ in gens)
-    window = list(itertools.product(range(lo, hi + 1), range(1, n + 1)))
-    counts = sorted(a for _, a in gens)
-    total = sum(m for m, _ in gens)
-    return any(sorted(a for _, a in word) == counts and sum(m for m, _ in word) == total
-               for word in itertools.combinations(window, len(gens)))
+    sums = {0}
+    for a in range(1, n + 1):
+        count = sum(b == a for _, b in gens)
+        modes = {sum(c) for c in itertools.combinations(range(lo, hi + 1), count)}
+        sums = {t + u for t in sums for u in modes}
+    return sum(m for m, _ in gens) in sums
 
 
 @pytest.mark.parametrize("n, K", [(2, 2), (3, 1), (4, 1)])
@@ -170,6 +173,56 @@ def test_default_width_does_not_restart(monkeypatch):
     assert len(calls) == 60 and runs == [modealg._FOLD_BITS] * 60
     assert [sum(c[k] for c in calls) for k in (2, 3, 4)] == [576, 2625, 831]
     assert max(c[5] for c in calls) == 5
+
+
+def test_counting_test_drops_exactly_the_raised_slots_with_no_normal_word(monkeypatch):
+    # b_i, i > 0, on random states: a slot that the column rule keeps reaches
+    # the fold unless its suffix holds the shifted generator g above the
+    # suffix's lowest generator and no normal word of the modes from that
+    # generator's up to g's has the counts and mode sum of g and the suffix
+    # up to g's mode; the window must start at the suffix, not at the floor
+    rng = random.Random(24)
+    handed = {}
+
+    def recording(rules, folds, lo, budget, bits):
+        base = rules.n + 1
+        for gens, _, slots, _ in folds:
+            word = tuple((lo + x // base, x % base) for x in gens)
+            handed[word] = sorted(p for p, _, _ in slots)
+        return insertion_fold(rules, folds, lo, budget, bits)
+
+    monkeypatch.setattr("braided_fock.fock.insertion_fold", recording)
+    dropped = 0
+    for _ in range(300):
+        n, T, i = rng.randint(2, 4), rng.randint(-2, 2), rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            cfg = tuple((m, tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))))
+                        for m in sorted(rng.sample(range(T - 4, T), rng.randint(1, 4))))
+            terms[cfg] = ONE
+        s = FockState(n, T, terms)
+        full = tuple(range(1, n + 1))
+        want = {}
+        for cfg in s.terms:
+            cols = dict(cfg)
+            word = tuple((m, a) for m, ix in cfg for a in ix)
+            kept = []
+            for p, (j, a) in enumerate(word):
+                g = (j + i, a)
+                if all(cols.get(c) == full or c >= s.tail_start for c in range(j + 1, g[0] + 1)):
+                    continue  # the column rule
+                suffix = [h for h in word[p + 1:] if h[0] <= g[0]] + [
+                    (c, b) for c in range(s.tail_start, g[0] + 1) for b in full]
+                if g in suffix and g > suffix[0] and not normal_word_exists(suffix + [g], n):
+                    dropped += 1
+                    continue
+                kept.append(p)
+            if kept:
+                want[word] = kept
+        handed.clear()
+        apply_b(i, s)
+        assert handed == want, (n, i, s)
+    assert dropped > 0
 
 
 def twist(n):
