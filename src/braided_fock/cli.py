@@ -122,12 +122,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    from .modealg import ModeElement, normal_form, resolve_budget, standard_rules
+    from .modealg import ModeElement, normal_form, standard_rules
 
     word = parse_word(args.expr)
     variant = args.rules or "theorem21"
     elem = ModeElement.from_word(args.n, word)
-    out = normal_form(elem, standard_rules(args.n, variant), budget=resolve_budget(args.budget))
+    out = normal_form(elem, standard_rules(args.n, variant), budget=args.budget)
     report = {"command": "nf", "n": args.n, "rules": variant, "input": args.expr,
               "normal_form": out.to_json()}
     _emit(args, report, [repr(out)])
@@ -136,12 +136,10 @@ def cmd_nf(args) -> int:
 
 def cmd_heisenberg(args) -> int:
     from . import fock
-    from .modealg import resolve_budget
 
     i, j, n = args.i, args.j, args.n
     log = [] if args.log_pruned else None
-    scalar, state = fock.commutator_on_vacuum(i, j, n, budget=resolve_budget(args.budget),
-                                              log_pruned=log)
+    scalar, state = fock.commutator_on_vacuum(i, j, n, budget=args.budget, log_pruned=log)
     extrapolation = i >= 3 or j >= 3
     if scalar is None:
         report = {"check": "heisenberg", "i": i, "j": j, "n": n, "pass": False,

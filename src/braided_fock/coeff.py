@@ -26,6 +26,13 @@ def strict_int(value, what: str) -> int:
     return value
 
 
+def strict_laurent(value, what: str):
+    """``value`` if it is a LaurentPoly; ValueError otherwise."""
+    if not isinstance(value, LaurentPoly):
+        raise ValueError("%s must be a LaurentPoly, got %r" % (what, value))
+    return value
+
+
 def _json_exponent(text) -> int:
     if not isinstance(text, str) or not _JSON_EXPONENT.match(text):
         raise ValueError("malformed exponent key %r" % (text,))
@@ -44,11 +51,10 @@ def add_term(terms: dict, key, coeff):
 
 class _SparsePoly:
     """What the two polynomial classes share: a sparse ``terms`` map from
-    exponent keys to nonzero integers, and everything but the ring operations.
+    exponent keys to nonzero integers, and everything but multiplication.
 
     A subclass sets ``_UNIT_KEY`` (the exponent key of the constant term) and
-    defines ``_factors`` (the printed factors of one monomial); ``__add__`` and
-    ``__mul__`` stay in each subclass.
+    defines ``_factors`` (the printed factors of one monomial) and ``__mul__``.
     """
 
     __slots__ = ()
@@ -61,11 +67,6 @@ class _SparsePoly:
     def one(cls):
         return cls({cls._UNIT_KEY: 1})
 
-    @classmethod
-    def from_int(cls, c: int):
-        """Embed an integer scalar."""
-        return cls({cls._UNIT_KEY: c})
-
     def _coerce(self, other):
         cls = self.__class__
         if isinstance(other, cls):
@@ -75,6 +76,23 @@ class _SparsePoly:
             r.terms = {cls._UNIT_KEY: other} if other else {}
             return r
         return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        r = self.__class__.__new__(self.__class__)
+        r.terms = out
+        return r
+
+    __radd__ = __add__
 
     def __neg__(self):
         r = self.__class__.__new__(self.__class__)
@@ -143,7 +161,8 @@ class LaurentPoly(_SparsePoly):
 
     def __init__(self, terms=None):
         if terms:
-            self.terms = {strict_int(e, "q-exponent"): c for e, c in terms.items() if c}
+            self.terms = {strict_int(e, "q-exponent"): c for e, c in terms.items()
+                          if strict_int(c, "coefficient")}
         else:
             self.terms = {}
 
@@ -158,22 +177,9 @@ class LaurentPoly(_SparsePoly):
 
     # ---- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
-        return r
-
-    __radd__ = __add__
+    # bound here too: the benchmark's tracer wraps only the methods it finds
+    # in the class's own namespace
+    __add__ = __radd__ = _SparsePoly.__add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -268,8 +274,7 @@ class LaurentPoly(_SparsePoly):
         if not isinstance(obj, dict):
             raise ValueError("a polynomial must be a map from exponents to integers, got %r"
                              % (obj,))
-        return cls({_json_exponent(key): strict_int(c, "coefficient of %r" % (key,))
-                    for key, c in obj.items()})
+        return cls({_json_exponent(key): c for key, c in obj.items()})
 
     @staticmethod
     def _factors(e):
@@ -296,25 +301,8 @@ class PolyQZW(_SparsePoly):
                 qe, zd, wd = [strict_int(e, "exponent") for e in key]
                 if zd < 0 or wd < 0:
                     raise ValueError("z and w degrees must be nonnegative")
-                out[(qe, zd, wd)] = c
+                out[(qe, zd, wd)] = strict_int(c, "coefficient")
         self.terms = out
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        r = PolyQZW.__new__(PolyQZW)
-        r.terms = out
-        return r
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -352,7 +340,8 @@ class LinearCombination:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = {tuple(k): c for k, c in terms.items() if c} if terms else {}
+        self.terms = {tuple(k): c for k, c in terms.items()
+                      if strict_laurent(c, "coefficient")} if terms else {}
 
     @classmethod
     def zero(cls, n):

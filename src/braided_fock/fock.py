@@ -55,7 +55,8 @@ and the memo keys each insertion on the columns at or below it.
 
 from __future__ import annotations
 
-from .coeff import LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int
+from .coeff import (LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int,
+                    strict_laurent)
 from .modealg import (ExchangeRules, ModeElement, check_indices, infeasible, insertion_fold,
                       standard_rules, unfold_image)
 
@@ -92,7 +93,7 @@ class FockState:
                         )
                 if any(m >= tail_start for m in cols):
                     raise ValueError("explicit column inside the implicit tail")
-                if c:
+                if strict_laurent(c, "coefficient"):
                     checked.append((cols.items(), c))
         parts = [(tail_start, checked)]
         lo = _floor(parts)
@@ -396,29 +397,22 @@ def _shift(rules: ExchangeRules, i: int, spelled, prune: bool = True, columns=No
 
 
 def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = True,
-            slot_window=None, columns=None, log_pruned=None, budget=None) -> FockState:
+            columns=None, log_pruned=None, budget=None) -> FockState:
     """The shift derivation b_i applied to a state.
 
     ``columns`` restricts the generator slots to the given columns (any
-    iterable of ints, read once) and materializes the tail through the
-    largest of them; with a window of columns and ``prune=False`` this is
-    the brute-force oracle.  ``slot_window=(lo, hi)``, a pair of ints, is
-    shorthand for ``columns=range(lo, hi + 1)``; giving both raises
-    ValueError.  Slots pruned by the column rule are appended to
+    iterable of ints, read once, such as ``range(lo, hi + 1)``; anything
+    else raises ValueError) and materializes the tail through the largest
+    of them; with a window of columns and ``prune=False`` this is the
+    brute-force oracle.  Slots pruned by the column rule are appended to
     ``log_pruned`` when a list is supplied.
     """
     if strict_int(i, "shift") == 0:
         raise ValueError("shift must be nonzero")
     rules = _rules_for(s.n, rules)
-    if slot_window is not None:
-        if columns is not None:
-            raise ValueError("give slot_window or columns, not both")
-        if not (isinstance(slot_window, (tuple, list)) and len(slot_window) == 2):
-            raise ValueError("slot_window must be a pair (lo, hi) of ints, got %r"
-                             % (slot_window,))
-        columns = range(strict_int(slot_window[0], "slot_window lo"),
-                        strict_int(slot_window[1], "slot_window hi") + 1)
     if columns is not None:
+        if not hasattr(columns, "__iter__"):
+            raise ValueError("columns must be an iterable of ints, got %r" % (columns,))
         columns = frozenset([strict_int(c, "column") for c in columns])
     spelled = _encode(s, max(-i, 0))
     return _decode(s.n, _shift(rules, i, spelled, prune, columns, log_pruned, budget))
@@ -426,6 +420,7 @@ def apply_b(i: int, s: FockState, rules: ExchangeRules = None, prune: bool = Tru
 
 def translate(s: FockState, d: int) -> FockState:
     """Shift every mode (explicit and tail) by d."""
+    d = strict_int(d, "translation")
     terms = {tuple((m + d, ix) for m, ix in cfg): c for cfg, c in s.terms.items()}
     return FockState(s.n, s.tail_start + d, terms)
 

@@ -727,11 +727,10 @@ def _vanishes(relation, n: int, rules: ExchangeRules) -> bool:
     """Whether a relation, as ``_column`` terms, normal-orders to 0 at every column (a, b).
 
     The normal form is linear and exact, so a relation L = R holds exactly
-    when each column of L - R reduces to 0.
+    when each column of L - R reduces to 0.  ``normal_form`` rejects an n
+    other than the rank of ``rules``.
     """
-    if rules.n != n:
-        raise ValueError("rules of rank %d cannot reduce an element of rank %d" % (rules.n, n))
-    cols = range(1, n + 1)
+    cols = range(1, rules.n + 1)
     return not any(normal_form(_column(relation, n, (a, b)), rules) for a in cols for b in cols)
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .coeff import LaurentPoly, PolyQZW, add_term, from_image, to_image
+from .coeff import LaurentPoly, PolyQZW, add_term, from_image, strict_laurent, to_image
 from .tensor import TensorOp, embed, invert, permutation_P
 
 
@@ -58,9 +58,11 @@ class HeckeData:
         if R.n != n or R.legs != 2:
             raise ValueError("R must be a two-leg operator of rank %d, got %d legs of rank %d"
                              % (n, R.legs, R.n))
+        for c in R.entries.values():
+            strict_laurent(c, "an entry of R")
         self.n = n
         self.R = R
-        self.q = LaurentPoly.q() if q is None else q
+        self.q = LaurentPoly.q() if q is None else strict_laurent(q, "q")
 
     def PR(self) -> TensorOp:
         return permutation_P(self.n) @ self.R
@@ -160,13 +162,8 @@ def check_braid(data: HeckeData) -> CheckResult:
 
 
 def _laurent_degrees(*ops: TensorOp) -> dict:
-    lo = hi = None
-    for op in ops:
-        for c in op.entries.values():
-            cl, ch = c.min_exp(), c.max_exp()
-            lo = cl if lo is None else min(lo, cl)
-            hi = ch if hi is None else max(hi, ch)
-    return {"q_min": lo, "q_max": hi}
+    exps = [e for op in ops for c in op.entries.values() for e in c.terms]
+    return {"q_min": min(exps, default=None), "q_max": max(exps, default=None)}
 
 
 def check_pybe(data: HeckeData) -> CheckResult:
@@ -316,7 +313,7 @@ def check_unitarity(data: HeckeData, samples) -> CheckResult:
     at q0, whatever z0 is.  D is built once; each sample evaluates its
     entries at q0 until one is nonzero, and none when D = 0.  So a sampled
     pass is not a proof: it shows D(q0) = 0, not D = 0, and an R whose D is
-    nonzero passes at every common root q0 of D's entries.
+    nonzero passes at every common root q0 of D's entries.  No samples raise ValueError.
     """
     r21_inv = invert(data.R).swapped_legs()
     qinv = data.q.unit_inverse()
@@ -336,6 +333,8 @@ def check_unitarity(data: HeckeData, samples) -> CheckResult:
         checked.append({"q0": str(q0), "z0": str(z0), "pass": ok})
         if not ok and bad is None:
             bad = {"q0": str(q0), "z0": str(z0)}
+    if not checked:
+        raise ValueError("unitarity needs at least one sample")
     degs = _laurent_degrees(data.R)
     degs["samples"] = len(checked)
     return CheckResult("unitarity", data.n, bad is None, bad, degs, {"samples": checked})

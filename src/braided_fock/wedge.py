@@ -112,8 +112,6 @@ def derive_wedge_rules(data: HeckeData) -> SwapRuleTable:
                 "non-PBW Hecke input: relation column %r mixes monomials %r" % (col, support)
             )
         a, b = min(col), max(col)
-        if a == b:
-            raise NonPBWInputError("non-PBW Hecke input: degenerate diagonal column %r" % (col,))
         beta = rows.get((b, a))
         alpha = rows.get((a, b), LaurentPoly.zero())
         if not beta:
@@ -149,17 +147,7 @@ def wedge_normal_form(word, table: SwapRuleTable) -> WedgeElement:
             raise ValueError("index %r is not an int in %r" % (a, word))
         if not 1 <= a <= table.n:
             raise ValueError("index %r out of range 1..%d" % (a, table.n))
-    c, mono = table.reduce_word(word)
-    if mono is None:
-        return WedgeElement.zero(table.n)
-    return WedgeElement(table.n, {mono: c})
-
-
-def reduce_element(x: WedgeElement, table: SwapRuleTable) -> WedgeElement:
-    out = WedgeElement.zero(x.n)
-    for mono, c in x.terms.items():
-        out = out + wedgify(mono, c, table)
-    return out
+    return wedgify(word, LaurentPoly.one(), table)
 
 
 def wedgify(word, coeff, table: SwapRuleTable) -> WedgeElement:

@@ -95,6 +95,14 @@ class TestLaurentRing:
         assert Q - 1 == lp({1: 1, 0: -1})
         assert braided_int_scalar(2, -2) * 3 == lp({0: 3, -2: 3})
 
+    @pytest.mark.parametrize("c", [1.5, True, "a"])
+    def test_inexact_coefficient_rejected(self, c):
+        # each used to be stored as given
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            LaurentPoly({0: c})
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            PolyQZW({(0, 0, 0): c})
+
     def test_evaluate(self):
         p = lp({2: 1, -2: -1})
         assert p.evaluate(Fraction(3, 2)) == Fraction(9, 4) - Fraction(4, 9)
@@ -112,7 +120,7 @@ class TestLaurentRing:
 
     def test_unit_inverse(self):
         assert LaurentPoly.q_power(3).unit_inverse() == LaurentPoly.q_power(-3)
-        assert LaurentPoly.from_int(-1).unit_inverse() == LaurentPoly.from_int(-1)
+        assert LaurentPoly({0: -1}).unit_inverse() == LaurentPoly({0: -1})
         with pytest.raises(ValueError):
             (Q + ONE).unit_inverse()
 
@@ -164,6 +172,25 @@ class TestPolyQZW:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             PolyQZW({(0, -1, 0): 1})
+
+
+class TestSharedSum:
+    # one addition serves both polynomial classes, and builds the class of its left side
+    def test_sums_keep_their_class(self):
+        a, b = PolyQZW({(1, 2, 0): 3}), PolyQZW({(0, 0, 1): -1})
+        assert type(a + b) is PolyQZW and (a + b).terms == {(1, 2, 0): 3, (0, 0, 1): -1}
+        assert type(1 + a) is PolyQZW and (1 + a).terms == {(1, 2, 0): 3, (0, 0, 0): 1}
+        assert type(Q + 1) is LaurentPoly and (Q + 1).terms == {1: 1, 0: 1}
+
+    def test_cancelling_sum_is_zero(self):
+        a = PolyQZW({(1, 2, 0): 3, (0, 0, 0): 1})
+        assert (a + (-a)).terms == {} and a + (-a) == PolyQZW.zero()
+        assert (Q + (-Q)).terms == {} and Q + (-Q) == LaurentPoly.zero()
+
+    def test_laurent_binds_its_own_ring_operations(self):
+        # the benchmark's tracer wraps only the methods it finds in vars(cls),
+        # so LaurentPoly's sum and product must be bound in its own namespace
+        assert {"__add__", "__radd__", "__mul__"} <= set(vars(LaurentPoly))
 
 
 class TestSerialization:

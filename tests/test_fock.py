@@ -63,6 +63,11 @@ class TestStateBasics:
         assert w == v
         assert not (w - v)
 
+    def test_inexact_coefficient_rejected(self):
+        # used to construct, and apply_b(-1, .) then died with an AttributeError
+        with pytest.raises(ValueError, match="coefficient must be a LaurentPoly"):
+            FockState(2, 0, {(): 2})
+
     def test_json_roundtrip(self):
         s = apply_b(-1, vacuum(2, 0))
         blob = json.dumps(s.to_json(), sort_keys=True)
@@ -354,29 +359,22 @@ class TestShiftOperator:
 
     @pytest.mark.parametrize("i, lo, hi", [(1, -2, 0), (1, -1, -1), (-1, -2, 2), (2, -2, -1)])
     def test_slot_window_is_the_sum_of_its_columns(self, i, lo, hi):
-        # slot_window=(lo, hi) takes the slots of every column lo..hi, hi
-        # included, and of no other column; both end columns contribute, so
-        # a window that drops either one shows
+        # columns=range(lo, hi + 1) takes the slots of every column lo..hi,
+        # hi included, and of no other column; both end columns contribute,
+        # so a window that drops either one shows
         s = apply_b(-2, vacuum(2, 0))
         pieces = [apply_b(i, s, prune=False, columns=(c,)) for c in range(lo, hi + 1)]
         assert pieces[0] and pieces[-1]
         want = FockState(2, s.tail_start)
         for piece in pieces:
             want = want + piece
-        assert apply_b(i, s, prune=False, slot_window=(lo, hi)) == want
+        assert apply_b(i, s, prune=False, columns=range(lo, hi + 1)) == want
 
-    def test_slot_window_and_columns_rejected_together(self):
-        # columns used to be dropped silently: this gave the slot_window result,
-        # while columns=(5,) alone gives 0
-        with pytest.raises(ValueError, match="slot_window or columns, not both"):
-            apply_b(-1, vacuum(2, 0), slot_window=(0, 0), columns=(5,))
-
-    @pytest.mark.parametrize("window", [(0, 1, 2), (0,), (True, 1), (0, 1.0), 5, "01"])
-    def test_slot_window_must_be_a_pair_of_ints(self, window):
-        # (0, 1, 2) used to run as (0, 1) and (True, 1) as (1, 1); the others
-        # died with an IndexError or a TypeError
-        with pytest.raises(ValueError, match="slot_window"):
-            apply_b(-1, vacuum(2, 0), slot_window=window)
+    @pytest.mark.parametrize("columns", [5, 2.5])
+    def test_columns_must_be_an_iterable(self, columns):
+        # a lone int used to die with "TypeError: 'int' object is not iterable"
+        with pytest.raises(ValueError, match="columns must be an iterable of ints"):
+            apply_b(-1, vacuum(2, 0), columns=columns)
 
     def test_pruning_logged(self):
         # raising slots on a deviated state: exactly the provably-dead slots
@@ -626,6 +624,11 @@ class TestTranslationInvariance:
             s = apply_b(-1, vacuum(2, 0))
             assert translate(apply_b(i, s), 1) == apply_b(i, translate(s, 1))
 
+    def test_translation_must_be_an_int(self):
+        # True used to translate by 1
+        with pytest.raises(ValueError, match="translation must be an integer"):
+            translate(vacuum(2, 0), True)
+
     def test_translated_commutator(self):
         scalar, _ = commutator_on_vacuum(1, 1, 2)
         v1 = translate(vacuum(2, 0), 1)
@@ -817,7 +820,7 @@ class TestTransportReuse:
         # per apply_b, so alike slots share its memo
         for n in (2, 3):
             calls.clear()
-            out = apply_b(2, vacuum(n, 0), prune=False, slot_window=(0, 5))
+            out = apply_b(2, vacuum(n, 0), prune=False, columns=range(0, 6))
             assert not out and len(calls) == 1
         calls.clear()
         commutator_on_vacuum(3, 3, 3)

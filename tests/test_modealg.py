@@ -187,6 +187,9 @@ class TestConsistency:
     def test_rules_of_another_rank_rejected(self, check):
         with pytest.raises(ValueError, match="rules of rank 2 cannot reduce an element of rank 3"):
             check(3, 0, 3, standard_rules(2))
+        # n = 0 has no column of its own to normal-order, and is rejected too
+        with pytest.raises(ValueError, match="rules of rank 2 cannot reduce an element of rank 0"):
+            check(3, 0, 0, standard_rules(2))
 
     # The shipped R files, at j = 0 and keyed by i.  diagonal_5q fails check
     # hecke; of these mode checks it fails moderel at gap 1 only.
@@ -517,6 +520,11 @@ class TestIndexValidation:
     def test_out_of_range_index_rejected(self, word):
         with pytest.raises(ValueError, match="outside 1..2"):
             normal_form(ModeElement.from_word(2, word), standard_rules(2))
+
+    def test_inexact_coefficient_rejected(self):
+        # a float coefficient used to come out of normal_form as (1.5) t[0]_1 t[1]_1
+        with pytest.raises(ValueError, match="coefficient must be a LaurentPoly"):
+            normal_form(ModeElement(2, {((0, 1), (1, 1)): 1.5}), standard_rules(2))
 
     @pytest.mark.parametrize("strategy", ["leftmost", "rightmost", "insertion"])
     @pytest.mark.parametrize("word, bad", [

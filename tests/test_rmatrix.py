@@ -126,6 +126,14 @@ class TestCheckHecke:
                                              "got 2 legs of rank 2"):
             HeckeData(3, standard_sln_R(2).R)
 
+    def test_inexact_entry_rejected(self):
+        # an int entry used to construct, and check_hecke then raised an
+        # AttributeError about min_exp
+        with pytest.raises(ValueError, match="an entry of R must be a LaurentPoly"):
+            HeckeData(2, TensorOp(2, 2, {((1, 1), (1, 1)): 3}))
+        with pytest.raises(ValueError, match="q must be a LaurentPoly"):
+            HeckeData(2, TensorOp.identity(2, 2), q=1)
+
 
 class TestHeckeShortcuts:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -332,6 +340,13 @@ class TestUnitarity:
             check_unitarity(d, [(q0, 1 / q0**2)])
         with pytest.raises(ValueError):
             check_unitarity(d, [(Fraction(1), Fraction(2))])
+
+    def test_no_samples_rejected(self):
+        # used to report pass for the identity R, which the sample (2, 3) rejects
+        d = HeckeData(2, TensorOp.identity(2, 2))
+        assert not check_unitarity(d, [(Fraction(2), Fraction(3))]).passed
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_unitarity(d, [])
 
     def test_against_dense_oracle(self):
         # independent dense rational construction of R(z) R(1/z)_21, first

@@ -21,7 +21,6 @@ from braided_fock.wedge import (
     braided_partial,
     degree_rank,
     derive_wedge_rules,
-    reduce_element,
     top_form,
     wedge_normal_form,
 )
@@ -123,7 +122,12 @@ class TestNormalForm:
             n = rng.randint(2, 4)
             word = [rng.randint(1, n) for _ in range(rng.randint(0, n + 1))]
             x = wedge_normal_form(word, tables[n])
-            assert reduce_element(x, tables[n]) == x
+            for mono, c in x.terms.items():
+                assert wedge_normal_form(mono, tables[n]).scale(c) == WedgeElement(n, {mono: c})
+
+    def test_inexact_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="coefficient must be a LaurentPoly"):
+            WedgeElement(2, {(1, 2): 2})
 
     def test_three_letter_example(self, tables):
         # t3 t2 t1 sorts with three swaps
