@@ -17,7 +17,8 @@ proved 0 (summed the same way; slots that the same test drops before they
 are built are not counted), the deepest nesting of misses, and the max RSS
 of the process (``ru_maxrss``).  The misses, zeros and depth are
 deterministic; wall and RSS depend on the host.  The exit code is 1 when
-any point fails.
+any point fails: its scalar is not the closed form, or it has a record in
+``RECORDED`` and one of its counters exceeds it (named on stderr).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ import subprocess
 import sys
 
 TABLE = ((3, 9), (4, 8), (5, 7), (6, 6), (4, 9), (5, 8), (4, 10))
+# the recorded (misses, zeros, depth) of the points CI runs; more of any is a regression
+RECORDED = {(3, 9): (5548, 2155, 5), (4, 8): (16831, 5921, 7), (6, 6): (31284, 9171, 8),
+            (5, 7): (28593, 9224, 7), (4, 9): (31074, 10776, 7)}
 
 
 def run_point(n, i):
@@ -77,6 +81,11 @@ def main(argv):
         print("| (%d, %d) | %.2f s | %s | %s | %d | %.0f MB | %s |" % (
             n, i, r["wall_s"], format(r["misses"], ","), format(r["zeros"], ","), r["depth"],
             r["max_rss_mb"], "match" if r["pass"] else "MISMATCH"), flush=True)
+        for name, limit in zip(("misses", "zeros", "depth"), RECORDED.get((n, i), ())):
+            if r[name] > limit:
+                ok = False
+                print("(%d, %d): %s %d exceeds its record %d" % (n, i, name, r[name], limit),
+                      file=sys.stderr, flush=True)
     return 0 if ok else 1
 
 

@@ -214,7 +214,7 @@ def cmd_dims(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-# ``wedge.VARIANTS``, spelled here so that building the parser loads no layer
+# ``modealg.VARIANTS``, spelled here so that building the parser loads no layer
 # (tests/test_cli.py checks that the two agree)
 _VARIANTS = ("theorem21", "gerv")
 

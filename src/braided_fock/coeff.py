@@ -7,8 +7,9 @@ callers in denominator-cleared form, so no fraction-field arithmetic is ever
 needed here.
 
 The sparse plumbing the other modules share lives here too: ``add_term``
-merges one term into a map and drops it when it cancels, and
-``LinearCombination`` is the arithmetic of wedge and mode elements.
+merges one term into a map and drops it when it cancels, ``LinearCombination``
+is the arithmetic and printing of wedge and mode elements, and ``to_image`` is
+the one integer image of a Laurent polynomial, its value at q^-1 = 2^b.
 """
 
 from __future__ import annotations
@@ -202,12 +203,6 @@ class LaurentPoly(_SparsePoly):
 
     # ---- structure -------------------------------------------------------
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else None
-
     def unit_inverse(self) -> "LaurentPoly":
         """Invert a unit monomial (+-q**k); raises for anything else."""
         if len(self.terms) == 1:
@@ -332,11 +327,13 @@ class PolyQZW(_SparsePoly):
 class LinearCombination:
     """``n`` plus a sparse map from tuple keys to nonzero coefficients.
 
-    The shared arithmetic of wedge elements and mode elements: keys are
+    The shared arithmetic and printing of wedge and mode elements: keys are
     index monomials or mode words, coefficients are Laurent polynomials.
+    ``_GEN`` formats one printed generator and ``_ORDER`` sorts printed terms.
     """
 
     __slots__ = ("n", "terms")
+    _ORDER = None
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -372,21 +369,26 @@ class LinearCombination:
     def __bool__(self):
         return bool(self.terms)
 
+    def __repr__(self):
+        return " + ".join("(%s) %s" % (self.terms[k], " ".join(self._GEN % g for g in k) or "1")
+                          for k in sorted(self.terms, key=self._ORDER)) or "0"
 
-def to_image(p: LaurentPoly, b: int, e0: int, step: int = 1) -> int:
-    """The integer image of ``p``: sum c 2^(b k) over its terms c q^(e0 + step k).
 
-    That is q^(-e0) p at q^step = 2^b; ``step`` is 1 or -1, and every k must
-    be nonnegative.
+def to_image(p: LaurentPoly, b: int, e0: int) -> int:
+    """The integer image of ``p``: sum c 2^(b k) over its terms c q^(e0 - k).
+
+    That is q^(-e0) p at q^-1 = 2^b, the one image direction of the library;
+    e0 is at least every exponent of p, so every k is nonnegative.
     """
-    return sum([c << b * (e - e0) * step for e, c in p.terms.items()])
+    return sum([c << b * (e0 - e) for e, c in p.terms.items()])
 
 
-def from_image(x: int, b: int, e0: int, step: int = 1) -> LaurentPoly:
-    """The ``p`` with ``to_image(p, b, e0, step) == x``.
+def from_image(x: int, b: int, e0: int) -> LaurentPoly:
+    """The ``p`` with ``to_image(p, b, e0) == x``.
 
     Exact when every coefficient of p lies strictly between -2^(b-1) and
-    2^(b-1): they are then the balanced base-2^b digits of x.
+    2^(b-1): they are then the balanced base-2^b digits of x, read from the
+    exponent e0 down.
     """
     terms, e = {}, e0
     base, half = 1 << b, 1 << (b - 1)
@@ -396,12 +398,12 @@ def from_image(x: int, b: int, e0: int, step: int = 1) -> LaurentPoly:
             d -= base
         terms[e] = d
         x = (x - d) >> b
-        e += step
+        e -= 1
     return LaurentPoly(terms)
 
 
 def image_l1(x: int, b: int) -> int:
-    """The L1 norm of ``from_image(x, b, e0, step)``: the sum of the absolute digits of x."""
+    """The L1 norm of ``from_image(x, b, e0)``: the sum of the absolute digits of x."""
     return sum(map(abs, from_image(x, b, 0).terms.values()))
 
 

@@ -77,7 +77,7 @@ words it makes; ``fock`` runs b_i this way.  It carries only a nonzero
 partial sum: where it carries nothing it jumps to the next slot.
 
 Inside ``insertion_fold`` a coefficient c is an int, the value of q^-d c at
-q^-1 = 2^b (Kronecker substitution, as in ``rmatrix.integer_images``), for
+q^-1 = 2^b (``coeff.to_image``, as in ``rmatrix.integer_images``), for
 an offset d >= the top exponent of c, so that only powers q^-k occur.  The
 terms of one memo entry share one offset, the largest of their products'
 offsets; a rule coefficient has offset max(0, top exponent), which is 0
@@ -140,9 +140,11 @@ from functools import lru_cache
 from .coeff import LaurentPoly, LinearCombination, add_term, from_image, image_l1, to_image
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
-from .wedge import VARIANTS, derive_wedge_rules
+from .wedge import derive_wedge_rules
 
 DEFAULT_BUDGET = 10**7
+# the rule variants of ExchangeRules
+VARIANTS = ("theorem21", "gerv")
 _DECIMAL = re.compile(r"[0-9]+")
 
 
@@ -195,6 +197,7 @@ class ModeElement(LinearCombination):
     """
 
     __slots__ = ()
+    _GEN = "t[%d]_%d"
 
     @classmethod
     def from_word(cls, n, word, coeff=None):
@@ -205,15 +208,6 @@ class ModeElement(LinearCombination):
         for w in sorted(self.terms):
             out.append({"coeff": self.terms[w].to_json(), "word": [list(g) for g in w]})
         return {"n": self.n, "terms": out}
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            word = " ".join("t[%d]_%d" % g for g in w) or "1"
-            bits.append("(%s) %s" % (self.terms[w], word))
-        return " + ".join(bits)
 
 
 def _columns_of(op) -> dict:
@@ -487,12 +481,12 @@ _FOLD_BITS = 32
 def fold_image(c: LaurentPoly, bits: int):
     """(image, L1 norm, offset d) of c: d = max(0, top exponent), image q^-d c at q^-1 = 2^bits."""
     d = max(0, max(c.terms))
-    return to_image(c, bits, d, -1), sum(map(abs, c.terms.values())), d
+    return to_image(c, bits, d), sum(map(abs, c.terms.values())), d
 
 
 def unfold_image(t, bits: int) -> LaurentPoly:
     """The polynomial of an (image, bound, offset) triple whose bound is below 2^(bits-1)."""
-    return from_image(t[0], bits, t[2], -1)
+    return from_image(t[0], bits, t[2])
 
 
 def infeasible(g: int, w: int, base: int) -> bool:

@@ -20,11 +20,12 @@ therefore equal exactly when their images are; it is an exact encoding, not
 an evaluation at sample points.
 
 The Hecke, braid and pYBE checks then compose plain integers:
-``integer_images`` maps each Laurent factor to Z by q -> 2^b, with b large
-enough (2^b > 4 k^(u-1) L^u, see there) that the map is injective on the
-sides of the identity and on their difference.  Only a failing entry is
-decoded.  When a wide exponent span would make the integers costlier than
-Laurent products, the factors stay Laurent.
+``integer_images`` maps each Laurent factor to Z by q^-1 -> 2^b from the
+factors' top exponent (``coeff.to_image``), with b large enough
+(2^b > 4 k^(u-1) L^u, see there) that the map is injective on the sides of
+the identity and on their difference.  Only a failing entry is decoded.
+When a wide exponent span would make the integers costlier than Laurent
+products, the factors stay Laurent.
 
 Unitarity R(z) R(1/z)_21 = 1 of the Baxterisation
 R(z) = (R - z R_21^-1) / (q - z/q) reduces to one Laurent operator: the
@@ -216,11 +217,11 @@ def integer_images(factors, u: int):
     """Operators with ``int`` entries that encode Laurent ``factors`` exactly.
 
     Returns ``(images, decode)``.  Each entry sum c q^e becomes
-    sum c 2^(b (e - lo)), with lo the lowest exponent of any factor: the value
-    at q = 2^b of the entry times q^-lo.  This is a ring map on entries, so a
-    product of ``u`` images is the image of the product, shifted by q^(-u lo)
-    on every side alike, and ``decode`` reads an entry of such a product (or
-    of a difference of two) back to its Laurent polynomial.
+    sum c 2^(b (hi - e)), with hi the highest exponent of any factor: the
+    value at q^-1 = 2^b of the entry times q^-hi.  This is a ring map on
+    entries, so a product of ``u`` images is the image of the product, shifted
+    by q^(-u hi) on every side alike, and ``decode`` reads an entry of such a
+    product (or of a difference of two) back to its Laurent polynomial.
 
     The map is injective on those entries.  An entry of a product of u factors
     is a sum over at most k^(u-1) paths, k the largest number of nonzeros in a
@@ -241,8 +242,8 @@ def integer_images(factors, u: int):
     if not entry_terms:
         return factors, lambda c: c
     exps = [e for t in entry_terms for e in t]
-    lo = min(exps)
-    span = max(exps) - lo
+    hi = max(exps)
+    span = hi - min(exps)
     norm = max(sum(map(abs, t.values())) for t in entry_terms)
     count = {}
     for i, op in enumerate(factors):
@@ -252,8 +253,8 @@ def integer_images(factors, u: int):
     b = (4 * rows ** (u - 1) * norm ** u).bit_length()
     if b * span > _IMAGE_BITS:
         return factors, lambda c: c
-    images = [op.map_coefficients(lambda c: to_image(c, b, lo)) for op in factors]
-    return images, lambda x: from_image(x, b, u * lo)
+    images = [op.map_coefficients(lambda c: to_image(c, b, hi)) for op in factors]
+    return images, lambda x: from_image(x, b, u * hi)
 
 
 # the base M of the Kronecker encoding, for z- and w-degrees up to 2 (``check_pybe``)

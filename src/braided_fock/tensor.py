@@ -8,7 +8,9 @@ multi-indices, so ``compose(A, B)`` applied to v is A(B(v)).
 
 Coefficients are :class:`~braided_fock.coeff.LaurentPoly` values, or the
 ``int`` images ``rmatrix.integer_images`` makes of them; the arithmetic below
-is the same for both.  Identities and flips are built over ``LaurentPoly``.
+is the same for both, and for ``PolyQZW`` and ``Fraction``.  The constructor
+rejects any other entry, such as a float.  Identities and flips are built over
+``LaurentPoly``.
 
 ``invert`` works on one connected block of the support graph at a time.  This
 is exact: a block's rows and columns share one index set, so the split permutes
@@ -21,8 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from fractions import Fraction
 
-from .coeff import LaurentPoly, add_term, strict_int
+from .coeff import LaurentPoly, PolyQZW, add_term, strict_int
 
 
 class SingularOperatorError(ValueError):
@@ -44,6 +47,9 @@ class TensorOp:
         out = {}
         if entries:
             for (row, col), coeff in entries.items():
+                if type(coeff) not in (LaurentPoly, PolyQZW, Fraction, int):
+                    raise ValueError("an entry must be a LaurentPoly, PolyQZW, Fraction or int, "
+                                     "got %r" % (coeff,))
                 if not coeff:
                     continue
                 row, col = tuple(row), tuple(col)

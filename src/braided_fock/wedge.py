@@ -20,10 +20,6 @@ from .coeff import LaurentPoly, LinearCombination
 from .rmatrix import HeckeData, braided_integer, braided_integer_bar
 from .tensor import TensorOp
 
-# rule variants of the multi-mode exchange algebra built on these swap rules
-# (``modealg.ExchangeRules``); kept here so the CLI offers them without modealg
-VARIANTS = ("theorem21", "gerv")
-
 
 class NonPBWInputError(ValueError):
     """The degree-2 relations of the input do not reduce to monomial swap rules."""
@@ -64,15 +60,8 @@ class WedgeElement(LinearCombination):
     """Linear combination of strictly increasing index monomials."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            word = " ".join("t%d" % a for a in mono) or "1"
-            bits.append("(%s) %s" % (self.terms[mono], word))
-        return " + ".join(bits)
+    _GEN = "t%d"
+    _ORDER = staticmethod(lambda mono: (len(mono), mono))
 
 
 def derive_wedge_rules(data: HeckeData) -> SwapRuleTable:

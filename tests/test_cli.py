@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from braided_fock.cli import main, parse_word, ParseError
+from braided_fock.coeff import LaurentPoly
 from braided_fock.rmatrix import HeckeData, check_hecke, standard_sln_R
 from braided_fock.tensor import TensorOp
 
@@ -314,6 +315,17 @@ class TestOtherCommands:
         assert got == code
         if code == 2:
             assert out == "" and "differs from n=2" in err
+
+    def test_dims_rejects_hecke_matrix_missing_a_diagonal_relation(self, capsys, tmp_path):
+        # R[(1,1),(1,1)] = -1/q keeps R Hecke but zeroes the relation column (1, 1)
+        entries = dict(standard_sln_R(2).R.entries)
+        entries[((1, 1), (1, 1))] = LaurentPoly.q_power(-1, -1)
+        R = TensorOp(2, 2, entries)
+        assert check_hecke(HeckeData(2, R)).passed
+        path = tmp_path / "diagonal_minus_qinv.json"
+        path.write_text(json.dumps(R.to_json()))
+        code, out, err = run(capsys, "dims", "--matrix", str(path))
+        assert code == 2 and out == "" and "missing diagonal relations" in err
 
     def test_dims_rejects_non_pbw_matrix(self, capsys, tmp_path):
         blob = TensorOp.identity(2, 2).to_json()

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braided_fock.coeff import LaurentPoly, PolyQZW, braided_int_scalar
+from braided_fock.coeff import (LaurentPoly, PolyQZW, braided_int_scalar, from_image, image_l1,
+                                 to_image)
 from helpers import reference_evaluate
 
 
@@ -172,6 +173,21 @@ class TestPolyQZW:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             PolyQZW({(0, -1, 0): 1})
+
+
+class TestIntegerImage:
+    @pytest.mark.parametrize("b", [2, 8, 32])
+    @pytest.mark.parametrize("top", [-3, 4])
+    def test_edge_digits_round_trip(self, top, b):
+        # the image runs q^-1 = 2^b down from the top exponent; digits up to
+        # +-(2^(b-1) - 1) read back, the leading one negative
+        edge = 2 ** (b - 1) - 1
+        p = LaurentPoly({top: edge, top - 1: -edge, top - 3: 1, top - 4: -edge})
+        x = to_image(p, b, top)
+        assert x == edge - (edge << b) + (1 << 3 * b) - (edge << 4 * b) < 0
+        assert from_image(x, b, top) == p
+        assert from_image(to_image(p, b, top + 2), b, top + 2) == p
+        assert image_l1(x, b) == 3 * edge + 1
 
 
 class TestSharedSum:

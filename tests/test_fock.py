@@ -51,6 +51,12 @@ class TestStateBasics:
         assert vacuum(2, 0) != vacuum(2, 1)
         assert vacuum(2, 0) == vacuum(2, 0)
 
+    def test_repr(self):
+        assert repr(FockState(2, 0, {})) == "0"
+        assert repr(vacuum(2, 0)) == "(1) [(vacuum) | tail 0]"
+        assert repr(apply_b(-1, vacuum(2, 0))) == (
+            "(1) [-1:1 0:2 | tail 1] + (-q^-1) [-1:2 0:1 | tail 1]")
+
     def test_zero_states_equal(self):
         a = vacuum(2, 0) - vacuum(2, 0)
         b = FockState(2, 5, {})

@@ -78,6 +78,12 @@ class TestRAnticommutator:
 
 
 class TestNormalForm:
+    def test_repr(self):
+        # terms in word order, not by length as wedge elements print
+        assert repr(ModeElement.zero(2)) == "0"
+        x = ModeElement(2, {((0, 2),): -QINV, ((-1, 1), (0, 1)): ONE, (): ONE})
+        assert repr(x) == "(1) 1 + (1) t[-1]_1 t[0]_1 + (-q^-1) t[0]_2"
+
     def test_ordered_word_fixed(self):
         rules = standard_rules(2)
         x = ModeElement.from_word(2, ((0, 1), (1, 2)))

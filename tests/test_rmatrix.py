@@ -287,9 +287,10 @@ class TestIntegerImages:
         digits = data.draw(st.lists(st.sampled_from([edge, -edge, 0]) | st.integers(-edge, edge),
                                     max_size=5))
         digits.append(data.draw(st.sampled_from([-edge, -1])))
-        shift = 3 * min(c.min_exp() for c in op.entries.values())
+        # the images run q^-1 = 2^b down from the top exponent of the factors
+        shift = 3 * max(e for c in op.entries.values() for e in c.terms)
         x = sum(d << b * i for i, d in enumerate(digits))
-        assert decode(x) == LaurentPoly({shift + i: d for i, d in enumerate(digits)})
+        assert decode(x) == LaurentPoly({shift - i: d for i, d in enumerate(digits)})
 
     def test_difference_reaching_the_bound_decodes(self):
         # every path of A A A and of D A A carries 1000 q, so the sides reach

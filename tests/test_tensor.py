@@ -357,3 +357,16 @@ class TestConstructorIndices:
     def test_accepts_int_indices(self):
         op = TensorOp(2, 1, {((1,), (2,)): LaurentPoly.one()})
         assert list(op.entries) == [((1,), (2,))]
+
+
+class TestConstructorEntries:
+    @pytest.mark.parametrize("entry", [1.5, True, 0.0])
+    def test_rejects_inexact_entries(self, entry):
+        # a float entry used to be kept, and composing then computed in floats
+        with pytest.raises(ValueError, match="must be a LaurentPoly, PolyQZW, Fraction or int"):
+            TensorOp(2, 2, {((1, 1), (1, 1)): entry})
+
+    @pytest.mark.parametrize("entry", [ONE, PolyQZW.one(), Fraction(3, 2), 3])
+    def test_accepts_exact_entries(self, entry):
+        assert TensorOp(2, 2, {((1, 1), (1, 1)): entry, ((1, 2), (2, 1)): 0}).entries == {
+            ((1, 1), (1, 1)): entry}

@@ -12,6 +12,7 @@ from braided_fock.rmatrix import (
     HeckeData,
     braided_integer,
     braided_integer_bar,
+    check_hecke,
     standard_sln_R,
 )
 from braided_fock.tensor import TensorOp, permutation_P
@@ -42,6 +43,23 @@ def diagonal_5q(n):
     return HeckeData(n=n, R=TensorOp(n, 2, entries))
 
 
+def hecke_with_vanishing_relations(kind):
+    """standard_sln_R(2) changed so that it stays Hecke but relation columns vanish.
+
+    "diagonal": R[(1,1),(1,1)] = -1/q, so PR + 1/q is 0 on e_(1,1).
+    "pair": the (1,2)/(2,1) block of R is -1/q times the flip, so PR = -1/q
+    there and both relation columns of the pair are 0.
+    """
+    entries = dict(standard_sln_R(2).R.entries)
+    if kind == "diagonal":
+        entries[((1, 1), (1, 1))] = -QINV
+    else:
+        block = ((1, 2), (2, 1))
+        entries = {k: c for k, c in entries.items() if k[1] not in block}
+        entries[((2, 1), (1, 2))] = entries[((1, 2), (2, 1))] = -QINV
+    return HeckeData(n=2, R=TensorOp(2, 2, entries))
+
+
 @pytest.fixture(scope="module")
 def tables():
     return {n: derive_wedge_rules(standard_sln_R(n)) for n in (1, 2, 3, 4)}
@@ -69,6 +87,15 @@ class TestDeriveRules:
         with pytest.raises(NonPBWInputError):
             derive_wedge_rules(data)
 
+    @pytest.mark.parametrize("kind, message", [("diagonal", "missing diagonal relations"),
+                                               ("pair", "missing swap rules")])
+    def test_hecke_input_with_vanishing_relations_rejected(self, kind, message):
+        # the two rule-count checks after the column loop; the input is Hecke
+        data = hecke_with_vanishing_relations(kind)
+        assert check_hecke(data).passed
+        with pytest.raises(NonPBWInputError, match=message):
+            derive_wedge_rules(data)
+
     def test_relation_span_certified(self, tables):
         # the relations PR + 1/q have rank n(n+1)/2 over Q(q), the number of
         # rules: the rank at one rational point bounds it from below and is
@@ -92,6 +119,16 @@ class TestDeriveRules:
         assert table.coeff == derive_wedge_rules(standard_sln_R(n)).coeff
         assert [degree_rank(n, m, table) for m in range(n + 1)] == [
             math.comb(n, m) for m in range(n + 1)]
+
+
+class TestPrinting:
+    def test_repr(self):
+        # terms by degree, then monomial; the empty monomial prints as 1
+        assert repr(WedgeElement.zero(3)) == "0"
+        assert repr(WedgeElement.unit(3)) == "(1) 1"
+        x = WedgeElement(3, {(2, 3): LaurentPoly({1: 1, 0: -1}), (1,): LaurentPoly({-2: 3}),
+                             (): ONE, (1, 3): -ONE, (1, 2, 3): ONE})
+        assert repr(x) == "(1) 1 + (3*q^-2) t1 + (-1) t1 t3 + (q - 1) t2 t3 + (1) t1 t2 t3"
 
 
 class TestNormalForm:
