@@ -10,15 +10,17 @@ interpreter, so the wall time includes no warm cache and the max RSS is that
 point's alone.  A point passes when the scalar is the closed form
 i * sum_{s<n} q^(-2is), built from integers.  Per point it prints the wall
 time of the commutator, the memo misses of the insertion engine summed over
-every run of every fold (the four shifts of the commutator make one
-``insertion_fold`` call each, and a call that widens its images runs once
-per width, so a widening shows as extra misses), the misses its zero test
-proved 0 (summed the same way; slots that the same test drops before they
-are built are not counted), the deepest nesting of misses, and the max RSS
-of the process (``ru_maxrss``).  The misses, zeros and depth are
+the ``fock.insertion_fold`` calls (the four shifts of the commutator make
+one call each, and the stats of a call that widens its images count every
+run, so a widening shows as extra misses), the misses its zero test proved
+0 (summed the same way; slots that the same test drops before they are
+built are not counted), the deepest nesting of misses, and the max RSS of
+the process (``ru_maxrss``).  The misses, zeros and depth are
 deterministic; wall and RSS depend on the host.  The exit code is 1 when
-any point fails: its scalar is not the closed form, or it has a record in
-``RECORDED`` and one of its counters exceeds it (named on stderr).
+any point fails: its scalar is not the closed form, its misses read 0
+(every point makes thousands, so the script no longer sees the engine), or
+it has a record in ``RECORDED`` and one of its counters exceeds it (each
+failure named on stderr).
 """
 
 from __future__ import annotations
@@ -38,19 +40,18 @@ def run_point(n, i):
     import resource
     import time
 
-    from braided_fock import fock, modealg
+    from braided_fock import fock
 
-    # every reduction makes one ReductionStats; record them to sum the misses
+    # every insertion_fold call returns the stats of all its runs; record them
     made = []
+    fold = fock.insertion_fold
 
-    class Recorded(modealg.ReductionStats):
-        __slots__ = ()
+    def recorded(*args):
+        out = fold(*args)
+        made.append(out[1])
+        return out
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    modealg.ReductionStats = Recorded
+    fock.insertion_fold = recorded
     t0 = time.perf_counter()
     scalar, _ = fock.commutator_on_vacuum(i, i, n)
     wall = time.perf_counter() - t0
@@ -81,6 +82,10 @@ def main(argv):
         print("| (%d, %d) | %.2f s | %s | %s | %d | %.0f MB | %s |" % (
             n, i, r["wall_s"], format(r["misses"], ","), format(r["zeros"], ","), r["depth"],
             r["max_rss_mb"], "match" if r["pass"] else "MISMATCH"), flush=True)
+        if not r["misses"]:
+            ok = False
+            print("(%d, %d): no memo misses read, so the counters miss the engine" % (n, i),
+                  file=sys.stderr, flush=True)
         for name, limit in zip(("misses", "zeros", "depth"), RECORDED.get((n, i), ())):
             if r[name] > limit:
                 ok = False

@@ -144,7 +144,11 @@ def cmd_heisenberg(args) -> int:
     if scalar is None:
         report = {"check": "heisenberg", "i": i, "j": j, "n": n, "pass": False,
                   "engine": None, "state": state.to_json(), "extrapolation": extrapolation}
-        _emit(args, report, ["[b_%d, b_-%d] on the vacuum is not scalar: FAIL" % (i, j)])
+        # the witness is the state's first term in configuration order
+        cfg = min(state.terms)
+        _emit(args, report, ["[b_%d, b_-%d] on the vacuum is not scalar: FAIL; first term: "
+                             "columns %s, coefficient %s" % (
+                                 i, j, {m: list(ix) for m, ix in cfg}, state.terms[cfg])])
         return EXIT_FAIL
     cleared_lhs, cleared_rhs = fock.heisenberg_sides(scalar, i, j, n)
     ok = cleared_lhs == cleared_rhs

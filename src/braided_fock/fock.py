@@ -1,4 +1,4 @@
-"""Semi-infinite states near the vacuum and the Heisenberg shift operators.
+"""Semi-infinite states near the vacuum, the Heisenberg shift operators and their engine.
 
 The vacuum is the ordered product of full columns omega^k = theta^(k)_1 ...
 theta^(k)_n for k >= 0.  A state is a linear combination of configurations
@@ -12,6 +12,74 @@ Inside the module a term is one bit mask, theta^(m)_a at bit (m - lo)(n+1) + a
 for a floor ``lo`` (``_floor``), with the tail spelled out as full columns up
 to a window end W.  ``_spell`` alone encodes and ``_read_masks`` alone decides
 the canonical form, for the constructor, for sums and for engine outputs.
+The codes of a normal word increase, so any normal word is such a mask: g.w
+is the prepend w | 1 << g, and w[0] is the lowest set bit.
+
+``insertion_fold`` normal-orders by multiplying a generator into a normal
+word, the multiplication-table technique of Plural for G-algebras (free
+words take the heap engine of ``modealg``).  For a normal word w: if w is
+empty or g < w[0], g.w is normal; if g = w[0], g.w = 0; otherwise the pair
+rewrites to sum c h1 h2 and
+
+    NF(g.w) = sum c NF(h1 . NF(h2 . w[1:])).
+
+The recursion ends: the inner call has a shorter word, the outer one a
+smaller generator h1 < g and a word of the same length, and every mode
+stays inside [mode(w[0]), mode(g)], so only finitely many generators occur.
+Confluence makes the result the normal form.  NF(g.w) is memoised for one
+call under two normalisations: the bits of w from the first code of the
+mode above g's on are cut off and put back unchanged, since no rewrite
+reaches above mode(g), and the rest is shifted down by
+s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.  The
+key is (g - s, rest >> s), and a hit is read back as (v << s) | high.  Here
+the budget guards the nesting depth of memo misses.  The fold also sums a
+derivation over the slots of a normal word without building the words it
+makes, and where it carries nothing it jumps to the next slot.
+
+Inside the fold a coefficient c is an int, the value of q^-d c at
+q^-1 = 2^b (``coeff.to_image``, as in ``rmatrix.integer_images``), for an
+offset d >= the top exponent of c, so that only powers q^-k occur.  The
+terms of one memo entry share one offset, the largest of their products'
+offsets; a rule coefficient has offset max(0, top exponent), which is 0
+for the standard R in both variants, and adding terms of two offsets
+shifts the lower one by b bits per step.  Each coefficient carries a bound
+on the L1 norm of the polynomial it encodes: the product of the bounds in
+a product, their sum in a sum.  A polynomial whose coefficients all lie
+strictly between -2^(b-1) and 2^(b-1) is read back from its image as
+balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
+the polynomial 0.  Terms are carried even when their image cancels to 0,
+and every bound only grows along the fold, so checking the bounds of the
+outputs is enough.  b starts at ``_FOLD_BITS`` = 32, or at the width of
+the coefficients given if that is larger.  When an output bound reaches
+2^(b-1) the fold reads its given coefficients back, exact since their
+bounds were checked, encodes them at 2b and runs again, alone.  A chained
+fold multiplies the bounds it is given, which grow far past the norms they
+bound: at the (5, 8) frontier point those of b_-8 omega reach 808,512 for
+norms of at most 8, and carried into b_8 they passed 2^31.  So an output
+bound of 2^(b/4) or more is replaced by the exact norm, read off the
+digits (``coeff.image_l1``).
+
+Every rewrite keeps the index multiset, the mode sum and the mode range of
+the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
+an R whose relations are PBW (``wedge.derive_wedge_rules``), so PR maps
+e_(a,b) into the span of e_(a,b) and e_(b,a), and so do P_bold_R = -PR/q,
+1 + P_bold_R and every rewrite built from them.  The mode sum: a cross-mode
+child of modes (i, j) sits at modes (j + s, i - s).  So every word of
+NF(g.w) has the index counts N_a and the mode sum S of g.w and its modes in
+the window of K+1 modes from mode(w[0]) to mode(g).  A normal word holds a
+generator at most once, so its N_a generators of index a sit at distinct
+window offsets, whose sum lies between N_a(N_a-1)/2 and
+N_a K - N_a(N_a-1)/2, and every sum in between occurs.  Such a word exists
+exactly when every N_a <= K+1 and S, counted from the bottom of the window,
+lies between the sums of those bounds over a; when none exists,
+NF(g.w) = 0.  For a normal w inside the window, only g's index can break
+N_a <= K+1, and S cannot fall below the lower bound; the upper one fails
+exactly when P + S_w > K |w| - N_g, with P the pairs of like indices in w,
+S_w its mode sum, |w| its length and N_g its count of g's index.  The miss
+path runs this test (``infeasible``), two popcounts per mode, when w
+already holds g: on the ``fock_ladder`` benchmark and at the (3, 9) and
+(4, 8) frontier points no other miss fails it.  A proved 0 is stored as the
+empty sum and counted in ``ReductionStats.zeros``, not as an expansion.
 
 The shift operator b_i replaces one generator theta^(j)_a by theta^(j+i)_a,
 summed over every generator slot as a derivation, with the whole word then
@@ -22,43 +90,42 @@ full, because the shifted generator then reorders onto a full column and a
 product of n+1 generators of one mode vanishes; correction terms produced on
 the way live strictly between k and j and die against the same full columns.
 The test is one mask comparison per column.  A raised slot p of a word A is
-also dropped when the counting test of ``modealg`` (``infeasible``, the
-routine its memo misses run) proves NF(x_p . A[p+1:]) = 0 for the shifted
-generator x_p.  That drop is exact by the same proof: the slot's term is
-NF(A[:p] . NF(x_p . A[p+1:])), and every rewrite keeps the index counts and
-the mode sum that the test finds no normal word for.  The pruned-slot log
-lists the column-rule prunes only.  ``prune=False`` switches both tests off;
-inside a finite slot window it is the oracle for comparisons.
+also dropped, before it is built, when the counting test proves
+NF(x_p . A[p+1:]) = 0 for the shifted generator x_p; the slot's term is
+NF(A[:p] . NF(x_p . A[p+1:])), so the drop is exact, and ``zeros`` does not
+count it.  The pruned-slot log lists the column-rule prunes only.
+``prune=False`` switches both tests off; inside a finite slot window it is
+the oracle for comparisons.
 
 The shift core ``_shift`` works on a spelled state (terms, lo, W, T, bits):
 each mask spells the modes lo..W-1, full from the canonical tail start T
-on, and maps to its coefficient as ``modealg.insertion_fold`` takes it, an
+on, and maps to its coefficient as ``insertion_fold`` takes it, an
 (image, L1 bound, offset) triple of ``bits`` bits, or a LaurentPoly when
-``bits`` is None.  It spells each term up to W, the materialised
-tail plus i for a raising shift, so that every shifted slot lands below it.
-It builds each term's slots one column at a time and hands the fold the
+``bits`` is None.  It spells each term up to W, the materialised tail plus
+i for a raising shift, so that every shifted slot lands below it.  It
+builds each term's slots one column at a time and hands the fold the
 term's codes A and, for each slot p, the shifted code x_p = A[p] + i(n+1)
-with the mask of A[p+1:]; the fold sums NF(A[:p] x_p A[p+1:]) over the slots
-by one right fold per term, never building a slot's word, and all terms
-share the call's memo.  The fold picks its own width, widening and
-running again alone when a bound outgrows it, and the spelled result
-carries the width it returned.  ``apply_b`` spells a state, runs the core
-once and decodes; ``commutator_on_vacuum`` chains it for b_i b_-j omega
-and b_-j b_i omega, and ``column_piece`` for b_2 b_-2 omega from one
-column, and each decodes once, at the end.
-``multiply_left`` folds each word of the element into the state's mask,
-spelled up to above every mode it inserts.  Truncation keeps this local:
-every rewrite keeps both output modes inside the mode range of the pair it
-rewrites, so inserting a generator never touches the columns above its mode,
-and the memo keys each insertion on the columns at or below it.
+with the mask of A[p+1:]; one right fold per term sums NF(A[:p] x_p A[p+1:])
+over the slots, and all terms share the call's memo.  The spelled result
+carries the width the fold returned, so a chain of shifts never decodes in
+between, and a fold that widens leaves the outputs of those before it.
+``apply_b`` spells a state, runs the core once and decodes;
+``commutator_on_vacuum`` chains it for b_i b_-j omega and b_-j b_i omega,
+and ``column_piece`` for b_2 b_-2 omega from one column, and each decodes
+once, at the end.  ``multiply_left`` folds each word of the element into
+the state's mask, spelled up to above every mode it inserts.  Truncation
+keeps this local: every rewrite keeps both output modes inside the mode
+range of the pair it rewrites, so inserting a generator never touches the
+columns above its mode, and the memo keys each insertion on the columns at
+or below it.
 """
 
 from __future__ import annotations
 
-from .coeff import (LaurentPoly, _json_exponent, add_term, braided_int_scalar, strict_int,
-                    strict_laurent)
-from .modealg import (ExchangeRules, ModeElement, check_indices, infeasible, insertion_fold,
-                      standard_rules, unfold_image)
+from .coeff import (LaurentPoly, _json_exponent, add_term, braided_int_scalar, from_image,
+                    image_l1, strict_int, strict_laurent, to_image)
+from .modealg import (BudgetExceededError, ExchangeRules, ModeElement, ReductionStats,
+                      check_indices, resolve_budget, standard_rules)
 
 
 class FockState:
@@ -257,6 +324,229 @@ def _config(v: int, lo: int, t: int, base: int, cache: dict) -> tuple:
         v >>= base
         m += 1
     return tuple(cfg)
+
+
+# the narrowest bit width b of the coefficient images that insertion_fold runs at
+_FOLD_BITS = 32
+
+
+def fold_image(c: LaurentPoly, bits: int):
+    """(image, L1 norm, offset d) of c: d = max(0, top exponent), image q^-d c at q^-1 = 2^bits."""
+    d = max(0, max(c.terms))
+    return to_image(c, bits, d), sum(map(abs, c.terms.values())), d
+
+
+def unfold_image(t, bits: int) -> LaurentPoly:
+    """The polynomial of an (image, bound, offset) triple whose bound is below 2^(bits-1)."""
+    return from_image(t[0], bits, t[2])
+
+
+def infeasible(g: int, w: int, base: int) -> bool:
+    """Whether the counting test proves NF(g . w) = 0 for the memo key (g, w) of an insertion.
+
+    ``w`` is a normal word that holds ``g``, coded with its lowest generator
+    in mode 0 and cut off above g's mode K; the test asks whether no normal
+    word of the modes 0..K has the index counts and the mode sum of g . w
+    (see the module docstring).
+    """
+    K = g // base
+    rep = ((1 << (K + 1) * base) - 1) // ((1 << base) - 1)  # bit 0 of each mode
+    col = w >> g - K * base & rep
+    if col == rep:
+        return True
+    t = 0
+    for k in range(base, (K + 1) * base, base):
+        v = w >> k
+        t += v.bit_count() + (w & v).bit_count()
+    return t > K * w.bit_count() - col.bit_count()
+
+
+def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits):
+    """Sum of right folds of memoised insertions; returns ({mask: image triple}, stats, width).
+
+    A generator (m, a) is coded as x = (m - lo)(n+1) + a, so ``lo`` must be at
+    most every mode of the call, and a normal word, whose codes increase, is
+    the int ``mask`` with bit x set for each code x.  Each fold is
+    ``(gens, start, slots, coeff)``: ``gens`` is a list of codes, ``start`` the
+    mask of a normal word (or None for 0) and ``slots`` a list of triples
+    (p, x_p, mask of gens[p+1:]) for positions p of ``gens``, highest first.
+    Folding from R = {start} and p = len(gens) - 1 down to 0, the fold carries
+
+        R_p = NF(gens[p] . R_(p+1)) + NF(x_p . gens[p+1:]),
+
+    the second term only where p is a slot, and adds ``coeff`` R_0.  With no
+    slots this is NF(gens . start); with a normal ``gens`` and ``start`` None
+    it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
+    rule of a derivation that replaces one generator.  One memo serves every
+    fold of the call.  Each ``coeff`` is an (image, L1 bound, offset) triple
+    of ``bits`` bits whose bound is below 2^(bits-1), or a LaurentPoly when
+    ``bits`` is None (see the module docstring, and ``fold_image``).  The
+    fold runs at the larger of ``bits`` and ``_FOLD_BITS``; while an output
+    bound reaches 2^(b-1) it encodes its own coefficients again at twice the
+    width and runs again.  The outputs are triples of the width it returns,
+    with images 0 dropped.  ``stats`` cover the whole call: the memo misses
+    and the misses proved 0 of every run, and the deepest nesting of misses
+    in any, so a call that widens counts each miss once per run, and a
+    budget error raised in a widened run reports the misses of the runs
+    before it too.
+    """
+    budget = resolve_budget(budget)
+    stats = ReductionStats()
+    width = max(bits or 0, _FOLD_BITS)
+    run = folds
+    while True:
+        if width != bits:
+            # the given coefficients are exact at their own width
+            run = [(gens, start, slots, fold_image(unfold_image(c, bits) if bits else c, width))
+                   for gens, start, slots, c in folds]
+        done = _fold_at(rules, run, lo, budget, width, stats)
+        if done is not None:
+            return done, stats, width
+        width *= 2
+
+
+def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats):
+    """One run of ``insertion_fold`` at ``bits`` bits, counted into ``stats``; None on overflow."""
+    base = rules.n + 1
+    half = 1 << (bits - 1)
+    pairs = rules.pairs
+    table = rules.images.setdefault(bits, {})
+    memo = {}
+    frames = []  # the shift s of each open miss, outermost first
+
+    def add(acc, bnd, D, terms, d, c, cb):
+        # acc += c terms, for terms (mask, image, bound) at offset d and acc
+        # at offset D; returns the offset of the sum
+        if d > D:
+            for v in acc:
+                acc[v] <<= (d - D) * bits
+            D = d
+        c <<= (D - d) * bits
+        for v, cv, bv in terms:
+            x = acc.get(v)
+            if x is None:
+                acc[v] = c * cv
+                bnd[v] = cb * bv
+            else:
+                acc[v] = x + c * cv
+                bnd[v] += cb * bv
+        return D
+
+    def push(acc, bnd, D, g, terms, d, c, cb):
+        # acc += c NF(g . u) cu over (u, cu, bu) in terms, at offset d
+        for u, cu, bu in terms:
+            u0 = (u & -u).bit_length() - 1
+            if g > u0 and u:
+                dv, vs = insert(g, u)
+            elif g < u0 or not u:  # g . u is normal
+                dv, vs = 0, ((u | 1 << g, 1, 1),)
+            else:  # g . u starts g g
+                continue
+            if d + dv != D:
+                D = add(acc, bnd, D, vs, d + dv, c * cu, cb * bu)
+                continue
+            cu *= c
+            bu *= cb
+            for v, cv, bv in vs:
+                x = acc.get(v)
+                if x is None:
+                    acc[v] = cu * cv
+                    bnd[v] = bu * bv
+                else:
+                    acc[v] = x + cu * cv
+                    bnd[v] += bu * bv
+        return D
+
+    def insert(g, w):
+        # NF(g . w) for a normal mask w, as (offset, [(mask, image, bound), ...])
+        w0 = (w & -w).bit_length() - 1
+        if g < w0 or not w:
+            return 0, ((w | 1 << g, 1, 1),)
+        if g == w0:
+            return 0, ()
+        # no rewrite reaches above g's mode, so the bits from top on are cut
+        # off; the rest is shifted down to w0's mode, since the rules depend
+        # only on mode gaps
+        s = w0 - w0 % base
+        top = g - g % base + base
+        high = w >> top << top
+        key = (g - s, (w ^ high) >> s)
+        out = memo.get(key)
+        if out is None:
+            kg, kw = key
+            if kw >> kg & 1 and infeasible(kg, kw, base):
+                stats.zeros += 1
+                memo[key] = (0, ())
+                return 0, ()
+            if len(frames) >= budget:
+                off = lo * base + sum(frames)
+                raise BudgetExceededError(
+                    tuple([divmod(c + off, base) for c in [g] + [
+                        x for x in range(w.bit_length()) if w >> x & 1]]), budget,
+                    stats.depth, stats.expansions, len(frames) + 1,
+                    "nesting depth %d, %d memo misses, %d misses open")
+            frames.append(s)
+            stats.expansions += 1
+            stats.depth = max(stats.depth, len(frames))
+            h = w0 - s
+            rest = kw ^ 1 << h
+            pair = (kg - h, h)
+            rule = table.get(pair)
+            if rule is None:
+                rule = pairs.get(pair)
+                if rule is None:
+                    rule = rules.pair_rule(pair)
+                rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule if c]
+            acc, bnd, D = {}, {}, 0
+            for o1, o2, c, cb, cd in rule:
+                du, us = insert(h + o2, rest)
+                D = push(acc, bnd, D, h + o1, us, du + cd, c, cb)
+            out = memo[key] = (D, tuple(zip(acc, acc.values(), bnd.values())))
+            frames.pop()
+        d, terms = out
+        if not terms or not (s or high):
+            return out
+        if len(terms) == 1:  # the common case, without a comprehension
+            ((v, c, cb),) = terms
+            return d, ((v << s | high, c, cb),)
+        return d, [(v << s | high, c, cb) for v, c, cb in terms]
+
+    done, dbnd, Dd = {}, {}, 0
+    for gens, start, slots, (c, cb, cd) in folds:
+        # R_p: images acc and bounds bnd at offset D
+        acc, bnd, D = ({}, {}, 0) if start is None else ({start: 1}, {start: 1}, 0)
+        k = 0
+        p = len(gens) - 1
+        while p >= 0:
+            if not acc:
+                # nothing is carried, so R_p is 0 down to the next slot
+                if k == len(slots):
+                    break
+                p = slots[k][0]
+            nxt, nbnd = {}, {}
+            E = push(nxt, nbnd, 0, gens[p], zip(acc, acc.values(), bnd.values()), D, 1, 1)
+            if k < len(slots) and slots[k][0] == p:
+                _, x, suffix = slots[k]
+                k += 1
+                E = push(nxt, nbnd, E, x, ((suffix, 1, 1),), 0, 1, 1)
+            acc, bnd, D = nxt, nbnd, E
+            p -= 1
+        if acc:
+            Dd = add(done, dbnd, Dd, zip(acc, acc.values(), bnd.values()), D + cd, c, cb)
+    out = {}
+    for v, x in done.items():
+        b = dbnd[v]
+        if b >= half:
+            out = None
+            break
+        if x:
+            # a chained fold multiplies this bound again; past 2^(bits/4) the
+            # exact norm, one pass over the digits, is worth reading
+            out[v] = (x, image_l1(x, bits) if b >> bits // 4 else b, Dd)
+    # insert and push refer to each other, so free the memo now, not in a
+    # garbage collection
+    del insert
+    return out
 
 
 def _rules_for(n: int, rules: ExchangeRules) -> ExchangeRules:

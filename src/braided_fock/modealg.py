@@ -30,13 +30,13 @@ of pair rewrites for both engines, keyed on (x1 - x2, x2 mod (n+1)) for a
 pair x1 x2, with each child y1 y2 stored as the offsets (y1 - x2, y2 - x2).
 Translated pairs share an entry, and each entry is built once per rules
 object, as is its copy with integer-image coefficients (``images``) that
-the insertion engine reads.
+the insertion engine of ``fock`` reads.
 
-The heap engine codes a generator as -x instead, which reverses the
-generator order, so the smallest coded word on the heap is the
-lexicographically largest word, and it subtracts the offsets.  Popping
-largest first, every word is expanded once, after all of its parents, with
-its final coefficient and depth.
+Free words take the heap engine here.  It codes a generator as -x
+instead, which reverses the generator order, so the smallest coded word on
+the heap is the lexicographically largest word, and it subtracts the
+offsets.  Popping largest first, every word is expanded once, after all of
+its parents, with its final coefficient and depth.
 
 A word holding a zero factor is never queued: an input word whose maximal
 same-mode run repeats a generator (that run is 0 in one mode's quantum
@@ -50,84 +50,6 @@ A child differs from its parent at p, p+1 only, so of its pairs only those
 at p-1, p and p+1 can differ from the parent's.  Under the leftmost strategy
 every pair before p is good, so the child's bad pair is the first from p-1
 on (mirrored for rightmost): each new child is scanned from there.
-
-``insertion_fold`` multiplies a generator into a normal word instead, the
-multiplication-table technique of Plural for G-algebras; ``fock`` runs the
-Fock states through it, and free words always take the heap engine.  For a
-normal word w: if w is empty or g < w[0], g.w is normal; if g = w[0],
-g.w = 0; otherwise the pair rewrites to sum c h1 h2 and
-
-    NF(g.w) = sum c NF(h1 . NF(h2 . w[1:])).
-
-The recursion ends: the inner call has a shorter word, the outer one a
-smaller generator h1 < g and a word of the same length, and every mode
-stays inside [mode(w[0]), mode(g)], so only finitely many generators occur.
-Confluence makes the result the normal form.  A normal word has strictly
-increasing codes x = (m - lo)(n+1) + a, lo the lowest mode of the call, so
-the engine holds it as an int with bit x set for each of its codes: g.w is
-the prepend w | 1 << g, and w[0] is the lowest set bit.  NF(g.w) is
-memoised for one call under two normalisations: the bits of w from the
-first code of the mode above g's on are cut off and put back unchanged,
-since no rewrite reaches above mode(g), and the rest is shifted down by
-s = w[0] - (w[0] mod (n+1)), since the rules depend only on mode gaps.
-The key is (g - s, rest >> s), and a hit is read back as (v << s) | high.
-Here the budget guards the nesting depth of memo misses.  The fold also
-sums a derivation over the slots of a normal word without building the
-words it makes; ``fock`` runs b_i this way.  It carries only a nonzero
-partial sum: where it carries nothing it jumps to the next slot.
-
-Inside ``insertion_fold`` a coefficient c is an int, the value of q^-d c at
-q^-1 = 2^b (``coeff.to_image``, as in ``rmatrix.integer_images``), for
-an offset d >= the top exponent of c, so that only powers q^-k occur.  The
-terms of one memo entry share one offset, the largest of their products'
-offsets; a rule coefficient has offset max(0, top exponent), which is 0
-for the standard R in both variants, and adding terms of two offsets
-shifts the lower one by b bits per step.  Each coefficient carries a bound
-on the L1 norm of the polynomial it encodes: the product of the bounds in
-a product, their sum in a sum.  A polynomial whose coefficients all lie
-strictly between -2^(b-1) and 2^(b-1) is read back from its image as
-balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
-the polynomial 0.  Terms are carried even when their image cancels to 0,
-and every bound only grows along the fold, so checking the bounds of the
-outputs is enough.  The fold takes its coefficients encoded (or as
-LaurentPolys) and hands its outputs back encoded, (image, bound, offset)
-with their width b, so ``fock`` chains two shifts without decoding in
-between (``fold_image`` and ``unfold_image`` convert).  b starts at
-``_FOLD_BITS`` = 32, or at the width of the coefficients given if that is
-larger.  When an output bound reaches 2^(b-1) the fold reads its given
-coefficients back, exact since their bounds were checked, encodes them at
-2b and runs again, alone: the folds before it in a chain keep their
-outputs.  A chained fold multiplies the bounds it is given, which grow far
-past the norms they bound: at the (5, 8) frontier point those of b_-8 omega
-reach 808,512 for norms of at most 8, and carried into b_8 they passed
-2^31.  So an output bound of 2^(b/4) or more is replaced by the exact
-norm, read off the digits (``coeff.image_l1``).
-
-Every rewrite keeps the index multiset, the mode sum and the mode range of
-the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
-an R whose relations are PBW (``wedge.derive_wedge_rules``), so PR maps
-e_(a,b) into the span of e_(a,b) and e_(b,a), and so do P_bold_R = -PR/q,
-1 + P_bold_R and every rewrite built from them.  The mode sum: a cross-mode
-child of modes (i, j) sits at modes (j + s, i - s).  So every word of
-NF(g.w) has the index counts N_a and the mode sum S of g.w and its modes in
-the window of K+1 modes from mode(w[0]) to mode(g).  A normal word holds a
-generator at most once, so its N_a generators of index a sit at distinct
-window offsets, whose sum lies between N_a(N_a-1)/2 and
-N_a K - N_a(N_a-1)/2, and every sum in between occurs.  Such a word exists
-exactly when every N_a <= K+1 and S, counted from the bottom of the window,
-lies between the sums of those bounds over a; when none exists,
-NF(g.w) = 0.  For a normal w inside the window, only g's index can break
-N_a <= K+1, and S cannot fall below the lower bound; the upper one fails
-exactly when P + S_w > K |w| - N_g, with P the pairs of like indices in w,
-S_w its mode sum, |w| its length and N_g its count of g's index.  The miss
-path runs this test (``infeasible``), two popcounts per mode, when w
-already holds g: on the ``fock_ladder`` benchmark and at the (3, 9) and
-(4, 8) frontier points no other miss fails it.  A proved 0 is stored as the
-empty sum and counted in ``ReductionStats.zeros``, not as an expansion.
-``fock`` runs the same routine on the slots of a raising shift before it
-builds them, and drops those it proves 0, exactly by the same proof; their
-insertions then never reach the memo, so ``zeros`` does not count them, and
-its pruned-slot log, which lists the column-rule prunes only, omits them.
 """
 
 from __future__ import annotations
@@ -137,7 +59,7 @@ import os
 import re
 from functools import lru_cache
 
-from .coeff import LaurentPoly, LinearCombination, add_term, from_image, image_l1, to_image
+from .coeff import LaurentPoly, LinearCombination, add_term
 from .rmatrix import HeckeData, hecke_PR_inverse, standard_sln_R
 from .tensor import TensorOp
 from .wedge import derive_wedge_rules
@@ -155,8 +77,8 @@ class BudgetExceededError(RuntimeError):
     how far the reduction got: the longest chain finished (``depth``), the
     words expanded so far (``expansions``) and the words still waiting,
     including this one (``pending``).  ``progress`` words the three numbers
-    for the message; ``insertion_fold`` passes its own, since there they are
-    the deepest nesting of memo misses, the misses and the open ones.
+    for the message; ``fock.insertion_fold`` passes its own, since there
+    they are the deepest nesting of memo misses, the misses and the open ones.
     """
 
     def __init__(self, word, budget, depth, expansions, pending,
@@ -243,8 +165,8 @@ class ExchangeRules:
         # the coded pair rewrites of both normal-form engines, keyed so that
         # translated pairs share an entry; filled on first use by pair_rule
         self.pairs = {}
-        # per image width, the same rewrites with the integer-image
-        # coefficients of insertion_fold
+        # a per-width cache that fock's insertion engine fills: the same
+        # rewrites with the coefficients as integer images of that width
         self.images = {}
 
     def cross_expansion(self, gap: int, a: int, b: int):
@@ -375,9 +297,9 @@ class ReductionStats:
     any word it produced; the budget guards this quantity, which the strictly
     decreasing termination measure bounds.  ``expansions`` is the total number
     of distinct words rewritten (tree size after merging like terms).  In
-    ``insertion_fold`` they are the deepest nesting of memo misses and the
-    number of misses, and ``zeros`` counts the misses its zero test proved
-    0 without a rewrite (the heap engine leaves it 0).
+    ``fock.insertion_fold`` they are the deepest nesting of memo misses and
+    the number of misses, and ``zeros`` counts the misses its zero test
+    proved 0 without a rewrite (the heap engine leaves it 0).
     """
 
     __slots__ = ("depth", "expansions", "zeros")
@@ -472,226 +394,6 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
             heappush(heap, child)
 
     return ModeElement(x.n, {_decode(w, base): c for w, c in done.items()}), stats
-
-
-# the narrowest bit width b of the coefficient images that insertion_fold runs at
-_FOLD_BITS = 32
-
-
-def fold_image(c: LaurentPoly, bits: int):
-    """(image, L1 norm, offset d) of c: d = max(0, top exponent), image q^-d c at q^-1 = 2^bits."""
-    d = max(0, max(c.terms))
-    return to_image(c, bits, d), sum(map(abs, c.terms.values())), d
-
-
-def unfold_image(t, bits: int) -> LaurentPoly:
-    """The polynomial of an (image, bound, offset) triple whose bound is below 2^(bits-1)."""
-    return from_image(t[0], bits, t[2])
-
-
-def infeasible(g: int, w: int, base: int) -> bool:
-    """Whether the counting test proves NF(g . w) = 0 for the memo key (g, w) of an insertion.
-
-    ``w`` is a normal word that holds ``g``, coded with its lowest generator
-    in mode 0 and cut off above g's mode K; the test asks whether no normal
-    word of the modes 0..K has the index counts and the mode sum of g . w
-    (see the module docstring).
-    """
-    K = g // base
-    rep = ((1 << (K + 1) * base) - 1) // ((1 << base) - 1)  # bit 0 of each mode
-    col = w >> g - K * base & rep
-    if col == rep:
-        return True
-    t = 0
-    for k in range(base, (K + 1) * base, base):
-        v = w >> k
-        t += v.bit_count() + (w & v).bit_count()
-    return t > K * w.bit_count() - col.bit_count()
-
-
-def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits):
-    """Sum of right folds of memoised insertions; returns ({mask: image triple}, stats, width).
-
-    A generator (m, a) is coded as x = (m - lo)(n+1) + a, so ``lo`` must be at
-    most every mode of the call, and a normal word, whose codes increase, is
-    the int ``mask`` with bit x set for each code x.  Each fold is
-    ``(gens, start, slots, coeff)``: ``gens`` is a list of codes, ``start`` the
-    mask of a normal word (or None for 0) and ``slots`` a list of triples
-    (p, x_p, mask of gens[p+1:]) for positions p of ``gens``, highest first.
-    Folding from R = {start} and p = len(gens) - 1 down to 0, the fold carries
-
-        R_p = NF(gens[p] . R_(p+1)) + NF(x_p . gens[p+1:]),
-
-    the second term only where p is a slot, and adds ``coeff`` R_0.  With no
-    slots this is NF(gens . start); with a normal ``gens`` and ``start`` None
-    it is the sum over the slots of NF(gens[:p] x_p gens[p+1:]), the Leibniz
-    rule of a derivation that replaces one generator.  One memo serves every
-    fold of the call, and ``stats`` counts its misses, their nesting and the
-    misses proved 0.  Each ``coeff`` is an (image, L1 bound, offset) triple
-    of ``bits`` bits whose bound is below 2^(bits-1), or a LaurentPoly when
-    ``bits`` is None (see the module docstring, and ``fold_image``).  The
-    fold runs at the larger of ``bits`` and ``_FOLD_BITS``; while an output
-    bound reaches 2^(b-1) it encodes its own coefficients again at twice the
-    width and runs again.  The outputs are triples of the width it returns,
-    with images 0 dropped, and ``stats`` are those of the run that returned.
-    """
-    budget = resolve_budget(budget)
-    width = max(bits or 0, _FOLD_BITS)
-    run = folds
-    while True:
-        if width != bits:
-            # the given coefficients are exact at their own width
-            run = [(gens, start, slots, fold_image(unfold_image(c, bits) if bits else c, width))
-                   for gens, start, slots, c in folds]
-        done = _fold_at(rules, run, lo, budget, width)
-        if done:
-            return done + (width,)
-        width *= 2
-
-
-def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int):
-    """One run of ``insertion_fold`` at ``bits`` bits: (outputs, stats), or None on overflow."""
-    stats = ReductionStats()
-    base = rules.n + 1
-    half = 1 << (bits - 1)
-    pairs = rules.pairs
-    table = rules.images.setdefault(bits, {})
-    memo = {}
-    frames = []  # the shift s of each open miss, outermost first
-
-    def add(acc, bnd, D, terms, d, c, cb):
-        # acc += c terms, for terms (mask, image, bound) at offset d and acc
-        # at offset D; returns the offset of the sum
-        if d > D:
-            for v in acc:
-                acc[v] <<= (d - D) * bits
-            D = d
-        c <<= (D - d) * bits
-        for v, cv, bv in terms:
-            x = acc.get(v)
-            if x is None:
-                acc[v] = c * cv
-                bnd[v] = cb * bv
-            else:
-                acc[v] = x + c * cv
-                bnd[v] += cb * bv
-        return D
-
-    def push(acc, bnd, D, g, terms, d, c, cb):
-        # acc += c NF(g . u) cu over (u, cu, bu) in terms, at offset d
-        for u, cu, bu in terms:
-            u0 = (u & -u).bit_length() - 1
-            if g > u0 and u:
-                dv, vs = insert(g, u)
-            elif g < u0 or not u:  # g . u is normal
-                dv, vs = 0, ((u | 1 << g, 1, 1),)
-            else:  # g . u starts g g
-                continue
-            if d + dv != D:
-                D = add(acc, bnd, D, vs, d + dv, c * cu, cb * bu)
-                continue
-            cu *= c
-            bu *= cb
-            for v, cv, bv in vs:
-                x = acc.get(v)
-                if x is None:
-                    acc[v] = cu * cv
-                    bnd[v] = bu * bv
-                else:
-                    acc[v] = x + cu * cv
-                    bnd[v] += bu * bv
-        return D
-
-    def insert(g, w):
-        # NF(g . w) for a normal mask w, as (offset, [(mask, image, bound), ...])
-        w0 = (w & -w).bit_length() - 1
-        if g < w0 or not w:
-            return 0, ((w | 1 << g, 1, 1),)
-        if g == w0:
-            return 0, ()
-        # no rewrite reaches above g's mode, so the bits from top on are cut
-        # off; the rest is shifted down to w0's mode, since the rules depend
-        # only on mode gaps
-        s = w0 - w0 % base
-        top = g - g % base + base
-        high = w >> top << top
-        key = (g - s, (w ^ high) >> s)
-        out = memo.get(key)
-        if out is None:
-            kg, kw = key
-            if kw >> kg & 1 and infeasible(kg, kw, base):
-                stats.zeros += 1
-                memo[key] = (0, ())
-                return 0, ()
-            if len(frames) >= budget:
-                off = lo * base + sum(frames)
-                raise BudgetExceededError(
-                    tuple([divmod(c + off, base) for c in [g] + [
-                        x for x in range(w.bit_length()) if w >> x & 1]]), budget,
-                    stats.depth, stats.expansions, len(frames) + 1,
-                    "nesting depth %d, %d memo misses, %d misses open")
-            frames.append(s)
-            stats.expansions += 1
-            stats.depth = max(stats.depth, len(frames))
-            h = w0 - s
-            rest = kw ^ 1 << h
-            pair = (kg - h, h)
-            rule = table.get(pair)
-            if rule is None:
-                rule = pairs.get(pair)
-                if rule is None:
-                    rule = rules.pair_rule(pair)
-                rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule if c]
-            acc, bnd, D = {}, {}, 0
-            for o1, o2, c, cb, cd in rule:
-                du, us = insert(h + o2, rest)
-                D = push(acc, bnd, D, h + o1, us, du + cd, c, cb)
-            out = memo[key] = (D, tuple(zip(acc, acc.values(), bnd.values())))
-            frames.pop()
-        d, terms = out
-        if not terms or not (s or high):
-            return out
-        if len(terms) == 1:  # the common case, without a comprehension
-            ((v, c, cb),) = terms
-            return d, ((v << s | high, c, cb),)
-        return d, [(v << s | high, c, cb) for v, c, cb in terms]
-
-    done, dbnd, Dd = {}, {}, 0
-    for gens, start, slots, (c, cb, cd) in folds:
-        # R_p: images acc and bounds bnd at offset D
-        acc, bnd, D = ({}, {}, 0) if start is None else ({start: 1}, {start: 1}, 0)
-        k = 0
-        p = len(gens) - 1
-        while p >= 0:
-            if not acc:
-                # nothing is carried, so R_p is 0 down to the next slot
-                if k == len(slots):
-                    break
-                p = slots[k][0]
-            nxt, nbnd = {}, {}
-            E = push(nxt, nbnd, 0, gens[p], zip(acc, acc.values(), bnd.values()), D, 1, 1)
-            if k < len(slots) and slots[k][0] == p:
-                _, x, suffix = slots[k]
-                k += 1
-                E = push(nxt, nbnd, E, x, ((suffix, 1, 1),), 0, 1, 1)
-            acc, bnd, D = nxt, nbnd, E
-            p -= 1
-        if acc:
-            Dd = add(done, dbnd, Dd, zip(acc, acc.values(), bnd.values()), D + cd, c, cb)
-    out = {}
-    for v, x in done.items():
-        b = dbnd[v]
-        if b >= half:
-            out = None
-            break
-        if x:
-            # a chained fold multiplies this bound again; past 2^(bits/4) the
-            # exact norm, one pass over the digits, is worth reading
-            out[v] = (x, image_l1(x, bits) if b >> bits // 4 else b, Dd)
-    # insert and push refer to each other, so free the memo now, not in a
-    # garbage collection
-    del insert
-    return None if out is None else (out, stats)
 
 
 def normal_form(x: ModeElement, rules: ExchangeRules, strategy: str = "leftmost",

@@ -9,7 +9,8 @@ multi-indices, so ``compose(A, B)`` applied to v is A(B(v)).
 Coefficients are :class:`~braided_fock.coeff.LaurentPoly` values, or the
 ``int`` images ``rmatrix.integer_images`` makes of them; the arithmetic below
 is the same for both, and for ``PolyQZW`` and ``Fraction``.  The constructor
-rejects any other entry, such as a float.  Identities and flips are built over
+and ``map_coefficients``, which ``scale`` and subtraction build through,
+reject any other entry, such as a float.  Identities and flips are built over
 ``LaurentPoly``.
 
 ``invert`` works on one connected block of the support graph at a time.  This
@@ -36,6 +37,11 @@ class LaurentInversionError(ValueError):
     """Raised when an inverse exists over fractions but not over Z[q, q^-1]."""
 
 
+# the entry types of an exact operator
+_EXACT = (LaurentPoly, PolyQZW, Fraction, int)
+_INEXACT = "an entry must be a LaurentPoly, PolyQZW, Fraction or int, got %r"
+
+
 class TensorOp:
     __slots__ = ("n", "legs", "entries")
 
@@ -47,9 +53,8 @@ class TensorOp:
         out = {}
         if entries:
             for (row, col), coeff in entries.items():
-                if type(coeff) not in (LaurentPoly, PolyQZW, Fraction, int):
-                    raise ValueError("an entry must be a LaurentPoly, PolyQZW, Fraction or int, "
-                                     "got %r" % (coeff,))
+                if type(coeff) not in _EXACT:
+                    raise ValueError(_INEXACT % (coeff,))
                 if not coeff:
                     continue
                 row, col = tuple(row), tuple(col)
@@ -139,10 +144,12 @@ class TensorOp:
         return out
 
     def map_coefficients(self, fn) -> "TensorOp":
-        """Apply ``fn`` to every entry, e.g. to map it to an integer image."""
+        """Apply ``fn`` to every entry, e.g. to map it to an integer image; a float raises."""
         out = {}
         for k, c in self.entries.items():
             v = fn(c)
+            if type(v) not in _EXACT:
+                raise ValueError(_INEXACT % (v,))
             if v:
                 out[k] = v
         return self._like(out)

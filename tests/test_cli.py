@@ -253,6 +253,20 @@ class TestHeisenbergCommand:
         assert code == 0
         assert len(json.loads(out)["pruned"]) > 0
 
+    def test_non_scalar_result_names_a_witness(self, capsys, monkeypatch):
+        # b_-1 omega stands in for a commutator that is not a multiple of the
+        # vacuum; the text line ends with its first term in configuration order
+        from braided_fock import fock
+
+        state = fock.apply_b(-1, fock.vacuum(2, 0))
+        monkeypatch.setattr(fock, "commutator_on_vacuum", lambda *args, **kw: (None, state))
+        code, out, _ = run(capsys, "heisenberg", "1", "1", "--n", "2", "--output", "json")
+        blob = json.loads(out)
+        assert code == 1 and blob["pass"] is False and blob["state"] == state.to_json()
+        code, out, _ = run(capsys, "heisenberg", "1", "1", "--n", "2")
+        assert code == 1 and out == ("[b_1, b_-1] on the vacuum is not scalar: FAIL; first term: "
+                                     "columns {-1: [1], 0: [2]}, coefficient 1\n")
+
     def test_deterministic(self, capsys):
         a = run(capsys, "heisenberg", "1", "1", "--n", "2", "--output", "json")
         b = run(capsys, "heisenberg", "1", "1", "--n", "2", "--output", "json")

@@ -69,6 +69,10 @@ class TestStateBasics:
         assert w == v
         assert not (w - v)
 
+    def test_addition_rejects_another_rank(self):
+        with pytest.raises(ValueError, match="same space"):
+            vacuum(2, 0) + vacuum(3, 0)
+
     def test_inexact_coefficient_rejected(self):
         # used to construct, and apply_b(-1, .) then died with an AttributeError
         with pytest.raises(ValueError, match="coefficient must be a LaurentPoly"):
@@ -88,6 +92,8 @@ class TestStateBasics:
         ("columns", {"0": "1"}, "must be a list of indices"),
         ("columns", {"0": [[1]]}, "must be a list of indices"),
         ("coeff", {}, "index must be an integer"),
+        ("terms", {"0": {"coeff": {"0": 1}, "columns": {"0": [1]}}}, "terms must be a list"),
+        ("terms", [[{"0": 1}, {"0": [1]}]], "malformed term"),
     ])
     def test_json_rejects_coercible_fields(self, field, value, match):
         # each case spoils one field of a valid one-term state on n = 2
@@ -101,6 +107,10 @@ class TestStateBasics:
             blob[field] = value
         with pytest.raises(ValueError, match=match):
             FockState.from_json(blob)
+
+    def test_json_rejects_a_state_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="must be an object with n, tail_start and terms"):
+            FockState.from_json([2, 1, []])
 
     @pytest.mark.parametrize("n, tail_start, cfg, match", [
         (2, 1, ((0, (1.0,)),), "index must be an integer"),

@@ -1,6 +1,6 @@
 """The insertion engine: integer-image coefficients, their width and the zero test.
 
-Every test compares ``modealg.insertion_fold`` (called directly or through
+Every test compares ``fock.insertion_fold`` (called directly or through
 ``fock``) with an oracle that shares none of the code under test: the heap
 engine ``normal_form``, the closed form i * sum_{s<n} q^(-2is) of
 [b_i, b_-i], or the unpruned slot window, which skips no slot.
@@ -14,11 +14,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braided_fock import modealg
+from braided_fock import fock
 from braided_fock.coeff import LaurentPoly
-from braided_fock.fock import FockState, apply_b, commutator_on_vacuum, vacuum
-from braided_fock.modealg import (VARIANTS, ExchangeRules, ModeElement, insertion_fold,
-                                  normal_form, standard_rules)
+from braided_fock.fock import FockState, apply_b, commutator_on_vacuum, insertion_fold, vacuum
+from braided_fock.modealg import VARIANTS, ExchangeRules, ModeElement, normal_form, standard_rules
 from braided_fock.rmatrix import HeckeData, standard_sln_R
 from braided_fock.tensor import TensorOp
 from braided_fock.wedge import NonPBWInputError
@@ -33,13 +32,13 @@ def insert(rules, g, word):
     base = rules.n + 1
     lo = min(m for m, _ in (g,) + word)
     start = sum(1 << (m - lo) * base + a for m, a in word)
-    bits = modealg._FOLD_BITS
-    fold = ([(g[0] - lo) * base + g[1]], start, (), modealg.fold_image(ONE, bits))
+    bits = fock._FOLD_BITS
+    fold = ([(g[0] - lo) * base + g[1]], start, (), fock.fold_image(ONE, bits))
     out, stats, bits = insertion_fold(rules, [fold], lo, None, bits)
     terms = {}
     for mask, c in out.items():
         codes = [x for x in range(mask.bit_length()) if mask >> x & 1]
-        terms[tuple((lo + x // base, x % base) for x in codes)] = modealg.unfold_image(c, bits)
+        terms[tuple((lo + x // base, x % base) for x in codes)] = fock.unfold_image(c, bits)
     return ModeElement(rules.n, terms), stats
 
 
@@ -109,15 +108,17 @@ def test_insertion_matches_heap_on_every_small_window(n, K):
     assert proved > 0
 
 
-def _fold_calls(monkeypatch):
+def _fold_calls(monkeypatch, counted=None):
     """The insertion_fold calls of ``fock`` from now on, and the runs they make.
 
     Returns (runs, calls): the width of every run of a fold, and for every
     call (width given, width returned, slots, misses, zeros, depth); the
-    width given is None for LaurentPoly coefficients.
+    width given is None for LaurentPoly coefficients.  Each run appends to a
+    list ``counted`` the misses and zeros it adds to its call's counters and
+    the depth they hold after it.
     """
     runs, calls = [], []
-    fold, run = modealg.insertion_fold, modealg._fold_at
+    fold, run = fock.insertion_fold, fock._fold_at
 
     def recording(rules, folds, lo, budget, bits):
         out, stats, width = fold(rules, folds, lo, budget, bits)
@@ -125,40 +126,53 @@ def _fold_calls(monkeypatch):
                       stats.expansions, stats.zeros, stats.depth))
         return out, stats, width
 
-    def running(rules, folds, lo, budget, bits):
+    def running(rules, folds, lo, budget, bits, stats):
         runs.append(bits)
-        return run(rules, folds, lo, budget, bits)
+        misses, zeros = stats.expansions, stats.zeros
+        out = run(rules, folds, lo, budget, bits, stats)
+        if counted is not None:
+            counted.append((stats.expansions - misses, stats.zeros - zeros, stats.depth))
+        return out
 
     monkeypatch.setattr("braided_fock.fock.insertion_fold", recording)
-    monkeypatch.setattr(modealg, "_fold_at", running)
+    monkeypatch.setattr(fock, "_fold_at", running)
     return runs, calls
 
 
 def test_forced_width_restart_gives_equal_results(monkeypatch):
     # from 2 bits every coefficient bound of 2 or more widens a fold; each
     # fold widens alone, from the width its coefficients come at, and the
-    # result, the pruned log and every fold's counters are the default width's
+    # result and the pruned log are the default width's
     rules = standard_rules(3)
-    runs, calls = _fold_calls(monkeypatch)
+    counted = []
+    runs, calls = _fold_calls(monkeypatch, counted)
     log = []
     want = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log)
     once = [c[2:] for c in calls]
-    bits = modealg._FOLD_BITS
+    bits = fock._FOLD_BITS
     assert [c[:2] for c in calls] == [(None, bits), (bits, bits)] * 2
-    monkeypatch.setattr(modealg, "_FOLD_BITS", 2)
+    assert counted == [c[3:] for c in calls]
+    monkeypatch.setattr(fock, "_FOLD_BITS", 2)
     runs.clear()
     calls.clear()
+    counted.clear()
     log_2 = []
     got = commutator_on_vacuum(4, 4, 3, rules=rules, log_pruned=log_2)
     assert got[0] == want[0] and got[1] == want[1] and log_2 == log
-    assert [c[2:] for c in calls] == once and max(c[1] for c in calls) >= 8
-    # each fold runs once at each width from its start to the one it returns at
+    assert max(c[1] for c in calls) >= 8
+    # each fold runs once at each width from its start to the one it returns
+    # at, and each run does the default width's work: its misses, zeros and
+    # depth; a call's counters sum the misses and zeros of its runs
     widths = []
-    for given, width, *_ in calls:
+    for (given, width, *counters), (slots, *default) in zip(calls, once):
         b = max(given or 0, 2)
+        first = len(widths)
         while b <= width:
             widths.append(b)
             b *= 2
+        mine = counted[first:len(widths)]
+        assert mine == [tuple(default)] * len(mine)
+        assert counters == [slots, sum(r[0] for r in mine), sum(r[1] for r in mine), default[2]]
     assert runs == widths and len(runs) > len(calls)
 
 
@@ -170,7 +184,7 @@ def test_default_width_does_not_restart(monkeypatch):
     for n, top in ((2, 6), (3, 5), (4, 4)):
         for i in range(1, top + 1):
             commutator_on_vacuum(i, i, n)
-    assert len(calls) == 60 and runs == [modealg._FOLD_BITS] * 60
+    assert len(calls) == 60 and runs == [fock._FOLD_BITS] * 60
     assert [sum(c[k] for c in calls) for k in (2, 3, 4)] == [576, 2625, 831]
     assert max(c[5] for c in calls) == 5
 
@@ -243,7 +257,7 @@ def test_twist_commutators_take_the_closed_form(n):
         assert scalar is not None and scalar.terms == {-2 * i * s: i for s in range(n)}, i
     # the engine met rule coefficients with positive powers of q: up to q^4
     # at n = 2 and q^7 at n = 3
-    offsets = [d for rule in rules.images[modealg._FOLD_BITS].values() for *_, d in rule]
+    offsets = [d for rule in rules.images[fock._FOLD_BITS].values() for *_, d in rule]
     assert max(offsets) == {2: 4, 3: 7}[n]
 
 

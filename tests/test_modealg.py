@@ -189,6 +189,14 @@ class TestConsistency:
             assert check_modeanticom(i, j, 2)
             assert check_modeanticom(i, j, 3)
 
+    def test_modeanticom_requires_order(self):
+        with pytest.raises(ValueError, match="need i > j"):
+            check_modeanticom(0, 1, 2)
+
+    def test_elements_of_two_ranks_do_not_add(self):
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            ModeElement(2) + ModeElement(3)
+
     @pytest.mark.parametrize("check", [check_moderel, check_modeind, check_modeanticom])
     def test_rules_of_another_rank_rejected(self, check):
         with pytest.raises(ValueError, match="rules of rank 2 cannot reduce an element of rank 3"):

@@ -78,6 +78,10 @@ class TestStandardR:
         assert d.R == TensorOp(1, 2, {((1, 1), (1, 1)): Q})
         assert check_hecke(d).passed
 
+    def test_n0_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            standard_sln_R(0)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_hecke(self, n):
         assert check_hecke(standard_sln_R(n)).passed
@@ -341,6 +345,10 @@ class TestUnitarity:
             check_unitarity(d, [(q0, 1 / q0**2)])
         with pytest.raises(ValueError):
             check_unitarity(d, [(Fraction(1), Fraction(2))])
+        # at q = 1 the pole z = q^2 is z0 = 1, which no sample rule excludes
+        flip = HeckeData(2, permutation_P(2), LaurentPoly.one())
+        with pytest.raises(ValueError, match="hits a pole"):
+            check_unitarity(flip, [(Fraction(2), Fraction(1))])
 
     def test_no_samples_rejected(self):
         # used to report pass for the identity R, which the sample (2, 3) rejects
@@ -513,6 +521,11 @@ class TestBraidedIntegers:
         d = standard_sln_R(2)
         assert braided_integer(1, d.bold_R()) == TensorOp.identity(2, 1)
         assert braided_integer_bar(1, d.bold_R()) == TensorOp.identity(2, 1)
+
+    @pytest.mark.parametrize("build", [braided_integer, braided_integer_bar])
+    def test_m0_rejected(self, build):
+        with pytest.raises(ValueError, match="m >= 1"):
+            build(0, standard_sln_R(2).bold_R())
 
     def test_m2_forms(self):
         d = standard_sln_R(2)

@@ -106,6 +106,10 @@ class TestLegTranspose:
         P = permutation_P(3)
         assert R.swapped_legs() == P @ R @ P
 
+    def test_three_legs_rejected(self):
+        with pytest.raises(ValueError, match="two-leg operators"):
+            TensorOp.identity(2, 3).swapped_legs()
+
 
 class TestEmbed:
     def test_identity_embeds_to_identity(self):
@@ -133,6 +137,8 @@ class TestEmbed:
             embed(P, [0, 2], 3)
         with pytest.raises(ValueError):
             embed(P, [1, 4], 3)
+        with pytest.raises(ValueError, match="one target position per operator leg"):
+            embed(P, [1], 3)
 
 
 class TestInvert:
@@ -159,6 +165,10 @@ class TestInvert:
         op = TensorOp(1, 2, {((1, 1), (1, 1)): LaurentPoly.zero()})
         with pytest.raises(SingularOperatorError):
             invert(op)
+
+    def test_int_entries_rejected(self):
+        with pytest.raises(ValueError, match="Laurent-coefficient operators"):
+            invert(TensorOp(1, 1, {((1,), (1,)): 3}))
 
     def test_non_laurent_inverse(self):
         op = TensorOp(1, 1, {((1,), (1,)): Q + 1})
@@ -354,6 +364,15 @@ class TestConstructorIndices:
         with pytest.raises(ValueError, match="integers in 1..n"):
             TensorOp(2, 1, {key: LaurentPoly.one()})
 
+    def test_rejects_a_multi_index_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="multi-index length must equal the leg count"):
+            TensorOp(2, 2, {((1,), (1, 2)): LaurentPoly.one()})
+
+    @pytest.mark.parametrize("n, legs", [(0, 2), (2, 0)])
+    def test_rejects_an_empty_shape(self, n, legs):
+        with pytest.raises(ValueError, match="need n >= 1 and legs >= 1"):
+            TensorOp(n, legs)
+
     def test_accepts_int_indices(self):
         op = TensorOp(2, 1, {((1,), (2,)): LaurentPoly.one()})
         assert list(op.entries) == [((1,), (2,))]
@@ -365,6 +384,14 @@ class TestConstructorEntries:
         # a float entry used to be kept, and composing then computed in floats
         with pytest.raises(ValueError, match="must be a LaurentPoly, PolyQZW, Fraction or int"):
             TensorOp(2, 2, {((1, 1), (1, 1)): entry})
+
+    @pytest.mark.parametrize("fn", [lambda op: op.scale(1.5),
+                                    lambda op: op.map_coefficients(lambda c: c / 2),
+                                    lambda op: op - op.scale(0.5)])
+    def test_arithmetic_rejects_inexact_results(self, fn):
+        # scale(1.5) of an int operator used to give the entry 4.5
+        with pytest.raises(ValueError, match="must be a LaurentPoly, PolyQZW, Fraction or int"):
+            fn(TensorOp(2, 2, {((1, 1), (1, 1)): 3}))
 
     @pytest.mark.parametrize("entry", [ONE, PolyQZW.one(), Fraction(3, 2), 3])
     def test_accepts_exact_entries(self, entry):
