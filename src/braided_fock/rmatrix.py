@@ -363,7 +363,8 @@ def _braided_integer(m: int, r_like: TensorOp, ks) -> TensorOp:
         raise ValueError("braided integer needs m >= 1")
     out = TensorOp.identity(r_like.n, m)
     for prefix in _pr_chain(r_like, ks, m):
-        out = out + prefix
+        for k, c in prefix.entries.items():
+            add_term(out.entries, k, c)
     return out
 
 

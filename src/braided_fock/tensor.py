@@ -13,6 +13,11 @@ and ``map_coefficients``, which ``scale`` and subtraction build through,
 reject any other entry, such as a float.  Identities and flips are built over
 ``LaurentPoly``.
 
+``embed`` is one index permutation: result leg p reads a fixed entry of the
+operator's index followed by the fill of the other legs.  Composition checks
+only the keys that received a second term for cancellation: stored entries are
+nonzero and no exact entry type has zero divisors, so a one-term sum is nonzero.
+
 ``invert`` works on one connected block of the support graph at a time.  This
 is exact: a block's rows and columns share one index set, so the split permutes
 rows and columns alike.  The sl_n R-matrix couples (a, b) only with (b, a), so
@@ -106,16 +111,24 @@ class TensorOp:
         by_row = {}
         for (row, col), c in other.entries.items():
             by_row.setdefault(row, []).append((col, c))
-        out = {}
+        # Every stored entry is nonzero and no exact entry type (LaurentPoly,
+        # int, Fraction, PolyQZW) has zero divisors, so each product is
+        # nonzero: only a key that received a second term can sum to 0.
+        out, summed = {}, set()
         for (row, mid), c1 in self.entries.items():
             for col, c2 in by_row.get(mid, ()):
                 k = (row, col)
                 v = c1 * c2
                 s = out.get(k)
-                s = v if s is None else s + v
-                out[k] = s
-        # drop exact cancellations
-        return self._like({k: v for k, v in out.items() if v})
+                if s is None:
+                    out[k] = v
+                else:
+                    out[k] = s + v
+                    summed.add(k)
+        for k in summed:
+            if not out[k]:
+                del out[k]
+        return self._like(out)
 
     def __eq__(self, other):
         if not isinstance(other, TensorOp):
@@ -208,19 +221,17 @@ def embed(op: TensorOp, positions, total: int) -> TensorOp:
     if not all(1 <= p <= total for p in positions):
         raise ValueError("positions must lie in 1..total")
     rest = [p for p in range(1, total + 1) if p not in positions]
-    n = op.n
+    # result leg p reads entry src[p - 1] of op_index + fill
+    src = [0] * total
+    for i, p in enumerate(positions + rest):
+        src[p - 1] = i
+    # a one-index itemgetter returns a scalar; on one leg the index is its own image
+    pick = operator.itemgetter(*src) if total > 1 else operator.itemgetter(slice(None))
+    fills = list(itertools.product(range(1, op.n + 1), repeat=len(rest)))
     out = {}
     for (row, col), c in op.entries.items():
-        for fill in itertools.product(range(1, n + 1), repeat=len(rest)):
-            full_row = [0] * total
-            full_col = [0] * total
-            for i, p in enumerate(positions):
-                full_row[p - 1] = row[i]
-                full_col[p - 1] = col[i]
-            for i, p in enumerate(rest):
-                full_row[p - 1] = fill[i]
-                full_col[p - 1] = fill[i]
-            out[(tuple(full_row), tuple(full_col))] = c
+        for fill in fills:
+            out[(pick(row + fill), pick(col + fill))] = c
     return op._like(out, total)
 
 

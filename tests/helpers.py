@@ -57,13 +57,13 @@ def reference_baxterised_S(data):
 
 
 def dense_from_op(op, q0):
-    """Dense Fraction matrix of a Laurent-coefficient TensorOp at q = q0."""
+    """Dense Fraction matrix of a Laurent- or int-coefficient TensorOp at q = q0."""
     idx = multi_indices(op.n, op.legs)
     pos = {ix: k for k, ix in enumerate(idx)}
     d = len(idx)
     mat = [[Fraction(0)] * d for _ in range(d)]
     for (r, c), coeff in op.entries.items():
-        mat[pos[r]][pos[c]] = coeff.evaluate(q0)
+        mat[pos[r]][pos[c]] = Fraction(coeff) if type(coeff) is int else coeff.evaluate(q0)
     return mat
 
 

@@ -29,6 +29,7 @@ from braided_fock.rmatrix import (
 from braided_fock.tensor import TensorOp, embed, invert, permutation_P
 
 from helpers import (
+    dense_embed,
     dense_from_op,
     dense_identity,
     dense_inverse,
@@ -543,6 +544,27 @@ class TestBraidedIntegers:
         ident = TensorOp.identity(2, 3)
         assert braided_integer(3, bold) == ident + a12 + a12 @ a23
         assert braided_integer_bar(3, bold) == ident + a23 + a23 @ a12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("build, ks", [(braided_integer, lambda m: range(1, m)),
+                                           (braided_integer_bar, lambda m: range(m - 1, 0, -1))],
+                             ids=["braided_integer", "braided_integer_bar"])
+    def test_against_dense_prefix_sums(self, build, ks, m):
+        # 1 + (PR)_{k0} + (PR)_{k0} (PR)_{k1} + ..., each (PR)_k embedded by
+        # the dense oracle; the sum is built in place, so the input and a
+        # second call must not see it
+        bold = standard_sln_R(2).bold_R()
+        before = dict(bold.entries)
+        q0 = Fraction(5, 3)
+        factor = dense_mul(dense_P(2), dense_from_op(bold, q0))
+        want = prefix = dense_identity(2 ** m)
+        for k in ks(m):
+            prefix = dense_mul(prefix, dense_embed(factor, 2, 2, [k, k + 1], m))
+            want = [[a + b for a, b in zip(r, s)] for r, s in zip(want, prefix)]
+        got = build(m, bold)
+        assert dense_from_op(got, q0) == want
+        assert bold.entries == before
+        assert build(m, bold) == got
 
 
 class TestIntervalProducts:

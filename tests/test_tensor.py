@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -32,8 +33,6 @@ ONE = LaurentPoly.one()
 
 def random_op(rng, n=2, legs=2, fill=0.4):
     entries = {}
-    import itertools
-
     idx = list(itertools.product(range(1, n + 1), repeat=legs))
     for r in idx:
         for c in idx:
@@ -86,6 +85,16 @@ class TestCompose:
             at_q0 = [op.map_coefficients(lambda c: c.evaluate(q0)) for op in (A @ B, A, B)]
             assert at_q0[0] == at_q0[1] @ at_q0[2]
 
+    @pytest.mark.parametrize("unit", [Q, 1, Fraction(1, 3), PolyQZW({(0, 1, 0): 1})],
+                             ids=["laurent", "int", "fraction", "polyqzw"])
+    def test_cancellation_is_decided_by_the_final_sum(self, unit):
+        # row 1 sums 1, -1, 1: its running sum passes through 0 and ends
+        # nonzero; row 2 sums 1, 1, -2: it reaches 0 only at its third term
+        A = TensorOp(3, 1, {**{((1,), (m,)): unit * c for m, c in zip((1, 2, 3), (1, -1, 1))},
+                            **{((2,), (m,)): unit * c for m, c in zip((1, 2, 3), (1, 1, -2))}})
+        B = TensorOp(3, 1, {((m,), (1,)): unit for m in (1, 2, 3)})
+        assert (A @ B).entries == {((1,), (1,)): unit * unit}
+
     def test_shape_mismatch_rejected(self):
         A = TensorOp.identity(2, 2)
         with pytest.raises(ValueError):
@@ -122,12 +131,26 @@ class TestEmbed:
         b = embed(P, [2, 3], 3)
         assert a @ b @ a == b @ a @ b
 
-    def test_against_dense_oracle_n2(self):
-        R = standard_sln_R(2).R
+    @pytest.mark.parametrize("kind", ["laurent", "int"])
+    @pytest.mark.parametrize("legs", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_dense_oracle(self, n, legs, kind):
+        # every ordering of positions on up to 4 legs: reversed and
+        # non-adjacent ones such as [2, 1], [3, 1] and [4, 2], total == legs
+        # and total == 1
+        rng = random.Random(10 * n + legs)
+        ops = [random_op(rng, n, legs)]
+        if kind == "int":
+            ops = [TensorOp(n, legs, {k: rng.choice((-3, -2, -1, 1, 2, 3)) for k in ops[0].entries})]
+        elif legs == 2:
+            ops.append(standard_sln_R(n).R)
         q0 = Fraction(7, 4)
-        got = dense_from_op(embed(R, [1, 3], 3), q0)
-        want = dense_embed(dense_from_op(R, q0), 2, 2, [1, 3], 3)
-        assert got == want
+        for op in ops:
+            mat = dense_from_op(op, q0)
+            for total in range(legs, 5):
+                for positions in itertools.permutations(range(1, total + 1), legs):
+                    got = dense_from_op(embed(op, positions, total), q0)
+                    assert got == dense_embed(mat, n, legs, positions, total), (positions, total)
 
     def test_position_validation(self):
         P = permutation_P(2)
