@@ -2,8 +2,10 @@
 
 Subcommands: ``check`` (hecke, ybe, pybe, unitarity, moderel, modeind),
 ``nf`` (normal forms), ``heisenberg``, ``lemma33`` and ``dims``.
-Exit codes: 0 pass, 1 mathematical failure, 2 usage or parse error,
-3 rewrite budget exceeded; only ``main`` maps exceptions to exit codes.
+Each handler returns ``(passed, report, lines)``; only ``main`` prints a
+report, as JSON or as text lines, or maps a result or an exception to an exit
+code: 0 pass, 1 mathematical failure, 2 usage or parse error, 3 rewrite
+budget exceeded.
 ``nf`` and ``heisenberg`` take the rewrite budget from ``--budget``; without
 it, and for every other command, the environment variable
 BRAIDED_FOCK_BUDGET overrides the default.
@@ -68,20 +70,12 @@ def _load_hecke(args):
     return standard_sln_R(args.n)
 
 
-def _emit(args, report: dict, text_lines):
-    if args.output == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # the check kinds that read each of these options; the others reject it
 _CHECK_READS = {"seed": ("unitarity",), "rules": ("moderel", "modeind"),
                 "i": ("moderel", "modeind"), "j": ("moderel", "modeind")}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     kind = args.kind
     for opt, kinds in _CHECK_READS.items():
         if getattr(args, opt) is not None and kind not in kinds:
@@ -107,21 +101,18 @@ def cmd_check(args) -> int:
                                              "pass" if ok else "FAIL")]
         if not hecke.passed:
             lines.append("R fails check hecke, witness: %s" % (hecke.witness,))
-        _emit(args, report, lines)
-        return EXIT_PASS if ok else EXIT_FAIL
+        return ok, report, lines
     if kind == "unitarity":
         res = check_unitarity(data, admissible_samples(5, args.seed or 0))
     else:
         res = {"hecke": check_hecke, "ybe": check_braid, "pybe": check_pybe}[kind](data)
-    report = res.to_json()
     lines = ["%s n=%d: %s" % (res.check, res.n, "pass" if res.passed else "FAIL")]
     if not res.passed and res.witness:
         lines.append("witness: %s" % (res.witness,))
-    _emit(args, report, lines)
-    return EXIT_PASS if res.passed else EXIT_FAIL
+    return res.passed, res.to_json(), lines
 
 
-def cmd_nf(args) -> int:
+def cmd_nf(args):
     from .modealg import ModeElement, normal_form, standard_rules
 
     word = parse_word(args.expr)
@@ -130,11 +121,10 @@ def cmd_nf(args) -> int:
     out = normal_form(elem, standard_rules(args.n, variant), budget=args.budget)
     report = {"command": "nf", "n": args.n, "rules": variant, "input": args.expr,
               "normal_form": out.to_json()}
-    _emit(args, report, [repr(out)])
-    return EXIT_PASS
+    return True, report, [repr(out)]
 
 
-def cmd_heisenberg(args) -> int:
+def cmd_heisenberg(args):
     from . import fock
 
     i, j, n = args.i, args.j, args.n
@@ -146,10 +136,9 @@ def cmd_heisenberg(args) -> int:
                   "engine": None, "state": state.to_json(), "extrapolation": extrapolation}
         # the witness is the state's first term in configuration order
         cfg = min(state.terms)
-        _emit(args, report, ["[b_%d, b_-%d] on the vacuum is not scalar: FAIL; first term: "
-                             "columns %s, coefficient %s" % (
-                                 i, j, {m: list(ix) for m, ix in cfg}, state.terms[cfg])])
-        return EXIT_FAIL
+        return False, report, ["[b_%d, b_-%d] on the vacuum is not scalar: FAIL; first term: "
+                               "columns %s, coefficient %s" % (
+                                   i, j, {m: list(ix) for m, ix in cfg}, state.terms[cfg])]
     cleared_lhs, cleared_rhs = fock.heisenberg_sides(scalar, i, j, n)
     ok = cleared_lhs == cleared_rhs
     report = {
@@ -169,11 +158,10 @@ def cmd_heisenberg(args) -> int:
     ]
     if log is not None:
         lines.append("pruned %d slot terms" % len(log))
-    _emit(args, report, lines)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return ok, report, lines
 
 
-def cmd_lemma33(args) -> int:
+def cmd_lemma33(args):
     from . import fock
 
     n = args.n
@@ -186,16 +174,15 @@ def cmd_lemma33(args) -> int:
         "engine": engine.to_json(), "closed_form": closed.to_json(),
         "second_term": second.to_json(), "second_term_expected": second_expected.to_json(),
     }
-    _emit(args, report, [
+    return ok, report, [
         "column-0 piece: %s" % engine,
         "closed form:    %s" % closed,
         "column-1 piece: %s (expected %s)" % (second, second_expected),
         "lemma33 n=%d: %s" % (n, "pass" if ok else "FAIL"),
-    ])
-    return EXIT_PASS if ok else EXIT_FAIL
+    ]
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args):
     from math import comb
 
     from .wedge import degree_rank, derive_wedge_rules
@@ -214,8 +201,7 @@ def cmd_dims(args) -> int:
     lines = ["degree %d: rank %d, C(%d, %d) = %d" % (r["degree"], r["rank"], data.n,
                                                      r["degree"], r["binomial"]) for r in rows]
     lines.append("dims n=%d: %s" % (data.n, "pass" if ok else "FAIL"))
-    _emit(args, report, lines)
-    return EXIT_PASS if ok else EXIT_FAIL
+    return ok, report, lines
 
 
 # ``modealg.VARIANTS``, spelled here so that building the parser loads no layer
@@ -273,7 +259,7 @@ def main(argv=None) -> int:
     if args.n is None and not getattr(args, "matrix", None):
         args.n = 2
     try:
-        return args.fn(args)
+        passed, report, lines = args.fn(args)
     except ParseError as exc:
         print("parse error at position %d: %s" % (exc.position, exc), file=sys.stderr)
         return EXIT_USAGE
@@ -287,6 +273,8 @@ def main(argv=None) -> int:
             raise
         print(str(exc), file=sys.stderr)
         return EXIT_BUDGET
+    print(json.dumps(report, sort_keys=True) if args.output == "json" else "\n".join(lines))
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -122,6 +122,8 @@ or below it.
 
 from __future__ import annotations
 
+import sys
+
 from .coeff import (LaurentPoly, _json_exponent, add_term, braided_int_scalar, from_image,
                     image_l1, strict_int, strict_laurent, to_image)
 from .modealg import (BudgetExceededError, ExchangeRules, ModeElement, ReductionStats,
@@ -399,7 +401,16 @@ def insertion_fold(rules: ExchangeRules, folds, lo: int, budget, bits):
             # the given coefficients are exact at their own width
             run = [(gens, start, slots, fold_image(unfold_image(c, bits) if bits else c, width))
                    for gens, start, slots, c in folds]
-        done = _fold_at(rules, run, lo, budget, width, stats)
+        try:
+            done = _fold_at(rules, run, lo, budget, width, stats)
+        except RecursionError:
+            # each nested miss nests Python calls, so the interpreter's
+            # recursion limit can stop the nesting long before the budget
+            err = BudgetExceededError(None, budget, stats.depth, stats.expansions, stats.depth)
+            err.args = ("insertions nested %d memo misses deep (%d misses in all) when Python's "
+                        "recursion limit of %d calls stopped the run, below the rewrite budget %d"
+                        % (stats.depth, stats.expansions, sys.getrecursionlimit(), budget),)
+            raise err from None
         if done is not None:
             return done, stats, width
         width *= 2

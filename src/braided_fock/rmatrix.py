@@ -125,12 +125,13 @@ def standard_sln_R(n: int) -> HeckeData:
     return HeckeData(n=n, R=TensorOp(n, 2, entries))
 
 
-def _first_entry_witness(op: TensorOp, show=str):
-    if not op.entries:
+def _witness(lhs: TensorOp, rhs: TensorOp, show):
+    """None when the sides are equal, else the first entry of lhs - rhs, shown by ``show``."""
+    if lhs == rhs:
         return None
-    key = min(op.entries)
-    row, col = key
-    return [list(row), list(col), show(op.entries[key])]
+    diff = (lhs - rhs).entries
+    row, col = key = min(diff)
+    return [list(row), list(col), str(show(diff[key]))]
 
 
 def check_hecke(data: HeckeData) -> CheckResult:
@@ -140,10 +141,8 @@ def check_hecke(data: HeckeData) -> CheckResult:
     qinv = qv.unit_inverse()
     ident = TensorOp.identity(data.n, 2)
     (f, g), decode = integer_images([pr - ident.scale(qv), pr + ident.scale(qinv)], 2)
-    prod = f @ g
-    degs = _laurent_degrees(data.R)
-    return CheckResult("hecke", data.n, prod.is_zero(),
-                       _first_entry_witness(prod, lambda c: str(decode(c))), degs)
+    witness = _witness(f @ g, TensorOp(data.n, 2), decode)
+    return CheckResult("hecke", data.n, witness is None, witness, _laurent_degrees(data.R))
 
 
 def check_braid(data: HeckeData) -> CheckResult:
@@ -156,10 +155,8 @@ def check_braid(data: HeckeData) -> CheckResult:
     a = embed(pr, [1, 2], 3)
     b = embed(pr, [2, 3], 3)
     ab = a @ b
-    lhs, rhs = ab @ a, b @ ab
-    ok = lhs == rhs
-    return CheckResult("ybe", data.n, ok, None if ok else _first_entry_witness(
-        lhs - rhs, lambda c: str(decode(c))))
+    witness = _witness(ab @ a, b @ ab, decode)
+    return CheckResult("ybe", data.n, witness is None, witness)
 
 
 def _laurent_degrees(*ops: TensorOp) -> dict:
@@ -201,11 +198,8 @@ def check_pybe(data: HeckeData) -> CheckResult:
         [TensorOp(data.n, 2, {k: kronecker_encode(r, s, z_e, w_e)
                               for k, (r, s) in pairs.items()}) for z_e, w_e in weights], 3)
     a12, a13, a23 = [embed(f, legs, 3) for f, legs in zip(factors, ([1, 2], [1, 3], [2, 3]))]
-    lhs, rhs = a12 @ a13 @ a23, a23 @ a13 @ a12
-    ok = lhs == rhs
-    witness = None if ok else _first_entry_witness(
-        lhs - rhs, lambda c: str(kronecker_decode(decode(c))))
-    return CheckResult("pybe", data.n, ok, witness, degs)
+    witness = _witness(a12 @ a13 @ a23, a23 @ a13 @ a12, lambda c: kronecker_decode(decode(c)))
+    return CheckResult("pybe", data.n, witness is None, witness, degs)
 
 
 # Integer images wider than this many bits cost more to multiply than the

@@ -60,14 +60,13 @@ class TensorOp:
             for (row, col), coeff in entries.items():
                 if type(coeff) not in _EXACT:
                     raise ValueError(_INEXACT % (coeff,))
-                if not coeff:
-                    continue
                 row, col = tuple(row), tuple(col)
                 if len(row) != legs or len(col) != legs:
                     raise ValueError("multi-index length must equal the leg count")
                 if not all(type(i) is int and 1 <= i <= n for i in row + col):
                     raise ValueError("multi-index entries must be integers in 1..n")
-                out[(row, col)] = coeff
+                if coeff:
+                    out[(row, col)] = coeff
         self.entries = out
 
     def _like(self, entries, legs=None) -> "TensorOp":
@@ -134,9 +133,6 @@ class TensorOp:
         if not isinstance(other, TensorOp):
             return NotImplemented
         return self.n == other.n and self.legs == other.legs and self.entries == other.entries
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def swapped_legs(self) -> "TensorOp":
         """For a two-leg operator A, return A_21 = P A P."""

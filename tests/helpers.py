@@ -432,3 +432,51 @@ def classical_shift(i, s):
             key = gens - {(m, a)} | {new}
             out[key] = out.get(key, 0) + (-1) ** passed * value
     return {k: v for k, v in out.items() if v}
+
+
+def maya_diagrams(s):
+    """The state s in the Maya labelling: {(occupied below 0, free from 0 on): coefficient}.
+
+    theta^(m)_a is labelled k = n m + a - 1, so the vacuum occupies every
+    k >= 0 and a configuration is a Maya diagram: a set of labels holding
+    every large one and no very negative one, which the occupied negative
+    labels and the free nonnegative ones fix.  The labelling is this code's
+    picture of the Fock space, not the paper's.
+    """
+    return {_maya({s.n * m + a - 1 for m, ix in cfg for a in ix}, s.n * s.tail_start): c
+            for cfg, c in s.terms.items()}
+
+
+def _maya(occupied, top):
+    """The key of ``maya_diagrams`` for the labels ``occupied`` and every label from ``top`` on."""
+    occupied = set(occupied) | set(range(top, 0))
+    return (frozenset(k for k in occupied if k < 0),
+            frozenset(k for k in range(top) if k not in occupied))
+
+
+def ribbon_b(sign, s):
+    """b_1 (``sign`` 1) or b_-1 (``sign`` -1) on the state s, as ``maya_diagrams`` gives it.
+
+    Each occupied label k moves to k + sign n when that label is free, with
+    weight (-q^-1)^h for the h occupied labels strictly between the two: in
+    the partition picture, one n-ribbon added or removed, weighted by its
+    height.  That b_1 and b_-1 act so is this code's finding, checked
+    against the engine in tests/test_fock.py, not a claim of the paper; the
+    rule shares no code with the rewriting engine.
+    """
+    from braided_fock.coeff import LaurentPoly
+
+    n = s.n
+    # labels from top on, and their targets, stay occupied
+    top = n * s.tail_start + n
+    out = {}
+    for cfg, c in s.terms.items():
+        occupied = {n * m + a - 1 for m, ix in cfg for a in ix} | set(range(n * s.tail_start, top))
+        for k in occupied:
+            t = k + sign * n
+            if t in occupied or t >= top:
+                continue
+            h = sum(1 for x in occupied if min(k, t) < x < max(k, t))
+            diagram = _maya(occupied - {k} | {t}, top)
+            out[diagram] = out.get(diagram, 0) + c * LaurentPoly.q_power(-h, (-1) ** h)
+    return {k: c for k, c in out.items() if c}

@@ -129,6 +129,16 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "hecke", "--matrix", str(path))
         assert code == 0 and "pass" in out
 
+    @pytest.mark.parametrize("argv", [["check", "hecke"], ["dims"]])
+    def test_malformed_key_with_a_zero_coefficient_rejected(self, capsys, tmp_path, argv):
+        # the standard R plus a zero entry whose index 7 is out of range used to pass
+        blob = standard_sln_R(2).R.to_json()
+        blob["entries"].append([[1, 7], [1, 1], {}])
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, *argv, "--matrix", str(path))
+        assert code == 2 and out == "" and "integers in 1..n" in err
+
     @pytest.mark.parametrize("blob", [[], {"n": 1, "legs": 2}, {"n": "1", "legs": 2, "entries": []},
                                       {"n": 1, "legs": 2, "entries": {}}])
     def test_malformed_operator_rejected(self, capsys, tmp_path, blob):
@@ -437,6 +447,35 @@ class TestGoldenFiles:
         code, out, _ = run(capsys, *self.CASES[name])
         assert code == 0
         assert out == golden.read_text()
+
+    DATA = str(pathlib.Path(__file__).parent / "data")
+    # text reports, with the exit code of each: every handler's return paths
+    # but heisenberg's non-scalar one, and the witness lines of failing checks
+    TEXT_CASES = {
+        "check_hecke_n3.txt": (0, ["check", "hecke", "--n", "3"]),
+        "check_unitarity_n2_seed7.txt": (0, ["check", "unitarity", "--n", "2", "--seed", "7"]),
+        "check_moderel_i3_j-1_n2.txt": (0, ["check", "moderel", "--i", "3", "--j", "-1",
+                                            "--n", "2"]),
+        "check_moderel_i1_j0_diagonal_5q_n2.txt": (1, ["check", "moderel", "--i", "1", "--j", "0",
+                                                       "--matrix", DATA + "/diagonal_5q_n2.json"]),
+        "check_pybe_lambda_doubled_n2.txt": (1, ["check", "pybe", "--matrix",
+                                                 DATA + "/lambda_doubled_n2.json"]),
+        "check_ybe_lambda_doubled_n2.txt": (1, ["check", "ybe", "--matrix",
+                                                DATA + "/lambda_doubled_n2.json"]),
+        "check_unitarity_lambda_doubled_n2.txt": (1, ["check", "unitarity", "--matrix",
+                                                      DATA + "/lambda_doubled_n2.json"]),
+        "nf_t2t1t2_n3.txt": (0, ["nf", "t2 t1 t2", "--n", "3"]),
+        "heisenberg_33_n3_pruned.txt": (0, ["heisenberg", "3", "3", "--n", "3", "--log-pruned"]),
+        "lemma33_n3.txt": (0, ["lemma33", "--n", "3"]),
+        "dims_n4.txt": (0, ["dims", "--n", "4"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TEXT_CASES))
+    def test_text_byte_identical(self, capsys, name):
+        golden = pathlib.Path(__file__).parent / "golden" / name
+        expected_code, argv = self.TEXT_CASES[name]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (expected_code, golden.read_text(), "")
 
     def test_wide_span_twist_byte_identical(self, capsys):
         # a twisted R with exponents up to 24000: its checks multiply Laurent

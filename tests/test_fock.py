@@ -35,8 +35,8 @@ from braided_fock.rmatrix import (
     interval_product_bar,
     standard_sln_R,
 )
-from helpers import (classical_form, classical_shift, reference_apply_b, reference_canonical,
-                     reference_column_piece, window_commutator)
+from helpers import (classical_form, classical_shift, maya_diagrams, reference_apply_b,
+                     reference_canonical, reference_column_piece, ribbon_b, window_commutator)
 
 ONE = LaurentPoly.one()
 
@@ -754,6 +754,52 @@ class TestClassicalLimit:
         assert classical_form(raised, lowered.tail_start + i) == classical_shift(i, lowered)
 
 
+@st.composite
+def lowered_basis_states(draw):
+    """A basis state reached from the vacuum by 1 to 3 lowerings, at n = 2, 3 or 4.
+
+    In the Maya labelling of ``helpers.maya_diagrams`` a lowering moves an
+    occupied label below 3n to a free label at most 3n below it; the labels
+    from 3n on stay occupied, so the tail starts at mode 3.
+    """
+    n = draw(st.sampled_from((2, 3, 4)))
+    top = 3 * n
+    occupied = set(range(top))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(sorted(occupied)))
+        t = draw(st.sampled_from([t for t in range(k - top, k) if t not in occupied]))
+        occupied = occupied - {k} | {t}
+    cols = {}
+    for k in sorted(occupied):
+        m, a = divmod(k, n)
+        cols.setdefault(m, []).append(a + 1)
+    return FockState(n, 3, {tuple((m, tuple(ix)) for m, ix in cols.items()): ONE})
+
+
+class TestRibbonOracle:
+    """b_1 and b_-1 at full q against the ribbon rule of ``helpers.ribbon_b``.
+
+    The q = 1 oracle is blind to the correction terms and the q-powers.  The
+    ribbon rule moves one label of the Maya labelling by n, weighted by
+    (-q^-1)^h, and rewrites no word; it is this code's finding, not the paper's.
+    """
+
+    @settings(max_examples=240, deadline=None)
+    @given(s=lowered_basis_states(), sign=st.sampled_from((1, -1)),
+           variant=st.sampled_from(VARIANTS))
+    def test_lowered_basis_states(self, s, sign, variant):
+        assert maya_diagrams(apply_b(sign, s, standard_rules(s.n, variant))) == ribbon_b(sign, s)
+
+    @pytest.mark.parametrize("n, i", [(3, 9), (4, 8)])
+    def test_frontier_states(self, n, i):
+        # the lowered states of TestClassicalLimit.test_frontier_states; the
+        # ribbon rule gives b_1 b_-i omega = 0 at full q without a rewrite
+        lowered = apply_b(-i, vacuum(n, 0))
+        for sign in (1, -1):
+            assert maya_diagrams(apply_b(sign, lowered)) == ribbon_b(sign, lowered)
+        assert ribbon_b(1, lowered) == {}
+
+
 class TestFarFromModeZero:
     """The shift fold codes each generator from the lowest mode of its call.
 
@@ -802,6 +848,28 @@ class TestFarFromModeZero:
         g, w = at0.word[0], at0.word[1:]
         assert all(1 <= a <= 3 and -2 <= m < 3 for m, a in at0.word)
         assert list(w) == sorted(set(w)) and g > w[0]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_recursion_limit_is_a_budget_error(self, variant):
+        # t[0]_1 fills the empty column 0 below k full columns at n = 1, and its
+        # insertion nests one memo miss per column: past the recursion limit
+        # the run stops with a budget error, never a RecursionError
+        rules = standard_rules(1, variant)
+        x = ModeElement.from_word(1, ((0, 1),))
+
+        def below(k):
+            return FockState(1, 1, {tuple((-c, (1,)) for c in range(k, 0, -1)): ONE})
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert multiply_left(x, below(900), rules) == FockState(1, -900, {(): ONE})
+            with pytest.raises(BudgetExceededError, match="recursion limit of 1000 ") as err:
+                multiply_left(x, below(1200), rules)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert 900 < err.value.depth < 1000
+        assert "nested %d memo misses deep" % err.value.depth in str(err.value)
 
 
 class TestTransportReuse:

@@ -400,6 +400,24 @@ class TestConstructorIndices:
         op = TensorOp(2, 1, {((1,), (2,)): LaurentPoly.one()})
         assert list(op.entries) == [((1,), (2,))]
 
+    # a zero coefficient used to be dropped before its key was checked
+    BAD_KEYS = [(((1,), (1, 9)), "multi-index length must equal the leg count"),
+                (((1, 7), (1, 1)), "integers in 1..n")]
+
+    @pytest.mark.parametrize("zero", [LaurentPoly(), 0])
+    @pytest.mark.parametrize("key, message", BAD_KEYS)
+    def test_checks_the_key_of_a_zero_entry(self, key, message, zero):
+        with pytest.raises(ValueError, match=message):
+            TensorOp(2, 2, {key: zero})
+
+    @pytest.mark.parametrize("zero", [{}, {"0": 0}])
+    @pytest.mark.parametrize("key, message", BAD_KEYS)
+    def test_from_json_checks_the_key_of_a_zero_entry(self, key, message, zero):
+        blob = standard_sln_R(2).R.to_json()
+        blob["entries"].append([list(key[0]), list(key[1]), zero])
+        with pytest.raises(ValueError, match=message):
+            TensorOp.from_json(blob)
+
 
 class TestConstructorEntries:
     @pytest.mark.parametrize("entry", [1.5, True, 0.0])
