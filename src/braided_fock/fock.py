@@ -507,7 +507,7 @@ def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats
                 rule = pairs.get(pair)
                 if rule is None:
                     rule = rules.pair_rule(pair)
-                rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule if c]
+                rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule]
             acc, bnd, D = {}, {}, 0
             for o1, o2, c, cb, cd in rule:
                 du, us = insert(h + o2, rest)

@@ -28,9 +28,10 @@ A generator (m, a) is coded as the int x = m(n+1) + a.  The rules depend on
 the mode gap and the two indices only, so ``ExchangeRules`` keeps one table
 of pair rewrites for both engines, keyed on (x1 - x2, x2 mod (n+1)) for a
 pair x1 x2, with each child y1 y2 stored as the offsets (y1 - x2, y2 - x2).
-Translated pairs share an entry, and each entry is built once per rules
-object, as is its copy with integer-image coefficients (``images``) that
-the insertion engine of ``fock`` reads.
+Translated pairs share an entry.  ``pair_rule`` alone builds one, once per
+key and rules object, with closed-form correction weights and no rewrite of
+coefficient 0; the insertion engine of ``fock`` reads a copy with
+integer-image coefficients (``images``).
 
 Free words take the heap engine here.  It codes a generator as -x
 instead, which reverses the generator order, so the smallest coded word on
@@ -169,48 +170,41 @@ class ExchangeRules:
         # rewrites with the coefficients as integer images of that width
         self.images = {}
 
-    def cross_expansion(self, gap: int, a: int, b: int):
-        """Rewrite data for theta^(i)_a theta^(j)_b with i - j = gap > 0.
-
-        Returns tuples (dm1, dm2, c, d, coeff): the rewritten pair is
-        theta^(j+dm1)_c theta^(j+dm2)_d with the given coefficient.
-        """
-        out = []
-        for (c, d), coeff in self.pbold_cols.get((a, b), ()):
-            out.append((0, gap, c, d, coeff))
-        if self.variant == "theorem21" and gap >= 2:
-            # f is the weight (q^-2 - 1) q^(-2(s-1)) of the depth-s correction
-            # pair; the one-step recursion forces the geometric weight because
-            # (1 + PbR)(1 + (q - 1/q)PR) collapses to q^(-2) (1 + PbR) under
-            # the quadratic relation
-            f = self.qm2_minus_1
-            for s in range(1, gap // 2 + 1):
-                if s > 1:
-                    f = f * self.q_inv * self.q_inv
-                if 2 * s == gap:
-                    # the middle pair carries the same weight
-                    out.append((s, s, a, b, f))
-                else:
-                    for (c, d), coeff in self.plus_pbold_cols.get((a, b), ()):
-                        out.append((s, gap - s, c, d, coeff * f))
-        return out
-
     def pair_rule(self, key):
         """Build the rewrites of a bad coded pair x1 x2 and store them under ``key``.
 
         ``key`` is (x1 - x2, x2 mod (n+1)) for the codes x = m(n+1) + a of
-        the pair; the rule is a list of (y1 - x2, y2 - x2, coeff) with
-        x1 x2 = sum coeff y1 y2.  The engines call it when ``pairs`` misses.
+        the pair theta^(i)_a theta^(j)_b, which the engines build on a miss;
+        the rule lists (y1 - x2, y2 - x2, coeff), no coeff 0, with
+        x1 x2 = sum coeff y1 y2.  For i = j it is the swap rule.  For i > j it
+        is column (a, b) of P_bold_R on theta^(j) theta^(i), then, under
+        ``theorem21``, for 1 <= s <= (i-j)/2, column (a, b) of 1 + P_bold_R
+        (e_(a,b) alone when 2s = i - j) on theta^(j+s) theta^(i-s), weighted
+        q^(es) - q^(e(s-1)) = (q^-2 - 1) q^(-2(s-1)) for q^-2 = q^e.  The
+        one-step recursion forces that weight: (1 + PbR)(1 + (q - 1/q)PR)
+        collapses to q^-2 (1 + PbR) under the quadratic relation.
         """
         base = self.n + 1
         b = key[1]
         gap, a = divmod(key[0] + b, base)
-        if gap:
-            moves = self.cross_expansion(gap, a, b)
-        else:
-            moves = [(0, 0, b, a, self.swap.coeff[(a, b)])] if a != b else []
-        rule = self.pairs[key] = [(dm1 * base + c - b, dm2 * base + d - b, coeff)
-                                  for dm1, dm2, c, d, coeff in moves]
+        if not gap:
+            c = self.swap.coeff[(a, b)] if a != b else None
+            rule = self.pairs[key] = [(0, a - b, c)] if c else []
+            return rule
+        rule = [(c - b, gap * base + d - b, coeff)
+                for (c, d), coeff in self.pbold_cols.get((a, b), ())]
+        if self.variant == "theorem21" and self.qm2_minus_1:
+            e = 2 * min(self.q_inv.terms)  # q_inv is +-q^(e/2)
+            plus = self.plus_pbold_cols.get((a, b), ())
+            # with that column empty, only the middle pair (even gaps) is stored
+            for s in range(1 if plus else (gap + 1) // 2, gap // 2 + 1):
+                f = LaurentPoly({e * s: 1, e * s - e: -1})
+                if 2 * s == gap:
+                    rule.append((s * base + a - b, s * base, f))
+                else:
+                    rule += [(s * base + c - b, (gap - s) * base + d - b, coeff * f)
+                             for (c, d), coeff in plus]
+        self.pairs[key] = rule
         return rule
 
 
@@ -376,8 +370,6 @@ def normal_form_stats(x: ModeElement, rules: ExchangeRules, strategy: str = "lef
             if d1 == d2 or d1 == left or d2 == right:
                 continue
             cc = coeff * c
-            if not cc:
-                continue
             child = head + (d1, d2) + tail
             cur = pending.get(child)
             if cur is not None:

@@ -246,15 +246,38 @@ def reference_apply_b(i, s, rules, prune=True):
 
 
 def reference_pair_rewrites(rules, g1, g2):
-    """(h1, h2, coeff) with g1 g2 = sum coeff h1 h2, for a bad pair g1 >= g2.
+    """(h1, h2, coeff) with g1 g2 = sum coeff h1 h2 and no coeff 0, for a bad pair g1 >= g2.
 
-    Reads only the rule data, ``rules.swap`` and ``rules.cross_expansion``.
+    Built from ``rules.data`` (its P_bold_R and q), ``rules.swap`` and
+    ``rules.variant`` alone, with no ``ExchangeRules`` method: in one mode
+    the swap rule; across modes the column (a, b) of P_bold_R, then, under
+    theorem21, for each depth s up to half the gap, the column (a, b) of
+    1 + P_bold_R (e_(a,b) alone for the middle pair) times the weight
+    (q^-2 - 1) q^(-2(s-1)), found by repeated products.  Each column is in
+    row order, as the engines' table keeps it.
     """
+    from braided_fock.coeff import LaurentPoly
+
     (m1, a1), (m2, a2) = g1, g2
     if m1 == m2:
-        return [] if a1 == a2 else [((m1, a2), (m1, a1), rules.swap.coeff[(a1, a2)])]
-    return [((m2 + dm1, c), (m2 + dm2, d), k)
-            for dm1, dm2, c, d, k in rules.cross_expansion(m1 - m2, a1, a2)]
+        c = rules.swap.coeff[(a1, a2)] if a1 != a2 else 0
+        return [((m1, a2), (m1, a1), c)] if c else []
+    column = {row: c for (row, col), c in rules.data.P_bold_R().entries.items()
+              if col == (a1, a2)}
+    out = [((m2, c), (m1, d), k) for (c, d), k in sorted(column.items())]
+    if rules.variant == "theorem21":
+        plus = dict(column)
+        plus[(a1, a2)] = plus.get((a1, a2), LaurentPoly.zero()) + LaurentPoly.one()
+        qinv = rules.data.q.unit_inverse()
+        weight = qinv * qinv - LaurentPoly.one()
+        for s in range(1, (m1 - m2) // 2 + 1):
+            if s > 1:
+                weight = weight * qinv * qinv
+            if 2 * s == m1 - m2:
+                out.append(((m2 + s, a1), (m2 + s, a2), weight))
+            else:
+                out += [((m2 + s, c), (m1 - s, d), k * weight) for (c, d), k in sorted(plus.items())]
+    return [(h1, h2, k) for h1, h2, k in out if k]
 
 
 def reference_normal_form(x, rules):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from braided_fock import modealg
 from braided_fock.coeff import LaurentPoly
+from braided_fock.fock import commutator_on_vacuum
 from braided_fock.modealg import (
     VARIANTS,
     BudgetExceededError,
@@ -745,3 +746,52 @@ def test_pair_table_filled_once_per_rules_object(variant):
     assert all(table[k] is v for k, v in seen.items())
     # another rules object starts with its own, empty table
     assert not ExchangeRules(standard_sln_R(3), variant).pairs
+
+
+# ---- the classical R and the cost of building a rule ------------------------------
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_r_stores_no_zero_rewrite(n, variant):
+    # the identity R with q = 1 is Hecke and PBW, and every correction weight
+    # (q^-2 - 1) q^(-2(s-1)) is 0 there: the table keeps none of those
+    # rewrites, the engines agree with plain rewriting, the mode relations
+    # hold and [b_i, b_-i] on the vacuum is i n
+    rules = ExchangeRules(HeckeData(n, TensorOp.identity(n, 2), ONE), variant)
+    rng = random.Random(29 + n)
+    for _ in range(200):
+        x = ModeElement.from_word(n, rand_word(rng, n))
+        want = reference_normal_form(x, rules)
+        for strategy in ("insertion", "leftmost", "rightmost"):
+            assert engine_normal_form(x, rules, strategy) == want, (x, strategy)
+    for i in range(-2, 3):
+        for j in range(-2, i):
+            assert check_moderel(i, j, n, rules) and check_modeanticom(i, j, n, rules), (i, j)
+            if i - j >= 2:
+                assert check_modeind(i, j, n, rules), (i, j)
+    for i in (1, 2, 3):
+        assert commutator_on_vacuum(i, i, n, rules)[0] == LaurentPoly.q_power(0, i * n), i
+    assert rules.pairs and all(c for rule in rules.pairs.values() for *_, c in rule)
+
+
+def test_rule_building_is_linear_in_the_gap(monkeypatch):
+    # at n = 1, 1 + P_bold_R is 0, so the rule of gap g stores one leading
+    # rewrite and, for even g, the middle pair: 300 corrections over gaps
+    # 1..600, and each weight is written, not multiplied out depth by depth
+    rules = ExchangeRules(standard_sln_R(1))
+    mul, calls = LaurentPoly.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    built = [rules.pair_rule((2 * gap, 1)) for gap in range(1, 601)]
+    monkeypatch.undo()
+    corrections = sum(len(rule) for rule in built) - len(built)
+    assert corrections == 300 and len(calls) <= corrections
+    for gap in (1, 2, 7, 600):
+        assert _table_rewrites(rules, (gap, 1), (0, 1)) == reference_pair_rewrites(
+            rules, (gap, 1), (0, 1)), gap

@@ -351,6 +351,18 @@ class TestUnitarity:
         with pytest.raises(ValueError, match="hits a pole"):
             check_unitarity(flip, [(Fraction(2), Fraction(1))])
 
+    def test_poles_are_the_familys_own(self):
+        # the classical R, identity with q = 1, is Hecke with its only pole
+        # at z0 = 1 and D = 0, so z0 = (3/2)^2 is an ordinary, passing sample
+        q0 = Fraction(3, 2)
+        classical = HeckeData(2, TensorOp.identity(2, 2), LaurentPoly.one())
+        assert check_unitarity(classical, [(q0, q0**2), (q0, 1 / q0**2)]).passed
+        for z0 in (q0**2, 1 / q0**2):
+            with pytest.raises(ValueError, match="hits a pole"):
+                check_unitarity(standard_sln_R(2), [(q0, z0)])
+        with pytest.raises(ValueError, match="inadmissible"):
+            check_unitarity(classical, [(q0, Fraction(0))])
+
     def test_no_samples_rejected(self):
         # used to report pass for the identity R, which the sample (2, 3) rejects
         d = HeckeData(2, TensorOp.identity(2, 2))
