@@ -1,4 +1,7 @@
-"""The frontier table of ROADMAP item 4: [b_i, b_-i] on the vacuum, one process per point.
+"""The frontier table: [b_i, b_-i] on the vacuum, one process per point.
+
+The table is kept in the preamble of ROADMAP.md; item 15 there works on its
+largest points.
 
 Usage:
 
@@ -32,7 +35,8 @@ import sys
 TABLE = ((3, 9), (4, 8), (5, 7), (6, 6), (4, 9), (3, 12), (5, 8), (4, 10))
 # the recorded (misses, zeros, depth) of the points CI runs; more of any is a regression
 RECORDED = {(3, 9): (5548, 2155, 5), (4, 8): (16831, 5921, 7), (6, 6): (31284, 9171, 8),
-            (5, 7): (28593, 9224, 7), (4, 9): (31074, 10776, 7), (3, 12): (19897, 7076, 5)}
+            (5, 7): (28593, 9224, 7), (4, 9): (31074, 10776, 7), (3, 12): (19897, 7076, 5),
+            (5, 8): (61308, 19607, 8), (4, 10): (54800, 18562, 7)}
 
 
 def run_point(n, i):

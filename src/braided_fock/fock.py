@@ -38,26 +38,30 @@ makes, and where it carries nothing it jumps to the next slot.
 
 Inside the fold a coefficient c is an int, the value of q^-d c at
 q^-1 = 2^b (``coeff.to_image``, as in ``rmatrix.integer_images``), for an
-offset d >= the top exponent of c, so that only powers q^-k occur.  The
-terms of one memo entry share one offset, the largest of their products'
-offsets; a rule coefficient has offset max(0, top exponent), which is 0
-for the standard R in both variants, and adding terms of two offsets
-shifts the lower one by b bits per step.  Each coefficient carries a bound
-on the L1 norm of the polynomial it encodes: the product of the bounds in
-a product, their sum in a sum.  A polynomial whose coefficients all lie
-strictly between -2^(b-1) and 2^(b-1) is read back from its image as
-balanced base-2^b digits (``coeff.from_image``), and then an image 0 is
-the polynomial 0.  Terms are carried even when their image cancels to 0,
-and every bound only grows along the fold, so checking the bounds of the
-outputs is enough.  b starts at ``_FOLD_BITS`` = 32, or at the width of
-the coefficients given if that is larger.  When an output bound reaches
-2^(b-1) the fold reads its given coefficients back, exact since their
-bounds were checked, encodes them at 2b and runs again, alone.  A chained
-fold multiplies the bounds it is given, which grow far past the norms they
-bound: at the (5, 8) frontier point those of b_-8 omega reach 808,512 for
-norms of at most 8, and carried into b_8 they passed 2^31.  So an output
-bound of 2^(b/4) or more is replaced by the exact norm, read off the
-digits (``coeff.image_l1``).
+offset d >= the top exponent of c, so that only powers q^-k occur.  Every
+sum the fold carries (a memo miss's, each R_p, the output) is one dict
+from mask to [image, bound] at one offset, the largest of its products'
+offsets, and ``add`` alone accumulates into it, shifting the side of lower
+offset by b bits per step; a rule coefficient has offset max(0, top
+exponent), which is 0 for the standard R in both variants.  Memo entries,
+``insert``'s results and the outputs are (mask, image, bound) tuples, not
+lists: a list per memo term raised the max RSS at the (5, 8) and (4, 10)
+frontier points from 46 and 47 MB to 50 and 51 MB.  Each coefficient
+carries a bound on the L1 norm of the polynomial it encodes: the product
+of the bounds in a product, their sum in a sum.  A polynomial whose
+coefficients all lie strictly between -2^(b-1) and 2^(b-1) is read back
+from its image as balanced base-2^b digits (``coeff.from_image``), and
+then an image 0 is the polynomial 0.  Terms are carried even when their
+image cancels to 0, and every bound only grows along the fold, so checking
+the bounds of the outputs is enough.  b starts at ``_FOLD_BITS`` = 32, or
+at the width of the coefficients given if that is larger.  When an output
+bound reaches 2^(b-1) the fold reads its given coefficients back, exact
+since their bounds were checked, encodes them at 2b and runs again, alone.
+A chained fold multiplies the bounds it is given, which grow far past the
+norms they bound: at the (5, 8) frontier point those of b_-8 omega reach
+808,512 for norms of at most 8, and carried into b_8 they passed 2^31.  So
+an output bound of 2^(b/4) or more is replaced by the exact norm, read off
+the digits (``coeff.image_l1``).
 
 Every rewrite keeps the index multiset, the mode sum and the mode range of
 the pair it rewrites.  The index multiset: ``ExchangeRules`` accepts only
@@ -425,47 +429,28 @@ def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats
     memo = {}
     frames = []  # the shift s of each open miss, outermost first
 
-    def add(acc, bnd, D, terms, d, c, cb):
+    def add(acc, D, terms, d, c, cb):
         # acc += c terms, for terms (mask, image, bound) at offset d and acc
-        # at offset D; returns the offset of the sum
+        # {mask: [image, bound]} at offset D; returns the offset of the sum
         if d > D:
-            for v in acc:
-                acc[v] <<= (d - D) * bits
+            for e in acc.values():
+                e[0] <<= (d - D) * bits
             D = d
         c <<= (D - d) * bits
         for v, cv, bv in terms:
-            x = acc.get(v)
-            if x is None:
-                acc[v] = c * cv
-                bnd[v] = cb * bv
+            e = acc.get(v)
+            if e is None:
+                acc[v] = [c * cv, cb * bv]
             else:
-                acc[v] = x + c * cv
-                bnd[v] += cb * bv
+                e[0] += c * cv
+                e[1] += cb * bv
         return D
 
-    def push(acc, bnd, D, g, terms, d, c, cb):
+    def push(acc, D, g, terms, d, c, cb):
         # acc += c NF(g . u) cu over (u, cu, bu) in terms, at offset d
         for u, cu, bu in terms:
-            u0 = (u & -u).bit_length() - 1
-            if g > u0 and u:
-                dv, vs = insert(g, u)
-            elif g < u0 or not u:  # g . u is normal
-                dv, vs = 0, ((u | 1 << g, 1, 1),)
-            else:  # g . u starts g g
-                continue
-            if d + dv != D:
-                D = add(acc, bnd, D, vs, d + dv, c * cu, cb * bu)
-                continue
-            cu *= c
-            bu *= cb
-            for v, cv, bv in vs:
-                x = acc.get(v)
-                if x is None:
-                    acc[v] = cu * cv
-                    bnd[v] = bu * bv
-                else:
-                    acc[v] = x + cu * cv
-                    bnd[v] += bu * bv
+            dv, vs = insert(g, u)
+            D = add(acc, D, vs, d + dv, c * cu, cb * bu)
         return D
 
     def insert(g, w):
@@ -508,11 +493,11 @@ def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats
                 if rule is None:
                     rule = rules.pair_rule(pair)
                 rule = table[pair] = [(o1, o2) + fold_image(c, bits) for o1, o2, c in rule]
-            acc, bnd, D = {}, {}, 0
+            acc, D = {}, 0
             for o1, o2, c, cb, cd in rule:
                 du, us = insert(h + o2, rest)
-                D = push(acc, bnd, D, h + o1, us, du + cd, c, cb)
-            out = memo[key] = (D, tuple(zip(acc, acc.values(), bnd.values())))
+                D = push(acc, D, h + o1, us, du + cd, c, cb)
+            out = memo[key] = (D, tuple([(v, x, b) for v, (x, b) in acc.items()]))
             frames.pop()
         d, terms = out
         if not terms or not (s or high):
@@ -522,10 +507,10 @@ def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats
             return d, ((v << s | high, c, cb),)
         return d, [(v << s | high, c, cb) for v, c, cb in terms]
 
-    done, dbnd, Dd = {}, {}, 0
+    done, Dd = {}, 0
     for gens, start, slots, (c, cb, cd) in folds:
-        # R_p: images acc and bounds bnd at offset D
-        acc, bnd, D = ({}, {}, 0) if start is None else ({start: 1}, {start: 1}, 0)
+        # R_p, {mask: [image, bound]} at offset D
+        acc, D = {} if start is None else {start: [1, 1]}, 0
         k = 0
         p = len(gens) - 1
         while p >= 0:
@@ -534,19 +519,18 @@ def _fold_at(rules: ExchangeRules, folds, lo: int, budget: int, bits: int, stats
                 if k == len(slots):
                     break
                 p = slots[k][0]
-            nxt, nbnd = {}, {}
-            E = push(nxt, nbnd, 0, gens[p], zip(acc, acc.values(), bnd.values()), D, 1, 1)
+            nxt = {}
+            E = push(nxt, 0, gens[p], [(u, x, b) for u, (x, b) in acc.items()], D, 1, 1)
             if k < len(slots) and slots[k][0] == p:
                 _, x, suffix = slots[k]
                 k += 1
-                E = push(nxt, nbnd, E, x, ((suffix, 1, 1),), 0, 1, 1)
-            acc, bnd, D = nxt, nbnd, E
+                E = push(nxt, E, x, ((suffix, 1, 1),), 0, 1, 1)
+            acc, D = nxt, E
             p -= 1
         if acc:
-            Dd = add(done, dbnd, Dd, zip(acc, acc.values(), bnd.values()), D + cd, c, cb)
+            Dd = add(done, Dd, [(u, x, b) for u, (x, b) in acc.items()], D + cd, c, cb)
     out = {}
-    for v, x in done.items():
-        b = dbnd[v]
+    for v, (x, b) in done.items():
         if b >= half:
             out = None
             break

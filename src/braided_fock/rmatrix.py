@@ -323,8 +323,8 @@ def check_unitarity(data: HeckeData, samples) -> CheckResult:
             raise ValueError("inadmissible sample: q0=%s z0=%s" % (q0, z0))
         pole = data.q.evaluate(q0) ** 2
         if pole in (z0, 1 / z0):
-            raise ValueError("sample hits a pole of the spectral family: q0=%s z0=%s"
-                             % (q0, z0 if z0 == pole else 1 / z0))
+            raise ValueError("sample q0=%s z0=%s hits a pole of the spectral family: "
+                             "%s = Q(q0)^2 = %s" % (q0, z0, "z0" if z0 == pole else "1/z0", pole))
         ok = not any(c.evaluate(q0) for c in D.entries.values())
         checked.append({"q0": str(q0), "z0": str(z0), "pass": ok})
         if not ok and bad is None:

@@ -477,10 +477,12 @@ def _maya(occupied, top):
             frozenset(k for k in range(top) if k not in occupied))
 
 
-def ribbon_b(sign, s):
-    """b_1 (``sign`` 1) or b_-1 (``sign`` -1) on the state s, as ``maya_diagrams`` gives it.
+def ribbon_b(sign, s, n=None):
+    """b_1 (``sign`` 1) or b_-1 (``sign`` -1) on s, as ``maya_diagrams`` gives it.
 
-    Each occupied label k moves to k + sign n when that label is free, with
+    ``s`` is a state, or a ``maya_diagrams`` output of rank ``n`` such as this
+    function's own, so that ribbon steps compose without the engine.  Each
+    occupied label k moves to k + sign n when that label is free, with
     weight (-q^-1)^h for the h occupied labels strictly between the two: in
     the partition picture, one n-ribbon added or removed, weighted by its
     height.  That b_1 and b_-1 act so is this code's finding, checked
@@ -489,12 +491,14 @@ def ribbon_b(sign, s):
     """
     from braided_fock.coeff import LaurentPoly
 
-    n = s.n
-    # labels from top on, and their targets, stay occupied
-    top = n * s.tail_start + n
+    if n is None:
+        s, n = maya_diagrams(s), s.n
     out = {}
-    for cfg, c in s.terms.items():
-        occupied = {n * m + a - 1 for m, ix in cfg for a in ix} | set(range(n * s.tail_start, top))
+    for (neg, free), c in s.items():
+        # every label from max(free) + 1 on is occupied; spell n more, so
+        # that labels from top on, and their targets, stay occupied
+        top = max(free, default=-1) + 1 + n
+        occupied = set(neg) | {k for k in range(top) if k not in free}
         for k in occupied:
             t = k + sign * n
             if t in occupied or t >= top:

@@ -24,6 +24,7 @@ from braided_fock.fock import (
 from braided_fock.modealg import (
     VARIANTS,
     BudgetExceededError,
+    ExchangeRules,
     ModeElement,
     normal_form,
     shift_leibniz,
@@ -37,6 +38,7 @@ from braided_fock.rmatrix import (
 )
 from helpers import (classical_form, classical_shift, maya_diagrams, reference_apply_b,
                      reference_canonical, reference_column_piece, ribbon_b, window_commutator)
+from test_insertion import twist
 
 ONE = LaurentPoly.one()
 
@@ -755,14 +757,15 @@ class TestClassicalLimit:
 
 
 @st.composite
-def lowered_basis_states(draw):
-    """A basis state reached from the vacuum by 1 to 3 lowerings, at n = 2, 3 or 4.
+def lowered_basis_states(draw, n=None):
+    """A basis state reached from the vacuum by 1 to 3 lowerings, at ``n`` or else n = 2, 3 or 4.
 
     In the Maya labelling of ``helpers.maya_diagrams`` a lowering moves an
     occupied label below 3n to a free label at most 3n below it; the labels
     from 3n on stay occupied, so the tail starts at mode 3.
     """
-    n = draw(st.sampled_from((2, 3, 4)))
+    if n is None:
+        n = draw(st.sampled_from((2, 3, 4)))
     top = 3 * n
     occupied = set(range(top))
     for _ in range(draw(st.integers(1, 3))):
@@ -774,6 +777,17 @@ def lowered_basis_states(draw):
         m, a = divmod(k, n)
         cols.setdefault(m, []).append(a + 1)
     return FockState(n, 3, {tuple((m, tuple(ix)) for m, ix in cols.items()): ONE})
+
+
+@st.composite
+def lowered_states(draw):
+    """A sum of 1 to 4 ``lowered_basis_states`` of one rank, each with a coefficient +-c q^e."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    s = FockState(n, 0)
+    for _ in range(draw(st.integers(1, 4))):
+        c = LaurentPoly.q_power(draw(st.integers(-3, 3)), draw(st.sampled_from((-2, -1, 1, 3))))
+        s = s + draw(lowered_basis_states(n)).scale(c)
+    return s
 
 
 class TestRibbonOracle:
@@ -798,6 +812,61 @@ class TestRibbonOracle:
         for sign in (1, -1):
             assert maya_diagrams(apply_b(sign, lowered)) == ribbon_b(sign, lowered)
         assert ribbon_b(1, lowered) == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=lowered_states(), variant=st.sampled_from(VARIANTS))
+    def test_commutator_is_the_braided_integer(self, s, variant):
+        # [b_1, b_-1] s = [n; q^-2] s, once through the engine and once
+        # through two ribbon steps, which never call it
+        n = s.n
+        rules = standard_rules(n, variant)
+        scalar = braided_int_scalar(n, -2)
+        engine = apply_b(1, apply_b(-1, s, rules), rules) - apply_b(-1, apply_b(1, s, rules), rules)
+        assert engine == s.scale(scalar)
+        up_down = ribbon_b(1, ribbon_b(-1, s), n)
+        down_up = ribbon_b(-1, ribbon_b(1, s), n)
+        ribbon = {k: up_down.get(k, 0) - down_up.get(k, 0) for k in up_down.keys() | down_up}
+        assert {k: c for k, c in ribbon.items() if c} == maya_diagrams(s.scale(scalar))
+
+
+class TestFockForm:
+    """The canonical configurations as an orthonormal basis: b_i is the transpose of b_-i.
+
+    Both identities are this code's findings, not claims of the paper, and
+    each compares two different shifts.  Configurations are compared in the
+    Maya labelling of ``helpers.maya_diagrams``, which spells every tail out
+    to one common label, so states whose tails start at different modes
+    compare term by term.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(lam=lowered_basis_states(), variant=st.sampled_from(VARIANTS))
+    def test_transpose(self, lam, variant):
+        # <mu| b_i |lam> = <lam| b_-i |mu> for every mu in b_i lam, |i| <= 3
+        rules = standard_rules(lam.n, variant)
+        (key,) = maya_diagrams(lam)
+        entries = 0
+        for i in (-3, -2, -1, 1, 2, 3):
+            out = apply_b(i, lam, rules)
+            for cfg, c in out.terms.items():
+                back = apply_b(-i, FockState(lam.n, out.tail_start, {cfg: ONE}), rules)
+                assert maya_diagrams(back).get(key) == c, (i, cfg)
+                entries += 1
+        assert entries
+
+    @pytest.mark.parametrize("n, i, twisted", [(2, i, False) for i in range(1, 7)]
+                             + [(3, i, False) for i in range(1, 6)]
+                             + [(4, i, False) for i in range(1, 5)] + [(2, 2, True), (3, 2, True)])
+    def test_norm(self, n, i, twisted):
+        # b_i omega = 0 for i > 0, so the vacuum coefficient of [b_i, b_-i] omega
+        # is <b_-i omega, b_-i omega>, the sum of c_lam^2 over b_-i omega =
+        # sum c_lam lam; the twisted R reweights the basis and breaks it, so
+        # the form is the standard R's
+        rules = ExchangeRules(twist(n)) if twisted else standard_rules(n)
+        scalar, _ = commutator_on_vacuum(i, i, n, rules=rules)
+        lowered = apply_b(-i, vacuum(n, 0), rules)
+        norm = sum((c * c for c in lowered.terms.values()), LaurentPoly.zero())
+        assert (scalar == norm) != twisted
 
 
 class TestFarFromModeZero:

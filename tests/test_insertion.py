@@ -190,6 +190,17 @@ def test_default_width_does_not_restart(monkeypatch):
     assert max(c[5] for c in calls) == 5
 
 
+def test_a_sum_widens_on_the_bound_of_every_term(monkeypatch):
+    # NF(t[2]_1 . t[0]_1) = -t[0]_1 t[2]_1, each term of bound 1; folded twice
+    # onto one word its bound is 2, which reaches 2^(b-1) at 2 bits and widens
+    monkeypatch.setattr(fock, "_FOLD_BITS", 2)
+    rules = standard_rules(2)
+    fold = ([2 * 3 + 1], 1 << 1, (), ONE)
+    out, _, bits = insertion_fold(rules, [fold, fold], 0, None, None)
+    assert bits == 4 and list(out) == [1 << 1 | 1 << 7]
+    assert fock.unfold_image(out[1 << 1 | 1 << 7], bits) == LaurentPoly({0: -2})
+
+
 def test_counting_test_drops_exactly_the_raised_slots_with_no_normal_word(monkeypatch):
     # b_i, i > 0, on random states: a slot that the column rule keeps reaches
     # the fold unless its suffix holds the shifted generator g above the

@@ -363,6 +363,15 @@ class TestUnitarity:
         with pytest.raises(ValueError, match="inadmissible"):
             check_unitarity(classical, [(q0, Fraction(0))])
 
+    @pytest.mark.parametrize("z0, hit", [(Fraction(4, 9), "1/z0"), (Fraction(9, 4), "z0")],
+                             ids=["4/9", "9/4"])
+    def test_pole_error_names_the_sample(self, z0, hit):
+        # the message gives the sample as drawn and says which of z0 and 1/z0 is Q^2
+        with pytest.raises(ValueError, match="hits a pole") as err:
+            check_unitarity(standard_sln_R(2), [(Fraction(3, 2), z0)])
+        assert str(err.value) == ("sample q0=3/2 z0=%s hits a pole of the spectral family: "
+                                  "%s = Q(q0)^2 = 9/4" % (z0, hit))
+
     def test_no_samples_rejected(self):
         # used to report pass for the identity R, which the sample (2, 3) rejects
         d = HeckeData(2, TensorOp.identity(2, 2))
