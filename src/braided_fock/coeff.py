@@ -212,11 +212,23 @@ class LaurentPoly(_SparsePoly):
         raise ValueError("not a unit in Z[q, q^-1]: %s" % self)
 
     def divide_exact(self, den: "LaurentPoly"):
-        """Exact quotient self / den in Z[q, q^-1], or None when inexact."""
+        """Exact quotient self / den in Z[q, q^-1], or None when inexact.
+
+        A monomial den = c q^k divides in one pass: every coefficient must be
+        a multiple of c, and the quotient shifts each exponent by -k.  Any
+        other den takes Laurent long division from the top term down.
+        """
         if not den.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
             return LaurentPoly()
+        if len(den.terms) == 1:
+            ((de, dc),) = den.terms.items()
+            if any(c % dc for c in self.terms.values()):
+                return None
+            r = LaurentPoly.__new__(LaurentPoly)
+            r.terms = {e - de: c // dc for e, c in self.terms.items()}
+            return r
         num = dict(self.terms)
         dhi = max(den.terms)
         dlead = den.terms[dhi]

@@ -10,11 +10,18 @@ reduce to swap rules
 
 so every word reduces to a single strictly increasing monomial with a scalar
 coefficient, and the degree-m component has the binomial dimension C(n, m).
+
+A word is reduced one index at a time: the new index passes the larger
+indices of the sorted prefix, taking one rule each, and a word in which it
+then meets its twin is 0.  ``SwapRuleTable.reduce_word`` keeps a per-table
+memo from each word to its (coefficient, monomial), one entry per distinct
+word a caller reduced: a contraction reduces the same few words many times
+(5,339 reductions of 256 words for criterion 6 at n = 4).  ``degree_rank``
+meets each arrangement once, so a memo would only grow; it shares the
+reductions of common prefixes instead, and adds nothing to the memo.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .coeff import LaurentPoly, LinearCombination
 from .rmatrix import HeckeData, braided_integer, braided_integer_bar
@@ -37,23 +44,39 @@ class SwapRuleTable:
         self.n = n
         self.coeff = dict(coeff)
         self.data = data
+        self._memo = {}
 
     def reduce_word(self, word):
-        """Reduce an index word to (coefficient, sorted monomial) or (0, None)."""
-        word = list(word)
-        # a repeated index meets its twin while sorting, and theta_a theta_a = 0
-        if len(set(word)) < len(word):
+        """Reduce an index word to (coefficient, sorted monomial) or (0, None).
+
+        The result is memoised on the table under the word as a tuple, so
+        the memo holds one entry per distinct word reduced by this method,
+        and a repeated word costs one lookup.  Only this method fills it.
+        """
+        word = tuple(word)
+        out = self._memo.get(word)
+        if out is None:
+            out = LaurentPoly.one(), ()
+            for a in word:
+                out = self._insert(*out, a)
+                if out[1] is None:
+                    break
+            self._memo[word] = out
+        return out
+
+    def _insert(self, c, mono, a):
+        """Reduce c * theta_mono theta_a for a strictly increasing mono.
+
+        theta_a passes each larger index b of mono by the rule for (b, a);
+        if it then meets its twin, theta_a theta_a = 0 gives (0, None).
+        """
+        k = len(mono)
+        while k and mono[k - 1] > a:
+            k -= 1
+            c = c * self.coeff[(mono[k], a)]
+        if k and mono[k - 1] == a:
             return LaurentPoly.zero(), None
-        c = LaurentPoly.one()
-        # insertion sort; each swap applies one rule and strictly lowers the
-        # inversion count, so this terminates
-        for i in range(1, len(word)):
-            j = i
-            while j > 0 and word[j - 1] > word[j]:
-                c = c * self.coeff[(word[j - 1], word[j])]
-                word[j - 1], word[j] = word[j], word[j - 1]
-                j -= 1
-        return c, tuple(word)
+        return c, mono[:k] + (a,) + mono[k:]
 
 
 class WedgeElement(LinearCombination):
@@ -161,7 +184,13 @@ def braided_partial(i: int, x: WedgeElement, table: SwapRuleTable,
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = x.n
+    n = table.n
+    if type(i) is not int:
+        raise ValueError("index %r is not an int" % (i,))
+    if not 1 <= i <= n:
+        raise ValueError("index %r out of range 1..%d" % (i, n))
+    if x.n != n:
+        raise ValueError("element of rank %d, table of rank %d" % (x.n, n))
     out = WedgeElement.zero(n)
     bold = table.data.bold_R()
     by_degree = {}
@@ -191,7 +220,12 @@ def degree_rank(n: int, m: int, table: SwapRuleTable) -> int:
     Each word reduces to a scalar times one increasing monomial, so the rank
     is the number of monomials some word reaches with a nonzero scalar.
     Words repeating an index reduce to 0, so only the arrangements of m
-    distinct indices are reduced.
+    distinct indices are reduced.  They are walked in lexicographic order:
+    each prefix is reduced once, and each of its extensions takes one more
+    insertion step.  The walk keeps no per-word state and leaves the table's
+    memo as it was: it meets each of the n!/(n-m)! arrangements once, so a
+    memo of them would never be read (through ``reduce_word``, ``dims --n 8``
+    went from 16 MB to 80 MB max RSS).
 
     The rank is C(n, m) for every table ``derive_wedge_rules`` returns: each
     word reaches the increasing monomial of its own indices, and the
@@ -199,9 +233,22 @@ def degree_rank(n: int, m: int, table: SwapRuleTable) -> int:
     1..n is hit.  A rank therefore checks the shape of the swap rules (every
     word reduces to one monomial), not a dimension computed independently.
     """
+    if n != table.n:
+        raise ValueError("rank n=%r does not match the table's n=%d" % (n, table.n))
+    if m < 0:
+        raise ValueError("degree m=%r is negative" % (m,))
+    if m > n:
+        return 0
     hit = set()
-    for word in itertools.permutations(range(1, n + 1), m):
-        c, mono = table.reduce_word(word)
-        if c:
-            hit.add(mono)
+
+    def extend(c, mono):
+        if len(mono) == m:
+            if c:
+                hit.add(mono)
+            return
+        for a in range(1, n + 1):
+            if a not in mono:
+                extend(*table._insert(c, mono, a))
+
+    extend(LaurentPoly.one(), ())
     return len(hit)

@@ -507,3 +507,23 @@ def ribbon_b(sign, s, n=None):
             diagram = _maya(occupied - {k} | {t}, top)
             out[diagram] = out.get(diagram, 0) + c * LaurentPoly.q_power(-h, (-1) ** h)
     return {k: c for k, c in out.items() if c}
+
+
+def reference_reduce_word(word, coeff):
+    """Reduce an index word by adjacent swaps, the leftmost out-of-order pair first.
+
+    ``coeff[(b, a)]`` is the scalar of theta_b theta_a = c theta_a theta_b for
+    b > a, and two equal neighbours kill the word.  Returns (c, monomial) or
+    (0, None), as ``SwapRuleTable.reduce_word`` does.
+    """
+    from braided_fock.coeff import LaurentPoly
+
+    w, c = list(word), LaurentPoly.one()
+    while True:
+        j = next((j for j in range(len(w) - 1) if w[j] >= w[j + 1]), None)
+        if j is None:
+            return c, tuple(w)
+        if w[j] == w[j + 1]:
+            return LaurentPoly.zero(), None
+        c = c * coeff[(w[j], w[j + 1])]
+        w[j], w[j + 1] = w[j + 1], w[j]

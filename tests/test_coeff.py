@@ -141,6 +141,33 @@ class TestLaurentRing:
         with pytest.raises(ZeroDivisionError):
             ONE.divide_exact(LaurentPoly.zero())
 
+    def test_divide_by_a_monomial(self):
+        p = lp({3: 4, 0: -6, -2: 2})
+        assert p.divide_exact(LaurentPoly.q_power(2)) == lp({1: 4, -2: -6, -4: 2})
+        assert p.divide_exact(LaurentPoly.q_power(-2, -1)) == lp({5: -4, 2: 6, 0: -2})
+        assert p.divide_exact(ONE) == p
+        # by 2q^3: exact when every coefficient is even, else None
+        assert p.divide_exact(lp({3: 2})) == lp({0: 2, -3: -3, -5: 1})
+        assert p.divide_exact(lp({3: -2})) == lp({0: -2, -3: 3, -5: -1})
+        assert (p + ONE).divide_exact(lp({3: 2})) is None
+        assert lp({7: 3}).divide_exact(lp({3: 2})) is None
+        assert LaurentPoly.zero().divide_exact(lp({3: 2})) == LaurentPoly.zero()
+        # exponents of the size the twisted R file carries
+        big = lp({24000: 5, 23999: -10, -24000: 15})
+        assert big.divide_exact(lp({24000: -5})) == lp({0: -1, -1: 2, -48000: -3})
+        assert big.divide_exact(lp({-23999: 5})) == lp({47999: 1, 47998: -2, -1: 3})
+        assert big.divide_exact(lp({24000: 10})) is None
+
+    def test_monomial_division_round_trip(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            p = random_laurent(rng)
+            c = rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+            m = LaurentPoly.q_power(rng.randint(-30, 30), c)
+            assert (p * m).divide_exact(m) == p
+            if abs(c) > 1:
+                assert (p * m + ONE).divide_exact(m) is None
+
     def test_str(self):
         assert str(LaurentPoly.zero()) == "0"
         assert str(braided_int_scalar(2, -2)) == "1 + q^-2"

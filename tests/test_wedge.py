@@ -18,6 +18,7 @@ from braided_fock.rmatrix import (
 from braided_fock.tensor import TensorOp, permutation_P
 from braided_fock.wedge import (
     NonPBWInputError,
+    SwapRuleTable,
     WedgeElement,
     braided_partial,
     degree_rank,
@@ -26,7 +27,7 @@ from braided_fock.wedge import (
     wedge_normal_form,
 )
 
-from helpers import dense_from_op, dense_rank
+from helpers import dense_from_op, dense_rank, reference_reduce_word
 
 ONE = LaurentPoly.one()
 QINV = LaurentPoly.q_power(-1)
@@ -58,6 +59,27 @@ def hecke_with_vanishing_relations(kind):
         entries = {k: c for k, c in entries.items() if k[1] not in block}
         entries[((2, 1), (1, 2))] = entries[((1, 2), (2, 1))] = -QINV
     return HeckeData(n=2, R=TensorOp(2, 2, entries))
+
+
+def hand_built_table():
+    """A rank-3 table no R derives: one swap scalar 0 and one of three terms."""
+    coeff = {(2, 1): LaurentPoly.zero(), (3, 1): LaurentPoly({1: 1, 0: 2, -1: -1}),
+             (3, 2): -QINV}
+    return SwapRuleTable(3, coeff, standard_sln_R(3))
+
+
+def file_table(name):
+    op = TensorOp.from_json(json.loads((DATA / name).read_text()))
+    return derive_wedge_rules(HeckeData(n=op.n, R=op))
+
+
+def fresh_table(name):
+    """A new table, so that its memo starts empty."""
+    if name == "hand-built":
+        return hand_built_table()
+    if name.endswith(".json"):
+        return file_table(name)
+    return derive_wedge_rules(standard_sln_R(int(name)))
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +194,53 @@ class TestNormalForm:
         assert got == WedgeElement(3, {(1, 2, 3): -LaurentPoly.q_power(-3)})
 
 
+class TestReduceWord:
+    @pytest.mark.parametrize("name", ["1", "2", "3", "4", "diagonal_5q_n2.json",
+                                      "twist_3000_n3.json", "hand-built"])
+    def test_against_adjacent_swaps(self, name):
+        # every word of length <= n + 1, in two shuffled orders on two fresh
+        # tables, so that no answer depends on what the memo already holds
+        n = fresh_table(name).n
+        words = [w for k in range(n + 2) for w in itertools.product(range(1, n + 1), repeat=k)]
+        for seed in (1, 2):
+            table = fresh_table(name)
+            order = list(words)
+            random.Random(seed).shuffle(order)
+            for w in order:
+                word = list(w) if seed == 1 else w
+                assert table.reduce_word(word) == reference_reduce_word(w, table.coeff), w
+            # one memo entry per distinct word reduced
+            assert len(table._memo) == len(words)
+
+
 class TestDimensions:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_binomial(self, tables, n):
         for m in range(0, n + 2):
             assert degree_rank(n, m, tables[n]) == math.comb(n, m)
+
+    def test_against_adjacent_swaps_and_no_memo(self):
+        table = hand_built_table()
+        for m in range(5):
+            hit = set()
+            for w in itertools.permutations((1, 2, 3), m):
+                c, mono = reference_reduce_word(w, table.coeff)
+                if c:
+                    hit.add(mono)
+            assert degree_rank(3, m, table) == len(hit)
+        # the walk keeps no per-word state
+        assert table._memo == {}
+
+    def test_rank_must_match_the_table(self, tables):
+        with pytest.raises(ValueError, match="rank n=5 does not match the table's n=2"):
+            degree_rank(5, 2, tables[2])
+        with pytest.raises(ValueError, match="rank n=1 does not match the table's n=2"):
+            degree_rank(1, 1, tables[2])
+
+    def test_negative_degree_rejected(self, tables):
+        for m in (-1, -3):
+            with pytest.raises(ValueError, match="degree m=%d is negative" % m):
+                degree_rank(2, m, tables[2])
 
 
 class TestTopForm:
@@ -257,19 +321,40 @@ class TestBraidedPartial:
         with pytest.raises(ValueError):
             braided_partial(1, top_form(2), tables[2], side="up")
 
+    @pytest.mark.parametrize("i", [0, 3, 5, -1])
+    def test_index_out_of_range_rejected(self, tables, i):
+        with pytest.raises(ValueError, match=r"^index %d out of range 1\.\.2$" % i):
+            braided_partial(i, top_form(2), tables[2])
+
+    @pytest.mark.parametrize("i", [1.0, True, "1"])
+    def test_non_int_index_rejected(self, tables, i):
+        with pytest.raises(ValueError) as err:
+            braided_partial(i, top_form(2), tables[2])
+        assert str(err.value) == "index %r is not an int" % (i,)
+
+    @pytest.mark.parametrize("x", [top_form(3), WedgeElement(3, {(1,): ONE}),
+                                   WedgeElement.unit(1)])
+    def test_element_of_another_rank_rejected(self, tables, x):
+        with pytest.raises(ValueError) as err:
+            braided_partial(1, x, tables[2])
+        assert str(err.value) == "element of rank %d, table of rank 2" % x.n
+
 
 class TestVanishingContraction:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_right_differential_of_overfull_product(self, tables, n):
         # contracting any (n+1)-fold one-mode word with the reversed braided
         # integer, last output leg separated, reduces to zero
         d = standard_sln_R(n)
         table = tables[n]
         op = braided_integer_bar(n + 1, d.bold_R())
+        # the operator's columns, indexed once: the images of the basis words
+        by_col = {}
+        for (row, col), c in op.entries.items():
+            by_col.setdefault(col, []).append((row, c))
         for col in itertools.product(range(1, n + 1), repeat=n + 1):
-            vec = op.apply_to_vector({col: ONE})
             by_last = {}
-            for row, c in vec.items():
+            for row, c in by_col.get(col, ()):
                 by_last.setdefault(row[-1], []).append((row[:-1], c))
             for i, pieces in by_last.items():
                 acc = WedgeElement.zero(n)
